@@ -15,11 +15,18 @@ schedules:
   blocks of N processes that only ever hear each other, the worst case the
   averaging analysis allows);
 - the shared-memory agreement stage inside a two-process cluster is reduced
-  to its reachable outcomes. Per round, writer order makes each member
+  to its reachable outcomes. Per stage, writer order makes each member
   either see both cells or only its own, and seeing both is guaranteed for
-  at least one member, so the round is one of three value-independent linear
-  maps on the pair. Sampling a map sequence and composing it (entries stay
-  exact dyadic floats) reproduces a legal schedule's arithmetic exactly;
+  at least one member, so a stage keeps one member's value and averages
+  the other's, or averages both. The composed map of a whole stage sequence
+  is therefore a pair of weights (w0, w1): member i's new value is
+  w_i * v0 + (1 - w_i) * v1. Each stage halves at most once, so after j
+  stages every weight is a multiple of 2^-j in [0, 1]; up to 53 stages the
+  weights and their complements are exact floats (the midpoint-of-extremes
+  stage has 14). With approach-extreme's 73 stages this still holds unless
+  the first 53 stages of a map all skip the both-see-both outcome, which has
+  probability (2/3)^53 < 5e-10 per map: once both members average, the two
+  weights are equal and stay equal;
 - cluster members receive identical message sets during the exchange
   rounds, and a partition is applied at iteration granularity
   (PartitionSpec.from_event is read as the first affected iteration).
@@ -30,6 +37,13 @@ with master seed [seed_root, s] consume identical gradient noise. That is
 what makes the bit-exact cross-driver tests possible on configurations
 whose quorums are schedule-independent (n = N). The adversary's own draws
 come from one shared stream (child [seed_root, BATCH_SCHEDULE_TAG]).
+
+The agreement rounds of one iteration run in cluster layout: values are
+held as (seeds, clusters, members, dim) from the first round to the last,
+a round's exchange gathers whole clusters by flat row index, and the result
+is scattered back to process order once per iteration. After a
+midpoint-of-extremes round every member holds its cluster's aggregate, so
+the member axis collapses to 1 until the next stage map expands it.
 
 Restrictions, enforced at entry: no crash plans (use the event driver), and
 the non-convex agreement stage supports uniform cluster sizes of 1 or 2.
@@ -51,8 +65,10 @@ from .vecmath import batched_approach_extreme, batched_mid_extremes
 # are [seed_root, s] for s < seeds, kept far below this tag.
 BATCH_SCHEDULE_TAG = 2 ** 31 - 7
 
-# Reachable one-round maps of the two-member shared-memory stage, rows =
+# Reachable one-stage maps of the two-member shared-memory stage, rows =
 # (new value of member 0, new value of member 1) as weights over the pair.
+# _compose_sm_maps draws indices into this table and composes them in the
+# weight-pair form.
 _SM_PATTERNS = np.array([
     [[0.5, 0.5], [0.5, 0.5]],  # both members collected both cells
     [[1.0, 0.0], [0.5, 0.5]],  # member 0 collected only its own cell
@@ -158,16 +174,23 @@ def _sequential_mean(gathered: np.ndarray) -> np.ndarray:
 
 def _compose_sm_maps(rng: np.random.Generator, seeds: int, clusters: int,
                      rounds_outer: int, rounds_sm: int) -> np.ndarray:
-    """(seeds, clusters, rounds_outer, 2, 2) composed per-stage linear maps."""
-    if rounds_outer == 0:
-        return np.empty((seeds, clusters, 0, 2, 2))
+    """(rounds_outer, seeds, clusters, 2) composed shared-memory stages.
+
+    Entry [..., i] is member i's weight on member 0's entering value; its
+    weight on member 1 is one minus that. A stage's pick indexes
+    _SM_PATTERNS: every pattern keeps a member's row or averages the two, so
+    one stage is the average of the two weights and a choice per member.
+    """
     picks = rng.integers(0, 3, size=(seeds, clusters, rounds_outer, rounds_sm),
                          dtype=np.int8)
-    mats = _SM_PATTERNS[picks]  # (..., rounds_sm, 2, 2)
-    total = np.broadcast_to(np.eye(2), (seeds, clusters, rounds_outer, 2, 2)).copy()
-    for r in range(rounds_sm):
-        total = mats[:, :, :, r] @ total
-    return total
+    picks = np.ascontiguousarray(picks.transpose(3, 2, 0, 1))  # stage first
+    w0 = np.ones((rounds_outer, seeds, clusters))
+    w1 = np.zeros((rounds_outer, seeds, clusters))
+    for pick in picks:
+        avg = (w0 + w1) * 0.5
+        w0 = np.where(pick == 1, w0, avg)
+        w1 = np.where(pick == 2, w1, avg)
+    return np.stack([w0, w1], axis=-1)
 
 
 def _proc_sides(topology: sim.Topology, options: BatchOptions):
@@ -270,20 +293,13 @@ def _cluster_table(topology: sim.Topology):
             "topology.clusters",
             "the batch driver supports the agreement stage for uniform "
             "cluster sizes of 1 or 2; use the event driver otherwise")
-    k = sizes.pop()
-    table = np.array(members)  # (m, k)
-    cluster_of = np.empty(topology.n, dtype=np.int64)
-    for cid, crow in enumerate(members):
-        for p in crow:
-            cluster_of[p] = cid
-    return table, cluster_of, k
+    return np.array(members), sizes.pop()  # (m, k) pids, k
 
 
 def _run_non_convex(topology, conf, spec, options, sched_rng, digest):
     S, n, d, T = options.seeds, topology.n, spec.dim, conf.iterations
     m = topology.m
-    members, cluster_of, k = _cluster_table(topology)
-    pid_order = members.ravel()
+    members, k = _cluster_table(topology)
     quorum_clusters = conf.cluster_quorum
     if quorum_clusters is None:
         quorum_clusters = topology.majority_quorum()
@@ -308,6 +324,9 @@ def _run_non_convex(topology, conf, spec, options, sched_rng, digest):
     outputs = np.empty_like(X)
     series = _series_store(options.record_series, T, S)
     rows = np.arange(S)[:, None, None]
+    # flat row of (seed, cluster) in a (S * m, k * d) view of the cluster layout
+    seed_base = (np.arange(S) * m)[None, :, None, None]
+    diag = np.arange(m)
     for t in range(1, T + 1):
         _record_head(series, t, X, spec)
         captured = taus == t
@@ -329,34 +348,31 @@ def _run_non_convex(topology, conf, spec, options, sched_rng, digest):
             X = clamp(spec, y)
             continue
         if k == 2:
-            maps = _compose_sm_maps(sched_rng, S, m, rounds, sm_rounds)
+            # each member's weights on member 0's and member 1's value
+            on0 = _compose_sm_maps(sched_rng, S, m, rounds, sm_rounds)[..., None]
+            on1 = 1.0 - on0
         ex_keys = sched_rng.random((S, rounds, m, m))
-        diag = np.arange(m)
         ex_keys[:, :, diag, diag] = -1.0
         ex_keys[:, :, ~allowed_c] = np.inf
         if (allowed_c.sum(axis=1) < quorum_clusters).any():
             raise ConfigError("algorithm.cluster_quorum",
                               f"fewer than {quorum_clusters} reachable clusters")
         ex_idx = np.sort(np.argsort(ex_keys, axis=3)[:, :, :, :quorum_clusters], axis=3)
+        ex_rows = (ex_idx.transpose(1, 0, 2, 3) + seed_base).reshape(rounds, -1)
 
-        V = y
+        V = y[:, members]  # (S, m, k, d); after mid_extremes (S, m, 1, d)
         for r in range(rounds):
             if k == 2:
-                V_cl = np.einsum("smij,smjd->smid", maps[:, :, r], V[:, members])
-                V = np.empty_like(V)
-                V[:, pid_order] = V_cl.reshape(S, n, d)
-            V_cl = V[:, members]  # (S, m, k, d)
-            held = V_cl[rows, ex_idx[:, r]]  # (S, m, quorum, k, d)
-            held = held.reshape(S, m, quorum_clusters * k, d)
+                V = on0[r] * V[:, :, :1] + on1[r] * V[:, :, -1:]
+            held = V.reshape(S * m, k * d)[ex_rows[r]].reshape(S * m, -1, d)
             if conf.maa_rule is AggregationRule.MID_EXTREMES:
-                agg = batched_mid_extremes(held.reshape(S * m, -1, d))
-                V = agg.reshape(S, m, d)[:, cluster_of]
+                V = batched_mid_extremes(held).reshape(S, m, 1, d)
             else:
-                held_p = held[:, cluster_of]  # (S, n, quorum*k, d)
-                agg = batched_approach_extreme(
-                    held_p.reshape(S * n, -1, d), V.reshape(S * n, d))
-                V = agg.reshape(S, n, d)
-        X = clamp(spec, V)
+                V = batched_approach_extreme(np.repeat(held, k, axis=0),
+                                             V.reshape(S * m * k, d)).reshape(S, m, k, d)
+        X = np.empty_like(y)
+        X[:, members] = V
+        X = clamp(spec, X)
     _record_head(series, T + 1, X, spec)
     return BatchResult(outputs=outputs, finals=X, taus=taus, series=series,
                        config_digest=digest, warnings=[])

@@ -26,6 +26,7 @@ inputs and certified as a convex (dyadic) combination of them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -63,7 +64,16 @@ def required_rounds(q, rule: AggregationRule, level: str) -> int:
     `level` is "shared" or "cluster"; `q` in (0, 1] is taken at the exact
     binary value of the float passed. Exact rationals avoid the classic
     failure of ceil(log(q)/log(factor)) landing on x.0000000000004.
+    Results are memoised: a constant learning rate asks the same question
+    every iteration.
     """
+    # a plain function in front of the cache, so wrappers that expect one
+    # (perfbench's tracer counts agreement rounds here) still apply
+    return _required_rounds(q, rule, level)
+
+
+@functools.lru_cache(maxsize=1024)
+def _required_rounds(q, rule: AggregationRule, level: str) -> int:
     if isinstance(q, float) and not math.isfinite(q):
         raise ValueError(f"target q must be finite, got {q}")
     qf = Fraction(q)

@@ -380,9 +380,6 @@ class RunTrace:
     warnings: list[str]
     tau: int | None = None
 
-    def iterations_of(self, pid: int) -> list[int]:
-        return sorted(t for (p, t) in self.snapshots if p == pid)
-
     def to_jsonl(self) -> str:
         """Line-delimited export; deterministic bytes for a deterministic run."""
         lines = [json.dumps({
@@ -729,11 +726,6 @@ def _oracle_jsonable(oracle_spec) -> dict:
     from dataclasses import asdict
 
     return asdict(oracle_spec)
-
-
-def inject_partition(plan: FaultPlan, partition: PartitionSpec) -> FaultPlan:
-    """A copy of the plan with the partition installed."""
-    return FaultPlan(crashes=plan.crashes, partition=partition)
 
 
 # ---------------------------------------------------------------------------

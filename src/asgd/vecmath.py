@@ -7,9 +7,18 @@ pairwise distance matrix returns. Squared distances are always computed as
 the sum over the last axis of squared coordinate differences; keeping one
 expression shape everywhere means the scalar helpers and the batched driver
 agree bitwise on which pair is extreme.
+
+The batched midpoint-of-extremes kernel scans the pair list
+[(0, 0)] + [(i, j) for i < j] in row-major order instead of the full
+distance matrix. The matrix is symmetric, so the first maximum among the
+upper-triangle pairs in row-major order is the matrix's first maximum; listing
+(0, 0) first keeps the matrix's answer when every distance is zero (all points
+equal), and its own distance is computed, so a NaN in point 0 still selects it.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -95,17 +104,25 @@ def approach_extreme(points, anchor) -> Vector:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=32)
+def _pair_list(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """First and second indices of [(0, 0)] + [(i, j) for i < j], row-major."""
+    first, second = (np.r_[0, idx] for idx in np.triu_indices(count, k=1))
+    first.flags.writeable = second.flags.writeable = False  # shared by every call
+    return first, second
+
+
 def batched_mid_extremes(points: np.ndarray) -> np.ndarray:
     """mid_extremes applied independently per seed; (S, k, d) -> (S, d)."""
-    s, k, _ = points.shape
-    if k == 1:
-        return (points[:, 0] + points[:, 0]) / 2.0
-    diff = points[:, :, None, :] - points[:, None, :, :]
-    d2 = np.einsum("sijk,sijk->sij", diff, diff)
-    flat = d2.reshape(s, k * k).argmax(axis=1)
-    i, j = np.divmod(flat, k)
-    rows = np.arange(s)
-    return (points[rows, i] + points[rows, j]) / 2.0
+    s, k, d = points.shape
+    first, second = _pair_list(k)
+    a = points.take(first, axis=1)
+    b = points.take(second, axis=1)
+    diff = a - b
+    d2 = np.einsum("spk,spk->sp", diff, diff)
+    # flat row of each seed's first maximum in the (s * pairs, d) views
+    best = d2.argmax(axis=1) + np.arange(0, s * len(first), len(first))
+    return (a.reshape(-1, d)[best] + b.reshape(-1, d)[best]) / 2.0
 
 
 def batched_approach_extreme(points: np.ndarray, anchors: np.ndarray) -> np.ndarray:

@@ -110,11 +110,33 @@ def test_sample_quorums_include_self_and_respect_mask():
 
 def test_sm_maps_are_convex_and_exact():
     rng = np.random.default_rng(11)
-    maps = _compose_sm_maps(rng, seeds=20, clusters=3, rounds_outer=4, rounds_sm=14)
-    assert maps.shape == (20, 3, 4, 2, 2)
-    assert (maps >= 0).all()
-    sums = maps.sum(axis=-1)
-    assert np.array_equal(sums, np.ones_like(sums))  # dyadic rows, exact
+    maps = _compose_sm_maps(rng, 20, 3, 4, 14)
+    assert maps.shape == (4, 20, 3, 2)
+    assert ((maps >= 0) & (maps <= 1)).all()  # weights (w, 1 - w): convex
+    scaled = maps * 2.0 ** 14  # dyadic with at most one halving per stage
+    assert np.array_equal(scaled, np.round(scaled))
+    assert np.array_equal((1.0 - maps) + maps, np.ones_like(maps))
+
+
+def _reference_sm_maps(rng, seeds, clusters, rounds_outer, rounds_sm):
+    """The stage maps as (..., 2, 2) matrices composed with @."""
+    picks = rng.integers(0, 3, size=(seeds, clusters, rounds_outer, rounds_sm),
+                         dtype=np.int8)
+    mats = _SM_PATTERNS[picks]
+    total = np.broadcast_to(np.eye(2), (seeds, clusters, rounds_outer, 2, 2)).copy()
+    for r in range(rounds_sm):
+        total = mats[:, :, :, r] @ total
+    return total
+
+
+@pytest.mark.parametrize("rounds_sm", [1, 2, 14, 53])
+def test_sm_weight_pairs_match_composed_matrices(rounds_sm):
+    shape = (30, 3, 7, rounds_sm)
+    maps = _compose_sm_maps(np.random.default_rng(rounds_sm), *shape)
+    ref = _reference_sm_maps(np.random.default_rng(rounds_sm), *shape)
+    ref = ref.transpose(2, 0, 1, 3, 4)  # exchange round first, like the maps
+    assert maps.tobytes() == np.ascontiguousarray(ref[..., 0]).tobytes()
+    assert (1.0 - maps).tobytes() == np.ascontiguousarray(ref[..., 1]).tobytes()
 
 
 def test_sm_pattern_matrices_implement_the_three_outcomes():

@@ -154,6 +154,22 @@ def test_batched_mid_extremes_matches_scalar_bitwise():
         assert out[s].tobytes() == mid_extremes(pts[s]).tobytes()
 
 
+def test_batched_mid_extremes_matches_scalar_on_ties():
+    # integer grids make equal distances and duplicate rows common, so the
+    # first-maximum tie-break decides most sets
+    rng = np.random.default_rng(7)
+    for k in range(2, 7):
+        for d in range(1, 4):
+            pts = rng.integers(-2, 3, size=(300, k, d)).astype(np.float64)
+            pts[:50, 1] = pts[:50, 0]  # duplicate rows
+            pts[50:80] = pts[50:80, :1]  # every point identical
+            # all distances zero, but the chosen pair shows in the zero's sign
+            pts[80:120] = np.where(rng.random((40, k, d)) < 0.5, -0.0, 0.0)
+            out = batched_mid_extremes(pts)
+            for s in range(pts.shape[0]):
+                assert out[s].tobytes() == mid_extremes(pts[s]).tobytes(), (k, d, s)
+
+
 def test_batched_approach_extreme_matches_scalar_bitwise():
     rng = np.random.default_rng(100)
     pts = rng.normal(size=(40, 4, 2))
