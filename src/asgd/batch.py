@@ -241,14 +241,15 @@ def _series_store(record: bool, iterations: int, seeds: int):
     }
 
 
-def _record_head(series, t, X, spec):
+def _record_head(series, t, X, g):
+    """Record iteration t's diameter and, for t <= T, the gradient norm of
+    g = grad(spec, X), which the caller computes once for its own step."""
     if not series:
         return
     diffs = X[:, :, None, :] - X[:, None, :, :]
     d2 = np.einsum("sijd,sijd->sij", diffs, diffs)
     series["diam_sq"][t - 1] = d2.max(axis=(1, 2))
     if t <= series["grad_norm_sq"].shape[0]:
-        g = grad(spec, X)
         series["grad_norm_sq"][t - 1] = np.einsum("spd,spd->sp", g, g).mean(axis=1)
 
 
@@ -267,8 +268,9 @@ def _run_strongly_convex(topology, conf, spec, options, sched_rng, digest):
     series = _series_store(options.record_series, T, S)
     rows = np.arange(S)[:, None, None]
     for t in range(1, T + 1):
-        _record_head(series, t, X, spec)
-        G = grad(spec, X) + noise[:, :, t - 1] * spec.noise_scale
+        G = grad(spec, X)
+        _record_head(series, t, X, G)
+        G = G + noise[:, :, t - 1] * spec.noise_scale
         y = X - conf.lr.eta(t) * G
         if split_idx is not None:
             gathered = y[rows, np.broadcast_to(split_idx, (S, n, conf.quorum))]
@@ -280,7 +282,7 @@ def _run_strongly_convex(topology, conf, spec, options, sched_rng, digest):
             gathered = y[rows, idx]
         X = _sequential_mean(gathered)
     if series:
-        _record_head(series, T + 1, X, spec)
+        _record_head(series, T + 1, X, None)
     return BatchResult(outputs=X, finals=X, taus=None, series=series,
                        config_digest=digest, warnings=[])
 
@@ -328,7 +330,8 @@ def _run_non_convex(topology, conf, spec, options, sched_rng, digest):
     seed_base = (np.arange(S) * m)[None, :, None, None]
     diag = np.arange(m)
     for t in range(1, T + 1):
-        _record_head(series, t, X, spec)
+        G = grad(spec, X)
+        _record_head(series, t, X, G)
         captured = taus == t
         if captured.any():
             outputs[captured] = X[captured]
@@ -337,7 +340,7 @@ def _run_non_convex(topology, conf, spec, options, sched_rng, digest):
         allowed_p = cut_proc if cut else open_proc
         allowed_c = cut_cluster if cut else open_cluster
 
-        G = grad(spec, X) + noise[:, :, t - 1] * spec.noise_scale
+        G = G + noise[:, :, t - 1] * spec.noise_scale
         idx = _sample_quorums(sched_rng, S, allowed_p, conf.quorum)
         g = _sequential_mean(G[rows, idx])
         eta = conf.lr.eta(t)
@@ -373,6 +376,6 @@ def _run_non_convex(topology, conf, spec, options, sched_rng, digest):
         X = np.empty_like(y)
         X[:, members] = V
         X = clamp(spec, X)
-    _record_head(series, T + 1, X, spec)
+    _record_head(series, T + 1, X, None)
     return BatchResult(outputs=outputs, finals=X, taus=taus, series=series,
                        config_digest=digest, warnings=[])

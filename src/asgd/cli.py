@@ -11,9 +11,11 @@ writes one JSONL event trace per seed (event driver only). Exit codes: 0 on
 success, 2 for configuration or usage problems, 3 when a run had a liveness
 violation (statistics are withheld in that case).
 
-`verify` runs a built-in checking suite (contraction, variance, convergence,
-divergence, or all) printing one [PASS]/[FAIL] line per check; --quick trims
-sample counts. Exit code 0 when every line passed, 1 otherwise.
+`verify` runs the acceptance criteria in asgd.checks by suite: contraction
+(criteria 1, 2, 4 and the shared-level check), variance (criterion 6),
+convergence (criterion 7), divergence (criterion 11), or all. It prints one
+[PASS]/[FAIL] line per check; --quick trims sample counts and sweeps.
+Exit code 0 when every line passed, 1 otherwise.
 
 ASGD_THREADS caps the numpy thread pools; it is applied here before numpy is
 first imported.
@@ -24,7 +26,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -386,182 +387,28 @@ def _cmd_run(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _report(name: str, ok: bool, detail: str) -> bool:
-    print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
-    return ok
-
-
-def _verify_contraction(quick: bool) -> bool:
-    import numpy as np
-
-    from . import harness, sim
-    from .maa import (CLUSTER_FACTOR, SHARED_FACTOR, AggregationRule,
-                      MaaOnlyConfig)
-    from .oracle import OracleSpec
-    from .vecmath import diameter_sq
-
-    spec = OracleSpec(kind="quadratic", dim=2, sigma=0.0, mu=1.0, lipschitz=4.0)
-    runs = 10 if quick else 40
-    ok = True
-    rng = np.random.default_rng(2024)
-    for rule in AggregationRule:
-        worst_sm = 0.0
-        worst_end = 0.0
-        for r in range(runs):
-            n = int(rng.integers(2, 6))
-            inputs = tuple(tuple(row) for row in rng.normal(0, 1, (n, 2)))
-            conf = MaaOnlyConfig(level="shared", rule=rule, q=1.0 / 6.0,
-                                 inputs=inputs)
-            topo = sim.Topology(n, (tuple(range(n)),))
-            trace = sim.run(topo, sim.FaultPlan(), sim.Schedule(), conf, spec,
-                            [900 + r, 0], record_events=False)
-            rep = harness.contraction_report(trace, rule).get("sm")
-            if rep is not None and rep.worst_ratio is not None:
-                worst_sm = max(worst_sm, rep.worst_ratio)
-            outs = np.stack([trace.outputs[p] for p in sorted(trace.outputs)])
-            span_in = math.sqrt(diameter_sq(np.asarray(inputs)))
-            span_out = math.sqrt(diameter_sq(outs))
-            if span_in > 0:
-                worst_end = max(worst_end, span_out / span_in)
-        bound = float(SHARED_FACTOR[rule])
-        ok &= _report(f"contraction/shared-{rule.value}",
-                      worst_sm <= bound + 1e-9,
-                      f"worst per-round ratio {worst_sm:.4f} <= {bound:.4f}")
-        ok &= _report(f"contraction/end-{rule.value}",
-                      worst_end <= 1.0 / 6.0 + 1e-9,
-                      f"worst output/input span ratio {worst_end:.4f} <= 1/6")
-
-    worst_cl = 0.0
-    cl_runs = 4 if quick else 12
-    for r in range(cl_runs):
-        topo = sim.Topology(3, ((0,), (1,), (2,)))
-        inputs = tuple(tuple(row) for row in rng.normal(0, 1, (3, 1)))
-        conf = MaaOnlyConfig(level="cluster", rule=AggregationRule.MID_EXTREMES,
-                             q=0.5, inputs=inputs)
-        trace = sim.run(topo, sim.FaultPlan(), sim.Schedule(), conf, spec,
-                        [950 + r, 0], record_events=False)
-        rep = harness.contraction_report(
-            trace, AggregationRule.MID_EXTREMES).get("cmaa")
-        if rep is not None and rep.worst_ratio is not None:
-            worst_cl = max(worst_cl, rep.worst_ratio)
-    bound = float(CLUSTER_FACTOR[AggregationRule.MID_EXTREMES])
-    ok &= _report("contraction/cluster-mid_extremes",
-                  worst_cl <= bound + 1e-9,
-                  f"worst per-round ratio {worst_cl:.4f} <= {bound:.4f}")
-    return ok
-
-
-def _verify_variance(quick: bool) -> bool:
-    import numpy as np
-
-    from . import batch, sim
-    from .oracle import OracleSpec, noise
-    from .sgd import LrSchedule, SgdConfig, Variant
-
-    trials = 20_000 if quick else 100_000
-    sigma = 1.0
-    ok = True
-    rng = np.random.default_rng(77)
-    spec = OracleSpec(kind="quadratic", dim=3, sigma=sigma, mu=1.0,
-                      lipschitz=1.0)
-    for b in (1, 4):
-        draws = np.stack([
-            np.mean([noise(spec, rng) for _ in range(b)], axis=0)
-            for _ in range(trials // b)
-        ])
-        total_var = float(draws.var(axis=0, ddof=1).sum())
-        bound = sigma ** 2 / b * 1.1
-        ok &= _report(f"variance/batch-{b}", total_var <= bound,
-                      f"total variance {total_var:.4f} <= {bound:.4f}")
-
-    seeds = 2_000 if quick else 10_000
-    for n in (1, 4):
-        topo = sim.Topology(n, tuple((i,) for i in range(n)))
-        conf = SgdConfig(variant=Variant.STRONGLY_CONVEX, iterations=1,
-                         quorum=n, x1=(0.0, 0.0),
-                         lr=LrSchedule(kind="decreasing", beta=2.0, gamma=8.0))
-        result = batch.run_ensemble(
-            topo, conf, OracleSpec(kind="quadratic", dim=2, sigma=sigma,
-                                   mu=1.0, lipschitz=4.0),
-            batch.BatchOptions(seeds=seeds, seed_root=4000 + n,
-                               record_series=False))
-        eta1 = conf.lr.eta(1)
-        eff = (np.array([0.0, 0.0]) - result.finals[:, 0]) / eta1
-        total_var = float(eff.var(axis=0, ddof=1).sum())
-        bound = sigma ** 2 / n * 1.1
-        ok &= _report(f"variance/quorum-{n}", total_var <= bound,
-                      f"effective-gradient variance {total_var:.4f} <= {bound:.4f}")
-    return ok
-
-
-def _verify_convergence(quick: bool) -> bool:
-    import numpy as np
-
-    from . import batch, harness, sim
-    from .oracle import OracleSpec
-    from .sgd import LrSchedule, SgdConfig, Variant
-
-    spec = OracleSpec(kind="quadratic", dim=2, sigma=1.0, mu=1.0, lipschitz=4.0)
-    topo = sim.Topology(8, tuple((i,) for i in range(8)))
-    seeds = 64 if quick else 200
-    horizons = (64, 128, 256) if quick else (64, 128, 256, 512)
-    means = []
-    for T in horizons:
-        conf = SgdConfig(variant=Variant.STRONGLY_CONVEX, iterations=T,
-                         quorum=4, x1=(0.3, 0.3),
-                         lr=LrSchedule(kind="decreasing", beta=2.0, gamma=8.0))
-        result = batch.run_ensemble(
-            topo, conf, spec,
-            batch.BatchOptions(seeds=seeds, seed_root=5100,
-                               record_series=False))
-        means.append(harness.estimate(
-            harness.per_seed_external_sq(result.finals, spec)).mean)
-    fit = harness.fit_rate(np.array(horizons, dtype=float), np.array(means))
-    return _report("convergence/external-rate",
-                   -1.25 <= fit.slope <= -0.75,
-                   f"log-log slope {fit.slope:.3f} in [-1.25, -0.75]")
-
-
-def _verify_divergence(quick: bool) -> bool:
-    from . import harness, sim
-    from .oracle import OracleSpec
-    from .sgd import LrSchedule, SgdConfig, Variant
-
-    topo = sim.Topology(4, ((0, 1), (2, 3)))
-    spec = OracleSpec(kind="double_well", dim=1, sigma=0.3, radius=1.5)
-    T = 200 if quick else 400
-    seeds = 24 if quick else 50
-    conf = SgdConfig(variant=Variant.NON_CONVEX, iterations=T, quorum=2,
-                     x1=(0.0,), lr=LrSchedule(kind="constant", value=0.01),
-                     agreement_q=0.5, cluster_quorum=1)
-    part = sim.PartitionSpec(side_a=(0, 1), side_b=(2, 3))
-    demo = harness.divergence_demo(topo, conf, spec, part, seeds=seeds,
-                                   seed_root=6100)
-    ratio_floor = 5.0 if quick else 10.0
-    band = (0.25, 0.75) if quick else (0.4, 0.6)
-    ok = _report("divergence/separation",
-                 demo["separation_ratio"] >= ratio_floor,
-                 f"cross/healthy ratio {demo['separation_ratio']:.1f} >= {ratio_floor}")
-    ok &= _report("divergence/sequential-landing",
-                  band[0] <= demo["sequential_plus_rate"] <= band[1],
-                  f"positive-well rate {demo['sequential_plus_rate']:.2f} "
-                  f"in [{band[0]}, {band[1]}]")
-    return ok
-
-
+# suite -> names of the asgd.checks functions it runs. checks loads numpy, so
+# it is imported in _cmd_verify, after main() has applied ASGD_THREADS.
 _SUITES = {
-    "contraction": _verify_contraction,
-    "variance": _verify_variance,
-    "convergence": _verify_convergence,
-    "divergence": _verify_divergence,
+    "contraction": ("mid_extremes_stage", "approach_extreme_stage",
+                    "cluster_round_contraction", "shared_level_contraction"),
+    "variance": ("variance_scaling",),
+    "convergence": ("strongly_convex_external_rate",),
+    "divergence": ("partition_divergence",),
 }
 
 
 def _cmd_verify(args) -> int:
+    from . import checks
+
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     ok = True
     for name in names:
-        ok &= _SUITES[name](args.quick)
+        for check_name in _SUITES[name]:
+            check = getattr(checks, check_name)(args.quick)
+            print(f"[{'PASS' if check.ok else 'FAIL'}] {check.name}: {check.detail}",
+                  flush=True)
+            ok &= check.ok
     print("all checks passed" if ok else "some checks FAILED")
     return EXIT_OK if ok else 1
 

@@ -12,16 +12,12 @@ Conventions used throughout:
   order (config, axes, stat, mean, stderr, n_seeds);
 - statistics are only reported for ensembles whose runs all completed; a
   liveness violation flags the whole ensemble and withholds the numbers.
-
-ASGD_THREADS caps the numpy thread pools (the package itself is a single
-process); the CLI applies it before numpy is first imported.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,16 +29,6 @@ from .oracle import OracleSpec, sequential_sgd
 # Reserved member tag for sequential-baseline streams so they never collide
 # with ensemble member seeds [root, s].
 SEQUENTIAL_TAG = 2 ** 31 - 11
-
-
-def thread_cap() -> int | None:
-    raw = os.environ.get("ASGD_THREADS", "").strip()
-    if not raw:
-        return None
-    cap = int(raw)
-    if cap < 1:
-        raise ValueError(f"ASGD_THREADS must be >= 1, got {raw}")
-    return cap
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,19 @@ def _required_rounds(q, rule: AggregationRule, level: str) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _aggregate(ctx, rule: AggregationRule, value: np.ndarray, node: int,
+               payloads: list):
+    """One aggregation step over (value, witness node) payloads; returns the
+    new (value, witness node). Used by both agreement levels."""
+    vals = as_point_set([p[0] for p in payloads])
+    if rule is AggregationRule.MID_EXTREMES:
+        i0, j0 = extreme_pair(vals)
+        return ((vals[i0] + vals[j0]) / 2.0,
+                ctx.witness.mid(payloads[i0][1], payloads[j0][1]))
+    far = farthest_index(vals, value)
+    return (value + vals[far]) / 2.0, ctx.witness.mid(node, payloads[far][1])
+
+
 def smmaa_subroutine(ctx, iteration: int, cluster_round: int, rounds: int,
                      value: np.ndarray, node: int, rule: AggregationRule,
                      mark: bool = True):
@@ -117,15 +130,7 @@ def smmaa_subroutine(ctx, iteration: int, cluster_round: int, rounds: int,
             payload = yield sim.Read(instance, r, owner)
             if payload is not None:
                 collected.append(payload)
-        vals = as_point_set([p[0] for p in collected])
-        if rule is AggregationRule.MID_EXTREMES:
-            i0, j0 = extreme_pair(vals)
-            value = (vals[i0] + vals[j0]) / 2.0
-            node = ctx.witness.mid(collected[i0][1], collected[j0][1])
-        else:
-            far = farthest_index(vals, value)
-            value = (value + vals[far]) / 2.0
-            node = ctx.witness.mid(node, collected[far][1])
+        value, node = _aggregate(ctx, rule, value, node, collected)
         yield sim.Write(instance, r + 1, (value, node))
     if mark:
         yield sim.RoundMark(instance, rounds + 1, value)
@@ -147,16 +152,8 @@ def cluster_maa_subroutine(ctx, iteration: int, value: np.ndarray, node: int,
         tag = ("agree", iteration, r)
         yield sim.Broadcast(tag, (value, node))
         held = yield sim.WaitClusters(tag, quorum)
-        vals = as_point_set([payload[0] for _, payload in held])
-        nodes = [payload[1] for _, payload in held]
-        if rule is AggregationRule.MID_EXTREMES:
-            i0, j0 = extreme_pair(vals)
-            value = (vals[i0] + vals[j0]) / 2.0
-            node = ctx.witness.mid(nodes[i0], nodes[j0])
-        else:
-            far = farthest_index(vals, value)
-            value = (value + vals[far]) / 2.0
-            node = ctx.witness.mid(node, nodes[far])
+        value, node = _aggregate(ctx, rule, value, node,
+                                 [payload for _, payload in held])
     if mark:
         yield sim.RoundMark(scope, total_rounds + 1, value)
     return value, node
@@ -200,10 +197,7 @@ class MaaOnlyConfig:
 
 
 def build_maa_only_programs(conf: MaaOnlyConfig, contexts) -> list:
-    n = contexts[0].topology.n
-    if len(conf.inputs) != n:
-        raise ValueError(
-            f"maa.inputs: {len(conf.inputs)} rows for {n} processes")
+    """One program per process; sim.run has checked the input row count."""
 
     def program(ctx):
         x = np.asarray(conf.inputs[ctx.pid], dtype=np.float64)

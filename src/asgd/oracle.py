@@ -18,7 +18,7 @@ baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -33,15 +33,6 @@ class SmoothnessInfo:
     lipschitz: float
     strong_convexity: float | None
     optimum_value: float
-
-
-@dataclass(frozen=True)
-class GradientSample:
-    """One stochastic gradient draw."""
-
-    point: np.ndarray
-    gradient: np.ndarray
-    expected: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -152,10 +143,9 @@ def noise(spec: OracleSpec, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal(spec.dim) * spec.noise_scale
 
 
-def stochastic_grad(spec: OracleSpec, x: np.ndarray, rng: np.random.Generator) -> GradientSample:
-    """One noisy gradient draw at x."""
-    g = grad(spec, x)
-    return GradientSample(point=x, gradient=g + noise(spec, rng), expected=g)
+def stochastic_grad(spec: OracleSpec, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One noisy gradient draw at x: grad(spec, x) + noise(spec, rng)."""
+    return grad(spec, x) + noise(spec, rng)
 
 
 def _rate_at(learning_rate: LearningRate, t: int) -> float:
@@ -184,7 +174,7 @@ def sequential_sgd(
     for t in range(1, iterations + 1):
         acc = np.zeros(spec.dim)
         for _ in range(batch_size):
-            acc = acc + stochastic_grad(spec, x, rng).gradient
+            acc = acc + stochastic_grad(spec, x, rng)
         x = x - _rate_at(learning_rate, t) * (acc / batch_size)
         x = clamp(spec, x)
     return x

@@ -215,7 +215,7 @@ def _strongly_convex_program(conf: SgdConfig, ctx: sim.ProcessContext):
     x = np.asarray(conf.x1, dtype=np.float64)
     for t in range(1, conf.iterations + 1):
         yield sim.IterMark(t, x)
-        g = stochastic_grad(spec, x, ctx.rng).gradient
+        g = stochastic_grad(spec, x, ctx.rng)
         y = x - conf.lr.eta(t) * g
         tag = ("it", t)
         yield sim.Broadcast(tag, y)
@@ -242,7 +242,7 @@ def _non_convex_program(conf: SgdConfig, ctx: sim.ProcessContext, tau: int):
         yield sim.IterMark(t, x)
         if t == tau:
             result = x
-        g_local = stochastic_grad(spec, x, ctx.rng).gradient
+        g_local = stochastic_grad(spec, x, ctx.rng)
         tag = ("grad", t)
         yield sim.Broadcast(tag, g_local)
         held = yield sim.WaitCount(tag, conf.quorum)
@@ -268,16 +268,13 @@ def build_programs(algorithm, contexts, tau_rng) -> tuple[list, int | None]:
 
     tau is drawn here (once, shared by every process) from the dedicated
     stream so both execution drivers consume the stream identically; an
-    explicit tau_override skips the draw entirely.
+    explicit tau_override skips the draw entirely. The caller, sim.run, has
+    already run validate_config.
     """
     if isinstance(algorithm, maa.MaaOnlyConfig):
         return maa.build_maa_only_programs(algorithm, contexts), None
     if not isinstance(algorithm, SgdConfig):
         raise TypeError(f"unknown algorithm config {type(algorithm).__name__}")
-    spec = contexts[0].oracle_spec
-    if len(algorithm.x1) != spec.dim:
-        raise ConfigError("algorithm.x1",
-                          f"dimension {len(algorithm.x1)} != oracle dimension {spec.dim}")
     if algorithm.variant is Variant.STRONGLY_CONVEX:
         return [_strongly_convex_program(algorithm, ctx) for ctx in contexts], None
     if algorithm.tau_override is not None:

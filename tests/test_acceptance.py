@@ -4,6 +4,9 @@ One [PASS]/[FAIL] line prints per criterion (run pytest with -s to watch
 them live). Geometry, schedule, fault, and determinism checks run on the
 event simulator; the two rate sweeps and the divergence demonstration run
 on the batched ensemble driver.
+
+Criteria 1, 2, 4, 6, 7 and 11 live in asgd.checks, which `asgd verify` runs
+too; their tests here call them at full size and add the wall-time gates.
 """
 
 import math
@@ -13,15 +16,11 @@ import time
 import numpy as np
 from schedutil import run_scripted
 
-from asgd import batch, harness, maa, sim, vecmath
-from asgd.maa import AggregationRule, MaaOnlyConfig, required_rounds
-from asgd.oracle import OracleSpec, grad, noise
+from asgd import batch, checks, harness, maa, sim, vecmath
+from asgd.checks import APPROACH, MID, QUAD_2D, _pairs, _sc_config, _singletons
+from asgd.maa import MaaOnlyConfig, required_rounds
+from asgd.oracle import OracleSpec, grad
 from asgd.sgd import LrSchedule, SgdConfig, Variant
-
-MID = AggregationRule.MID_EXTREMES
-APPROACH = AggregationRule.APPROACH_EXTREME
-
-QUAD_2D = OracleSpec(kind="quadratic", dim=2, sigma=1.0, mu=1.0, lipschitz=4.0)
 
 
 def _line(name, ok, detail):
@@ -29,67 +28,25 @@ def _line(name, ok, detail):
     assert ok, f"{name}: {detail}"
 
 
-def _pairs(n):
-    return tuple((i, i + 1) for i in range(0, n, 2))
-
-
-def _singletons(n):
-    return tuple((i,) for i in range(n))
-
-
 # ---------------------------------------------------------------------------
-# Criteria 1 and 2: one-stage contraction of the aggregation rules.
-#
-# A stage takes the written round values P; every participant collects a view
-# that always contains the round's first-written value and its own, then
-# aggregates. The new values must span at most factor * diam(P).
+# Criteria 1, 2, 4, 6, 7 and 11 run from asgd.checks, which says what each
+# one measures; the tests add the wall-time gates.
 # ---------------------------------------------------------------------------
-
-def _stage_worst_ratio(rule, trials, seed):
-    rng = np.random.default_rng(seed)
-    factor = 7.0 / 8.0 if rule is MID else 31.0 / 32.0
-    worst = 0.0
-    for _ in range(trials):
-        k = int(rng.integers(2, 31))
-        d = int(rng.integers(1, 9))
-        pts = rng.normal(0.0, 1.0, (k, d)) * float(rng.uniform(0.2, 5.0))
-        diam = math.sqrt(vecmath.diameter_sq(pts))
-        if diam == 0.0:
-            continue
-        first_writer = int(rng.integers(k))
-        new_pts = []
-        for i in range(k):
-            mask = rng.random(k) < float(rng.uniform(0.2, 1.0))
-            mask[first_writer] = True
-            mask[i] = True
-            view = pts[mask]
-            if rule is MID:
-                new_pts.append(vecmath.mid_extremes(view))
-            else:
-                new_pts.append(vecmath.approach_extreme(view, pts[i]))
-        span = math.sqrt(vecmath.diameter_sq(np.stack(new_pts)))
-        worst = max(worst, span / (factor * diam))
-    return worst
-
 
 def test_c01_mid_extremes_stage_contraction():
     t0 = time.monotonic()
-    worst = _stage_worst_ratio(MID, 1000, seed=101)
+    check = checks.mid_extremes_stage()
     took = time.monotonic() - t0
-    _line("criterion-01 mid-extremes 7/8 stage",
-          worst <= 1.0 + 1e-9 and took < 10.0,
-          f"worst span / (7/8 diam) = {worst:.6f} over 1000 set pairs, "
-          f"{took:.1f}s (< 10s)")
+    _line(check.name, check.ok and took < 10.0,
+          f"{check.detail}, {took:.1f}s (< 10s)")
 
 
 def test_c02_approach_extreme_stage_contraction():
     t0 = time.monotonic()
-    worst = _stage_worst_ratio(APPROACH, 1000, seed=102)
+    check = checks.approach_extreme_stage()
     took = time.monotonic() - t0
-    _line("criterion-02 approach-extreme 31/32 stage",
-          worst <= 1.0 + 1e-9 and took < 10.0,
-          f"worst span / (31/32 diam) = {worst:.6f} over 1000 set pairs, "
-          f"{took:.1f}s (< 10s)")
+    _line(check.name, check.ok and took < 10.0,
+          f"{check.detail}, {took:.1f}s (< 10s)")
 
 
 # ---------------------------------------------------------------------------
@@ -129,67 +86,9 @@ def test_c03_smmaa_end_to_end():
           "150 schedules)")
 
 
-# ---------------------------------------------------------------------------
-# Criterion 4: cluster-level agreement rounds contract by 23/24 resp. 79/80,
-# measured on event-simulator runs with cluster crashes inside the budget.
-# ---------------------------------------------------------------------------
-
 def test_c04_cluster_round_contraction():
-    spec = OracleSpec(kind="quadratic", dim=2, sigma=0.0, mu=1.0, lipschitz=1.0)
-    rng = np.random.default_rng(404)
-    observed = 0
-    expanded = 0
-    worst = {MID: 0.0, APPROACH: 0.0}
-    end_to_end_bad = 0
-
-    def run_one(topo, conf, crashes, seed, rule):
-        nonlocal observed, expanded, end_to_end_bad
-        trace = sim.run(topo, sim.FaultPlan(crashes=crashes), sim.Schedule(),
-                        conf, spec, seed, record_events=False,
-                        record_witness=False)
-        rep = harness.contraction_report(trace, rule)["cmaa"]
-        observed += rep.rounds_observed
-        expanded += rep.expanded_zero_rounds
-        if rep.worst_ratio is not None:
-            worst[rule] = max(worst[rule], rep.worst_ratio)
-        span_in = math.sqrt(vecmath.diameter_sq(np.asarray(conf.inputs)))
-        outs = np.stack([trace.outputs[p] for p in sorted(trace.outputs)])
-        span_out = math.sqrt(vecmath.diameter_sq(outs))
-        end_to_end_bad += span_out > conf.q * span_in + 1e-12
-
-    for rule, q, runs in ((MID, 0.34, 8), (APPROACH, 0.69, 5)):
-        for m in (3, 5, 7):
-            for r in range(runs):
-                topo = sim.Topology(m, _singletons(m))
-                inputs = tuple(tuple(row)
-                               for row in rng.normal(0.0, 2.0, (m, 2)))
-                conf = MaaOnlyConfig(level="cluster", rule=rule, q=q,
-                                     inputs=inputs)
-                crashes = ()
-                if r % 2 == 1:  # up to floor((m-1)/2) whole-cluster crashes
-                    f_c = int(rng.integers(1, (m - 1) // 2 + 1))
-                    pids = rng.choice(m, size=f_c, replace=False)
-                    crashes = tuple(
-                        sim.CrashSpec(pid=int(p),
-                                      after_events=int(rng.integers(50, 2000)))
-                        for p in pids)
-                run_one(topo, conf, crashes, [440 + r, m], rule)
-    # two-member clusters exercise the in-cluster stage as well
-    for rule in (MID, APPROACH):
-        for r in range(2):
-            topo = sim.Topology(6, _pairs(6))
-            inputs = tuple(tuple(row) for row in rng.normal(0.0, 2.0, (6, 2)))
-            conf = MaaOnlyConfig(level="cluster", rule=rule, q=0.5,
-                                 inputs=inputs)
-            run_one(topo, conf, (), [460 + r, 0], rule)
-    _line("criterion-04 cluster round contraction",
-          (observed >= 1000 and expanded == 0 and end_to_end_bad == 0
-           and worst[MID] <= 23 / 24 + 1e-9
-           and worst[APPROACH] <= 79 / 80 + 1e-9),
-          f"{observed} exchange rounds observed, zero violations: worst "
-          f"measured ratios {worst[MID]:.4f} <= 23/24 and "
-          f"{worst[APPROACH]:.4f} <= 79/80, zero-diameter rounds never grew "
-          "back, every run met its target q within the ceil(log) round budget")
+    check = checks.cluster_round_contraction()
+    _line(check.name, check.ok, check.detail)
 
 
 # ---------------------------------------------------------------------------
@@ -253,91 +152,17 @@ def test_c05_witness_replay():
           "bit-exactly with convex witness weights")
 
 
-# ---------------------------------------------------------------------------
-# Criterion 6: averaging B noisy gradients divides the variance by B; the
-# quorum average inside the algorithm does the same with B = N.
-# ---------------------------------------------------------------------------
-
 def test_c06_variance_scaling():
-    sigma = 1.0
-    spec = OracleSpec(kind="quadratic", dim=3, sigma=sigma, mu=1.0,
-                      lipschitz=1.0)
-    rng = np.random.default_rng(606)
-    details = []
-    ok = True
-    for b in (1, 4, 16, 64):
-        groups = 100_000 // b
-        draws = np.empty((groups, spec.dim))
-        for g in range(groups):
-            acc = np.zeros(spec.dim)
-            for _ in range(b):
-                acc += noise(spec, rng)
-            draws[g] = acc / b
-        total_var = float(draws.var(axis=0, ddof=1).sum())
-        bound = sigma ** 2 / b * 1.1
-        ok &= total_var <= bound
-        details.append(f"B={b}: {total_var:.4f}<={bound:.4f}")
-
-    for n, seeds in ((1, 20_000), (4, 20_000), (16, 8_000), (64, 4_000)):
-        topo = sim.Topology(n, _singletons(n))
-        conf = SgdConfig(variant=Variant.STRONGLY_CONVEX, iterations=1,
-                         quorum=n, x1=(0.0, 0.0),
-                         lr=LrSchedule(kind="decreasing", beta=2.0, gamma=8.0))
-        result = batch.run_ensemble(
-            topo, conf, QUAD_2D,
-            batch.BatchOptions(seeds=seeds, seed_root=660 + n,
-                               record_series=False))
-        eff = (0.0 - result.finals[:, 0]) / conf.lr.eta(1)
-        total_var = float(eff.var(axis=0, ddof=1).sum())
-        bound = sigma ** 2 / n * 1.1
-        ok &= total_var <= bound
-        details.append(f"N={n}: {total_var:.5f}<={bound:.5f}")
-    _line("criterion-06 variance scaling", ok, "; ".join(details))
-
-
-# ---------------------------------------------------------------------------
-# Criterion 7: strongly convex external error decays like 1/T and never gets
-# worse when the quorum N grows.
-# ---------------------------------------------------------------------------
-
-def _sc_config(iterations, quorum):
-    return SgdConfig(variant=Variant.STRONGLY_CONVEX, iterations=iterations,
-                     quorum=quorum, x1=(0.3, 0.3),
-                     lr=LrSchedule(kind="decreasing", beta=2.0, gamma=8.0))
+    check = checks.variance_scaling()
+    _line(check.name, check.ok, check.detail)
 
 
 def test_c07_strongly_convex_external_rate():
     t0 = time.monotonic()
-    topo = sim.Topology(8, _singletons(8))
-    seeds = 200
-    horizons = (64, 128, 256, 512)
-    means = []
-    for T in horizons:
-        result = batch.run_ensemble(
-            topo, _sc_config(T, 4), QUAD_2D,
-            batch.BatchOptions(seeds=seeds, seed_root=71001,
-                               record_series=False))
-        means.append(harness.estimate(
-            harness.per_seed_external_sq(result.finals, QUAD_2D)).mean)
-    fit = harness.fit_rate(np.array(horizons, float), np.array(means))
-
-    sweep = []
-    for n_q in (1, 2, 4, 8):
-        result = batch.run_ensemble(
-            topo, _sc_config(256, n_q), QUAD_2D,
-            batch.BatchOptions(seeds=seeds, seed_root=71000 + n_q,
-                               record_series=False))
-        sweep.append(harness.estimate(
-            harness.per_seed_external_sq(result.finals, QUAD_2D)))
-    monotone = all(
-        nxt.mean <= cur.mean + 3.0 * math.hypot(cur.stderr, nxt.stderr)
-        for cur, nxt in zip(sweep, sweep[1:]))
+    check = checks.strongly_convex_external_rate()
     took = time.monotonic() - t0
-    _line("criterion-07 strongly convex external rate",
-          -1.25 <= fit.slope <= -0.75 and monotone and took < 300.0,
-          f"slope {fit.slope:.3f} in [-1.25,-0.75] over T={horizons}, "
-          f"N-sweep means {[f'{e.mean:.5f}' for e in sweep]} non-increasing "
-          f"within 3 SE, {took:.0f}s (< 300s)")
+    _line(check.name, check.ok and took < 300.0,
+          f"{check.detail}, {took:.0f}s (< 300s)")
 
 
 # ---------------------------------------------------------------------------
@@ -494,28 +319,9 @@ def test_c10_liveness():
           "majority-violated control reported blocked for both survivors")
 
 
-# ---------------------------------------------------------------------------
-# Criterion 11: a partition along cluster boundaries with a forfeited cluster
-# majority drives the sides to different wells; the healthy arm agrees.
-# ---------------------------------------------------------------------------
-
 def test_c11_partition_divergence():
-    topo = sim.Topology(4, _pairs(4))
-    spec = OracleSpec(kind="double_well", dim=1, sigma=0.3, radius=1.5)
-    conf = SgdConfig(variant=Variant.NON_CONVEX, iterations=400, quorum=2,
-                     x1=(0.0,), lr=LrSchedule(kind="constant", value=0.01),
-                     agreement_q=0.5, cluster_quorum=1)
-    part = sim.PartitionSpec(side_a=(0, 1), side_b=(2, 3))
-    demo = harness.divergence_demo(topo, conf, spec, part, seeds=50,
-                                   seed_root=31)
-    _line("criterion-11 partition divergence",
-          (demo["separation_ratio"] >= 10.0
-           and 0.4 <= demo["sequential_plus_rate"] <= 0.6),
-          f"cross-partition error {demo['partition_cross_err']:.3f} is "
-          f"{demo['separation_ratio']:.0f}x the healthy internal error "
-          f"{demo['healthy_internal_err']:.2e} (>= 10x); sequential baseline "
-          f"lands positive {demo['sequential_plus_rate']:.2f} of the time "
-          "(0.5 +- 0.1)")
+    check = checks.partition_divergence()
+    _line(check.name, check.ok, check.detail)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 """Tests for the asgd command line interface."""
 
 import json
+import os
+import re
 from pathlib import Path
+
+import pytest
 
 from asgd import cli
 
@@ -100,9 +104,39 @@ def test_cli_outputs_are_deterministic(tmp_path):
     assert (out_a / "metrics.csv").read_bytes() == (out_b / "metrics.csv").read_bytes()
 
 
-def test_verify_contraction_quick(capsys):
-    code = _run(["verify", "contraction", "--quick"])
-    out = capsys.readouterr().out
+def test_x1_dimension_error_exits_2(tmp_path, capsys):
+    code = _run(["run", SCENARIOS / "sc_quadratic_event.json",
+                 "--out", tmp_path, "--set", "algorithm.x1=[0.3]"])
+    assert code == 2
+    assert "algorithm.x1" in capsys.readouterr().err
+
+
+def test_thread_cap_env(monkeypatch, tmp_path):
+    for var in ("ASGD_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)  # restored after the test
+    before = dict(os.environ)
+    cli._apply_thread_cap()
+    assert dict(os.environ) == before
+
+    monkeypatch.setenv("ASGD_THREADS", "2")
+    monkeypatch.setenv("MKL_NUM_THREADS", "3")  # setdefault keeps it
+    cli._apply_thread_cap()
+    assert os.environ["OMP_NUM_THREADS"] == "2"
+    assert os.environ["MKL_NUM_THREADS"] == "3"
+
+    for bad in ("0", "abc"):
+        monkeypatch.setenv("ASGD_THREADS", bad)
+        assert _run(["run", SCENARIOS / "sc_quadratic_event.json",
+                     "--out", tmp_path]) == 2
+
+
+@pytest.mark.parametrize("suite", sorted(cli._SUITES))
+def test_verify_quick(suite, capsys):
+    code = _run(["verify", suite, "--quick"])
+    lines = capsys.readouterr().out.splitlines()
     assert code == 0
-    assert "[PASS]" in out
-    assert "[FAIL]" not in out
+    assert lines[-1] == "all checks passed"
+    checks = lines[:-1]
+    assert len(checks) == len(cli._SUITES[suite])
+    assert all(re.match(r"\[PASS\] [^:]+: \S", line) for line in checks), checks

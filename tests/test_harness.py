@@ -195,13 +195,3 @@ def test_write_summary_sorted_keys(tmp_path):
     text = path.read_text()
     assert text.index('"alpha"') < text.index('"zeta"')
     assert text.endswith("\n")
-
-
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.delenv("ASGD_THREADS", raising=False)
-    assert harness.thread_cap() is None
-    monkeypatch.setenv("ASGD_THREADS", "2")
-    assert harness.thread_cap() == 2
-    monkeypatch.setenv("ASGD_THREADS", "0")
-    with pytest.raises(ValueError):
-        harness.thread_cap()

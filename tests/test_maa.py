@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from schedutil import run_scripted
 
+from asgd import checks
 from asgd.maa import (
     AggregationRule,
     MaaOnlyConfig,
@@ -114,6 +115,13 @@ def test_random_schedules_contract_per_round():
                 span_cur = max(cur) - min(cur)
                 span_nxt = max(nxt) - min(nxt)
                 assert span_nxt <= factor * span_cur + 1e-12, (rule, trial, r)
+
+
+def test_shared_level_contraction_on_event_kernel():
+    # the same property on the event kernel's own interleavings, through the
+    # check `asgd verify contraction` runs
+    check = checks.shared_level_contraction()
+    assert check.ok, check.detail
 
 
 def test_random_schedules_witness_convexity():
