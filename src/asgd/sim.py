@@ -22,10 +22,25 @@ Model notes:
   non-crashed process has output; it reports a liveness violation when no
   event is enabled while some non-crashed process is still waiting, or when
   the event budget is exhausted.
+
+Schedule invariant: the enabled events are, in this order, the pending
+message deliveries in arrival order, then the runnable processes by
+ascending pid; each event is picked by one ``integers(enabled_count)`` draw
+from the schedule stream. That order and that draw define the seeded
+schedule, so no optimisation may reorder them.
+
+The runnable set ({READY} plus {BLOCKED whose wait holds}) is maintained
+incrementally, not rebuilt per event. It changes only when a step blocks,
+outputs, finishes or crashes its process, when a crash is applied, and when
+a delivery on a blocked receiver's wait tag satisfies the wait;
+``WaitClusters`` reads a per-(receiver, tag) set of sender clusters kept up
+to date by each delivery. With ``record_events=False`` no event record is
+built at all (no payload digests, no tag copies).
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -55,19 +70,21 @@ class Topology:
             raise ValueError(
                 f"topology.clusters: must partition 0..{self.n - 1}, got {self.clusters}"
             )
+        # lookup tables, not fields: equality, hashing and repr are unchanged
+        object.__setattr__(self, "_cluster_index", {
+            pid: idx for idx, members in enumerate(self.clusters) for pid in members})
+        object.__setattr__(self, "_sorted_members",
+                           tuple(tuple(sorted(members)) for members in self.clusters))
 
     @property
     def m(self) -> int:
         return len(self.clusters)
 
     def cluster_of(self, pid: int) -> int:
-        for idx, members in enumerate(self.clusters):
-            if pid in members:
-                return idx
-        raise KeyError(pid)
+        return self._cluster_index[pid]
 
     def members_of(self, pid: int) -> tuple[int, ...]:
-        return tuple(sorted(self.clusters[self.cluster_of(pid)]))
+        return self._sorted_members[self._cluster_index[pid]]
 
     def majority_quorum(self) -> int:
         return self.m // 2 + 1
@@ -492,6 +509,11 @@ def run(
 
     procs = [_ProcState(g) for g in programs]
     inboxes: list[dict[tuple, list]] = [dict() for _ in range(topology.n)]
+    # per receiver and tag: the clusters of the senders held so far
+    sender_clusters: list[dict[tuple, set[int]]] = [dict() for _ in range(topology.n)]
+    # {READY} | {BLOCKED whose wait holds}, ascending pid; kept up to date by
+    # the events that can change it (see the module docstring)
+    runnable: list[int] = list(range(topology.n))
     banks: dict[tuple, RegisterBank] = {}
     buckets: dict[int, list] = {}
     ready_msgs: list = []
@@ -523,21 +545,21 @@ def run(
     tick = 0
     liveness: dict = {"ok": True, "kind": "completed"}
 
+    # Every call site checks record_events first, so a run that does not
+    # record builds no event record at all.
     def log(_kind: str, _pid: int | None, **data):
-        if record_events:
-            trace_events.append((_kind, tick, _pid, data))
+        trace_events.append((_kind, tick, _pid, data))
 
-    def bank_for(instance: tuple, owners: tuple[int, ...]) -> RegisterBank:
-        if instance not in banks:
-            banks[instance] = RegisterBank(instance, owners)
-        return banks[instance]
+    def bank_for(instance: tuple, pid: int) -> RegisterBank:
+        bank = banks.get(instance)
+        if bank is None:
+            bank = banks[instance] = RegisterBank(instance, topology.members_of(pid))
+        return bank
 
     def wait_satisfied(pid: int, wait) -> bool:
-        held = inboxes[pid].get(wait.tag, ())
         if isinstance(wait, WaitCount):
-            return len(held) >= wait.count
-        clusters = {topology.cluster_of(s) for s, _ in held}
-        return len(clusters) >= wait.count
+            return len(inboxes[pid].get(wait.tag, ())) >= wait.count
+        return len(sender_clusters[pid].get(wait.tag, ())) >= wait.count
 
     def partition_blocks(sender: int, receiver: int) -> bool:
         if partition is None or counters["events"] < partition.from_event:
@@ -557,17 +579,32 @@ def run(
     def apply_crash(pid: int, why: str):
         crash_applied.add(pid)
         procs[pid].status = CRASHED
-        log("crash", pid, trigger=why)
+        if pid in runnable:
+            runnable.remove(pid)
+        if record_events:
+            log("crash", pid, trigger=why)
 
     def deliver(msg):
         sender, receiver, tag, payload = msg
-        if procs[receiver].status in (DONE, CRASHED):
+        st = procs[receiver]
+        if st.status in (DONE, CRASHED):
             counters["drops"] += 1
-            log("drop", receiver, sender=sender, tag=list(tag))
+            if record_events:
+                log("drop", receiver, sender=sender, tag=list(tag))
             return
-        inboxes[receiver].setdefault(tag, []).append((sender, payload))
+        held = inboxes[receiver].get(tag)
+        if held is None:
+            held = inboxes[receiver][tag] = []
+            sender_clusters[receiver][tag] = set()
+        held.append((sender, payload))
+        sender_clusters[receiver][tag].add(topology.cluster_of(sender))
         counters["deliveries"] += 1
-        log("deliver", receiver, sender=sender, tag=list(tag), payload=payload)
+        if record_events:
+            log("deliver", receiver, sender=sender, tag=list(tag), payload=payload)
+        # only a delivery on its wait tag can make a blocked process runnable
+        if st.status == BLOCKED and st.wait.tag == tag and receiver not in runnable \
+                and wait_satisfied(receiver, st.wait):
+            bisect.insort(runnable, receiver)
 
     # Main loop. One iteration = one event.
     while True:
@@ -577,19 +614,15 @@ def run(
             break
 
         # event-count crash triggers
-        for pid, threshold in list(crash_by_events.items()):
-            if pid not in crash_applied and counters["events"] >= threshold \
-                    and procs[pid].status not in (DONE,):
-                apply_crash(pid, f"after_events={threshold}")
+        if crash_by_events:
+            for pid, threshold in list(crash_by_events.items()):
+                if pid not in crash_applied and counters["events"] >= threshold \
+                        and procs[pid].status not in (DONE,):
+                    apply_crash(pid, f"after_events={threshold}")
 
         if tick in buckets:
             ready_msgs.extend(buckets.pop(tick))
 
-        runnable = [
-            i for i, st in enumerate(procs)
-            if st.status == READY
-            or (st.status == BLOCKED and wait_satisfied(i, st.wait))
-        ]
         enabled_count = len(ready_msgs) + len(runnable)
 
         if enabled_count == 0:
@@ -628,7 +661,8 @@ def run(
         if st.status == BLOCKED:
             st.feed = list(inboxes[pid].get(st.wait.tag, ()))
             counters["wakeups"] += 1
-            log("wake", pid, tag=list(st.wait.tag), held=len(st.feed))
+            if record_events:
+                log("wake", pid, tag=list(st.wait.tag), held=len(st.feed))
             st.wait = None
             st.status = READY
 
@@ -636,26 +670,30 @@ def run(
             effect = st.gen.send(st.feed)
         except StopIteration:
             st.status = DONE
+            runnable.remove(pid)
             tick += 1
             continue
         st.feed = None
 
         if isinstance(effect, Write):
-            bank = bank_for(effect.instance, topology.members_of(pid))
+            bank = bank_for(effect.instance, pid)
             bank.write(effect.round_index, pid, pid, effect.payload)
             counters["register_writes"] += 1
-            log("write", pid, instance=list(effect.instance),
-                round=effect.round_index, payload=effect.payload)
+            if record_events:
+                log("write", pid, instance=list(effect.instance),
+                    round=effect.round_index, payload=effect.payload)
         elif isinstance(effect, Read):
-            bank = bank_for(effect.instance, topology.members_of(pid))
+            bank = bank_for(effect.instance, pid)
             st.feed = bank.read(effect.round_index, effect.owner)
             counters["register_reads"] += 1
-            log("read", pid, instance=list(effect.instance), round=effect.round_index,
-                owner=effect.owner,
-                observed=_digest(st.feed) if st.feed is not None else None)
+            if record_events:
+                log("read", pid, instance=list(effect.instance),
+                    round=effect.round_index, owner=effect.owner,
+                    observed=_digest(st.feed) if st.feed is not None else None)
         elif isinstance(effect, Broadcast):
             # synchronous self-delivery, delayed delivery to everyone else
-            log("send", pid, tag=list(effect.tag), payload=effect.payload)
+            if record_events:
+                log("send", pid, tag=list(effect.tag), payload=effect.payload)
             counters["sends"] += topology.n
             deliver((pid, pid, effect.tag, effect.payload))
             for other in range(topology.n):
@@ -665,33 +703,44 @@ def run(
                 if partition_blocks(pid, other):
                     deferred.append(msg)
                     counters["deferred"] += 1
-                    log("defer", pid, receiver=other, tag=list(effect.tag))
+                    if record_events:
+                        log("defer", pid, receiver=other, tag=list(effect.tag))
                     continue
                 delay = int(sched_rng.integers(1, schedule.max_delay + 1))
                 buckets.setdefault(tick + delay, []).append(msg)
         elif isinstance(effect, (WaitCount, WaitClusters)):
             st.status = BLOCKED
             st.wait = effect
-            log("wait", pid, tag=list(effect.tag), count=effect.count,
-                wait_kind=type(effect).__name__)
+            if record_events:
+                log("wait", pid, tag=list(effect.tag), count=effect.count,
+                    wait_kind=type(effect).__name__)
+            # a wait that already holds (self-delivery plus earlier
+            # arrivals) leaves the process runnable
+            if not wait_satisfied(pid, effect):
+                runnable.remove(pid)
         elif isinstance(effect, IterMark):
             snapshots[(pid, effect.iteration)] = effect.value
-            log("iter", pid, iteration=effect.iteration, value=effect.value)
+            if record_events:
+                log("iter", pid, iteration=effect.iteration, value=effect.value)
             if crash_by_iter.get(pid) == effect.iteration:
                 apply_crash(pid, f"at_iteration={effect.iteration}")
         elif isinstance(effect, RoundMark):
             key = effect.scope + (effect.round_index,)
             round_values.setdefault(key, {})[pid] = effect.value
-            log("round", pid, scope=list(effect.scope), round=effect.round_index,
-                value=effect.value)
+            if record_events:
+                log("round", pid, scope=list(effect.scope), round=effect.round_index,
+                    value=effect.value)
         elif isinstance(effect, Note):
-            log("note", pid, kind=effect.kind, **effect.data)
+            if record_events:
+                log("note", pid, kind=effect.kind, **effect.data)
         elif isinstance(effect, Output):
             outputs[pid] = effect.value
             if record_witness and effect.witness_node >= 0:
                 output_witness[pid] = effect.witness_node
             st.status = DONE
-            log("output", pid, value=effect.value)
+            runnable.remove(pid)
+            if record_events:
+                log("output", pid, value=effect.value)
             if deferred and both_sides_done():
                 ready_msgs.extend(deferred)
                 deferred.clear()

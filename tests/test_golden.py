@@ -1,18 +1,23 @@
-"""Golden digests of the batch non-convex driver.
+"""Golden digests of the batch non-convex driver and the event kernel.
 
-Each case pins SHA-256 digests of a small run's BatchResult arrays, so an
-optimisation that moves any output bit fails here by name instead of quietly
-shifting a rate fit. The pins were computed with numpy 2.4.6 on Python
-3.11.7; a different numpy may draw differently, and a mismatch should then be
-recorded against that version, not re-pinned silently.
+Each batch case pins SHA-256 digests of a small run's BatchResult arrays, and
+each event case pins the digest of its exported traces (recording on) and of
+its outputs (recording off), so an optimisation that moves any output bit or
+any scheduled event fails here by name instead of quietly shifting a rate
+fit. The pins were computed with numpy 2.4.6 on Python 3.11.7; a different
+numpy may draw differently, and a mismatch should then be recorded against
+that version, not re-pinned silently.
 """
 
+import functools
 import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from asgd import batch, sim
+from asgd import batch, cli, sim
 from asgd.maa import AggregationRule
 from asgd.oracle import OracleSpec
 from asgd.sgd import LrSchedule, SgdConfig, Variant
@@ -116,3 +121,115 @@ def test_batch_non_convex_digests_match_pins(case):
     assert got == GOLDEN[case], (
         f"{case}: digests moved (pinned with numpy {PINNED_NUMPY}, "
         f"running numpy {np.__version__})")
+
+
+# ---------------------------------------------------------------------------
+# Event kernel
+# ---------------------------------------------------------------------------
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def _scenario(name):
+    """(topology, faults, schedule, algorithm, oracle, seed_root, seeds) of
+    an event-driver file in scenarios/, run as `asgd run` runs it."""
+    raw = json.loads((SCENARIOS / f"{name}.json").read_text())
+    topo, plan, schedule, algo, oracle, opts = cli.load_scenario(raw)
+    assert opts["driver"] == "event"
+    return topo, plan, schedule, algo, oracle, opts["seed_root"], opts["seeds"]
+
+
+def _case_crash_at_iteration_and_partition():
+    # pid 3 crashes on entering iteration 3; messages across the partition
+    # are deferred until both sides have output, then released and dropped
+    topo = sim.Topology(n=4, clusters=((0, 1), (2, 3)))
+    spec = OracleSpec(kind="double_well", dim=1, sigma=0.3, radius=1.5)
+    conf = SgdConfig(variant=Variant.NON_CONVEX, iterations=5, quorum=1,
+                     x1=(0.0,), lr=LrSchedule(kind="constant", value=0.01),
+                     agreement_q=0.5, cluster_quorum=1)
+    plan = sim.FaultPlan(
+        crashes=(sim.CrashSpec(pid=3, at_iteration=3),),
+        partition=sim.PartitionSpec(side_a=(0, 1), side_b=(2, 3)))
+    return topo, plan, sim.Schedule(), conf, spec, 808, 3
+
+
+EVENT_CASES = {
+    **{name: functools.partial(_scenario, name)
+       for name in ("liveness_blocked", "maa_cluster_crash", "maa_shared",
+                    "sc_quadratic_event")},
+    "crash_at_iteration_and_partition": _case_crash_at_iteration_and_partition,
+}
+
+# case -> sha256 of the concatenated trace exports (recording on) and of the
+# outputs (recording off), over the case's seeds in order
+GOLDEN_EVENT = {
+    "crash_at_iteration_and_partition": {
+        "trace": "5987171f226174ee576f32328665c87577a077dd0d6f1beaf89f2ca7631d2a39",
+        "outputs": "cf58969ef92a26fe8d4e338379e619e0890a2ff998836f9e49f07156789100f3",
+    },
+    "liveness_blocked": {
+        "trace": "6e4b3b2a6a3c834833d3d3424f2d811214b595528996aaf71e3e20124a7d7fa1",
+        "outputs": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
+    "maa_cluster_crash": {
+        "trace": "552837d7e105f64aed509e9f91b2a0b1430310ed51c6731690150a709c6b3c42",
+        "outputs": "31731b4a6734648a12254f7bf216ed4150d19502ddf3f47ea5352bc68ea41e70",
+    },
+    "maa_shared": {
+        "trace": "2453f516d2ca7474d9c5de404bdfdf6380c71d5eddc203d78dbedc1fa2a10653",
+        "outputs": "f4a9e77f49baa6b6252379a50f5ac7c157437313754e1a92ab49c0687f1f87e0",
+    },
+    "sc_quadratic_event": {
+        "trace": "a145551a720d25a9b6d450cf56a38948dc69fe6c3fa428f8b1e69daee684f116",
+        "outputs": "40509ef62aed64264e24e5f283895e3c6e182913f6dab3272e435b0216c3cb1a",
+    },
+}
+
+
+@functools.lru_cache(maxsize=None)  # the runs are deterministic; tests only read them
+def _event_runs(case, record: bool) -> list[sim.RunTrace]:
+    topo, plan, schedule, algo, oracle, seed_root, seeds = EVENT_CASES[case]()
+    return [sim.run(topo, plan, schedule, algo, oracle, [seed_root, s],
+                    record_events=record, record_witness=record)
+            for s in range(seeds)]
+
+
+def _outputs_sha(traces: list[sim.RunTrace]) -> str:
+    h = hashlib.sha256()
+    for s, trace in enumerate(traces):
+        for pid in sorted(trace.outputs):
+            h.update(f"{s}/{pid}:".encode())
+            h.update(np.ascontiguousarray(trace.outputs[pid]).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(EVENT_CASES))
+def test_event_digests_match_pins(case):
+    on = _event_runs(case, record=True)
+    off = _event_runs(case, record=False)
+    for s, (a, b) in enumerate(zip(on, off)):
+        assert a.counters == b.counters, (case, s)
+        assert a.liveness == b.liveness, (case, s)
+        assert _outputs_sha([a]) == _outputs_sha([b]), (case, s)
+    got = {
+        "trace": hashlib.sha256(
+            "".join(t.to_jsonl() for t in on).encode()).hexdigest(),
+        "outputs": _outputs_sha(off),
+    }
+    assert got == GOLDEN_EVENT[case], (
+        f"{case}: digests moved (pinned with numpy {PINNED_NUMPY}, "
+        f"running numpy {np.__version__})")
+
+
+def test_crash_and_partition_case_takes_both_fault_paths():
+    for trace in _event_runs("crash_at_iteration_and_partition", record=True):
+        assert trace.liveness["ok"]
+        crashes = [e for e in trace.events if e[0] == "crash"]
+        assert [(e[2], e[3]["trigger"]) for e in crashes] == [(3, "at_iteration=3")]
+        assert trace.counters["deferred"] > 0
+        # every deferred message is released after the last output, when
+        # each receiver has finished, so each one is dropped then
+        last_output = max(i for i, e in enumerate(trace.events) if e[0] == "output")
+        released = [e for e in trace.events[last_output:]
+                    if e[0] == "drop" and (e[2] < 2) != (e[3]["sender"] < 2)]
+        assert len(released) == trace.counters["deferred"]

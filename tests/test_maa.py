@@ -5,6 +5,7 @@ the event kernel, so the frozen expected values are an independent check on
 the aggregation logic itself.
 """
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -12,7 +13,7 @@ from fractions import Fraction
 import pytest
 from schedutil import run_scripted
 
-from asgd import checks
+from asgd import checks, harness, sim
 from asgd.maa import (
     AggregationRule,
     MaaOnlyConfig,
@@ -122,6 +123,35 @@ def test_shared_level_contraction_on_event_kernel():
     # check `asgd verify contraction` runs
     check = checks.shared_level_contraction()
     assert check.ok, check.detail
+
+
+def test_cluster_round_contraction_detail_states_its_counts(monkeypatch):
+    # doctor one run's report (two zero-diameter rounds grew back) and one
+    # run's outputs (target q missed): the detail must print both counts
+    real_report, real_run = harness.contraction_report, sim.run
+    doctored = {"report": False, "run": False}
+
+    def report(trace, rule):
+        reps = real_report(trace, rule)
+        if not doctored["report"]:
+            doctored["report"] = True
+            reps["cmaa"] = dataclasses.replace(reps["cmaa"], expanded_zero_rounds=2)
+        return reps
+
+    def run(*args, **kwargs):
+        trace = real_run(*args, **kwargs)
+        if not doctored["run"]:
+            doctored["run"] = True
+            trace.outputs[0] = trace.outputs[0] + 100.0
+        return trace
+
+    monkeypatch.setattr(harness, "contraction_report", report)
+    monkeypatch.setattr(sim, "run", run)
+    check = checks.cluster_round_contraction(quick=True)
+    assert not check.ok
+    assert check.name == "criterion-04 cluster round contraction"
+    assert "2 zero-diameter rounds grew back" in check.detail, check.detail
+    assert "1 runs missed their target q" in check.detail, check.detail
 
 
 def test_random_schedules_witness_convexity():

@@ -1,9 +1,11 @@
 """Event kernel: registers, scheduling, faults, liveness, audits."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from asgd import sim
+from asgd import sgd, sim
 from asgd.maa import AggregationRule, MaaOnlyConfig
 from asgd.oracle import OracleSpec, grad, sequential_sgd
 from asgd.sgd import LrSchedule, SgdConfig, Variant
@@ -50,6 +52,20 @@ def test_topology_validation():
     assert topo.majority_quorum() == 2
     assert topo.cluster_of(2) == 1
     assert topo.members_of(1) == (0, 1)
+
+
+def test_topology_tables_for_unsorted_clusters():
+    topo = sim.Topology(n=4, clusters=((3, 1), (0, 2)))
+    assert [topo.cluster_of(p) for p in range(4)] == [1, 0, 1, 0]
+    assert [topo.members_of(p) for p in range(4)] == [(0, 2), (1, 3), (0, 2), (1, 3)]
+    for pid in (-1, 4):
+        with pytest.raises(KeyError):
+            topo.cluster_of(pid)
+        with pytest.raises(KeyError):
+            topo.members_of(pid)
+    # the lookup tables are not fields
+    assert topo == sim.Topology(n=4, clusters=((3, 1), (0, 2)))
+    assert repr(topo) == "Topology(n=4, clusters=((3, 1), (0, 2)))"
 
 
 def test_crash_spec_needs_exactly_one_trigger():
@@ -257,3 +273,58 @@ def test_trace_jsonl_shape():
     lines = trace.to_jsonl().strip().split("\n")
     assert lines[0].startswith('{"config"') or "asgd-trace" in lines[0]
     assert len(lines) == len(trace.events) + 2
+
+
+# ---------------------------------------------------------------------------
+# Kernel bookkeeping
+# ---------------------------------------------------------------------------
+
+def _outputs_sha(trace):
+    finals = np.stack([trace.outputs[p] for p in sorted(trace.outputs)])
+    return hashlib.sha256(np.ascontiguousarray(finals).tobytes()).hexdigest()
+
+
+def test_run_without_recording_builds_no_read_digests(monkeypatch):
+    topo = sim.Topology(n=4, clusters=((0, 1), (2, 3)))
+    conf = cluster_agreement([0.0, 1.0, 3.0, 2.0], q=0.25)
+    recorded = sim.run(topo, NO_FAULTS, FAST, conf, QUAD2, [6, 1])
+    assert recorded.counters["register_reads"] > 0
+
+    def forbidden(value):
+        raise AssertionError("_digest called while not recording")
+
+    monkeypatch.setattr(sim, "_digest", forbidden)
+    quiet = sim.run(topo, NO_FAULTS, FAST, conf, QUAD2, [6, 1],
+                    record_events=False, record_witness=False)
+    assert quiet.liveness["ok"] and quiet.events == []
+    assert quiet.counters == recorded.counters
+    assert _outputs_sha(quiet) == _outputs_sha(recorded)
+
+
+def test_wait_clusters_already_held_when_blocking_is_runnable(monkeypatch):
+    # pid 0 blocks on WaitClusters only after its WaitCount has seen its own
+    # message and pid 1's; no further message on the tag ever arrives, so the
+    # run completes only if the kernel leaves pid 0 runnable at once
+    tag = ("t", 1)
+    x = np.zeros(1)
+
+    def waiter():
+        yield sim.Broadcast(tag, x)
+        yield sim.WaitCount(tag, 2)
+        held = yield sim.WaitClusters(tag, 2)
+        yield sim.Output(x + len(held))
+
+    def sender():
+        yield sim.Broadcast(tag, x)
+        yield sim.Output(x)
+
+    monkeypatch.setattr(sgd, "build_programs",
+                        lambda algorithm, contexts, tau_rng: ([waiter(), sender()], None))
+    for seed in range(10):
+        trace = sim.run(singletons(2), NO_FAULTS, FAST, cluster_agreement([0.0, 1.0]),
+                        QUAD2, [14, seed])
+        assert trace.liveness["ok"], (seed, trace.liveness)
+        assert trace.outputs[0][0] == 2.0
+        wakes = [(e[3]["tag"], e[3]["held"]) for e in trace.events
+                 if e[0] == "wake" and e[2] == 0]
+        assert wakes == [(list(tag), 2), (list(tag), 2)]
