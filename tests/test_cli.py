@@ -78,6 +78,147 @@ def test_config_error_exits_2(tmp_path):
     assert code == 2
 
 
+_DELETE = object()
+_PARTITION = {"side_a": [0, 1], "side_b": [2, 3]}
+
+# (base scenario, edits as (key path, value or _DELETE), the exact stderr line)
+CONFIG_ERRORS = [
+    ("sc_quadratic_event", [(("format",), "x")], "format: expected 'asgd-scenario'"),
+    ("sc_quadratic_event", [(("version",), 2)], "version: expected 1"),
+    ("sc_quadratic_event", [(("bogus",), 1)], "scenario.bogus: unknown field"),
+    ("sc_quadratic_event", [(("topology",), _DELETE)], "topology: missing section"),
+    ("sc_quadratic_event", [(("oracle",), None)], "oracle: missing section"),
+    ("sc_quadratic_event", [(("algorithm",), _DELETE)], "algorithm: missing section"),
+    ("sc_quadratic_event", [(("topology",), 5)], "topology: must be an object"),
+    ("sc_quadratic_event", [(("faults",), [])], "faults: must be an object"),
+    ("sc_quadratic_event", [(("schedule",), 3)], "schedule: must be an object"),
+    ("sc_quadratic_event", [(("run",), "x")], "run: must be an object"),
+    # topology
+    ("sc_quadratic_event", [(("topology", "n"), _DELETE)], "topology.n: missing field"),
+    ("sc_quadratic_event", [(("topology", "n"), "4")], "topology.n: unexpected type str"),
+    ("sc_quadratic_event", [(("topology", "clusters"), 5)],
+     "topology.clusters: unexpected type int"),
+    ("sc_quadratic_event", [(("topology", "bogus"), 1)], "topology.bogus: unknown field"),
+    # oracle
+    ("sc_quadratic_event", [(("oracle", "dim"), _DELETE)], "oracle.dim: missing field"),
+    ("sc_quadratic_event", [(("oracle", "sigma"), "x")], "oracle.sigma: unexpected type str"),
+    ("sc_quadratic_event", [(("oracle", "mu"), None)], "oracle.mu: unexpected type NoneType"),
+    ("sc_quadratic_event", [(("oracle", "x_star"), 1.0)],
+     "oracle.x_star: unexpected type float"),
+    ("sc_quadratic_event", [(("oracle", "kind"), "x")], "oracle.kind: unknown kind 'x'"),
+    ("sc_quadratic_event", [(("oracle", "bogus"), 1)], "oracle.bogus: unknown field"),
+    # algorithm, kind "sgd"
+    ("sc_quadratic_event", [(("algorithm", "kind"), _DELETE)],
+     "algorithm.kind: missing field"),
+    ("sc_quadratic_event", [(("algorithm", "kind"), 3)],
+     "algorithm.kind: unexpected type int"),
+    ("sc_quadratic_event", [(("algorithm", "kind"), "x")],
+     "algorithm.kind: unknown kind 'x'"),
+    ("sc_quadratic_event", [(("algorithm", "variant"), _DELETE)],
+     "algorithm.variant: missing field"),
+    ("sc_quadratic_event", [(("algorithm", "variant"), "x")],
+     "algorithm.variant: unknown variant 'x'"),
+    ("sc_quadratic_event", [(("algorithm", "iterations"), "x")],
+     "algorithm.iterations: unexpected type str"),
+    ("sc_quadratic_event", [(("algorithm", "x1"), "x")],
+     "algorithm.x1: unexpected type str"),
+    ("sc_quadratic_event", [(("algorithm", "maa_rule"), "x")],
+     "algorithm.maa_rule: unknown rule 'x'"),
+    ("sc_quadratic_event", [(("algorithm", "maa_rule"), 1)],
+     "algorithm.maa_rule: unexpected type int"),
+    ("sc_quadratic_event", [(("algorithm", "agreement_q"), [])],
+     "algorithm.agreement_q: unexpected type list"),
+    ("sc_quadratic_event", [(("algorithm", "cluster_quorum"), None)],
+     "algorithm.cluster_quorum: unexpected type NoneType"),
+    ("sc_quadratic_event", [(("algorithm", "lr_check"), 1)],
+     "algorithm.lr_check: unexpected type int"),
+    ("sc_quadratic_event", [(("algorithm", "tau"), "x")],
+     "algorithm.tau: unexpected type str"),
+    ("sc_quadratic_event", [(("algorithm", "mark_rounds"), 1)],
+     "algorithm.mark_rounds: unexpected type int"),
+    ("sc_quadratic_event", [(("algorithm", "bogus"), 1)], "algorithm.bogus: unknown field"),
+    # algorithm.lr
+    ("sc_quadratic_event", [(("algorithm", "lr"), _DELETE)], "algorithm.lr: missing field"),
+    ("sc_quadratic_event", [(("algorithm", "lr"), 5)], "algorithm.lr: unexpected type int"),
+    ("sc_quadratic_event", [(("algorithm", "lr", "kind"), _DELETE)],
+     "algorithm.lr.kind: missing field"),
+    ("sc_quadratic_event", [(("algorithm", "lr", "beta"), "x")],
+     "algorithm.lr.beta: unexpected type str"),
+    ("sc_quadratic_event", [(("algorithm", "lr", "bogus"), 1)],
+     "algorithm.lr.bogus: unknown field"),
+    # algorithm, kind "maa_only"
+    ("maa_cluster_crash", [(("algorithm", "level"), _DELETE)],
+     "algorithm.level: missing field"),
+    ("maa_cluster_crash", [(("algorithm", "rule"), "x")], "algorithm.rule: unknown rule 'x'"),
+    ("maa_cluster_crash", [(("algorithm", "q"), "x")], "algorithm.q: unexpected type str"),
+    ("maa_cluster_crash", [(("algorithm", "inputs"), _DELETE)],
+     "algorithm.inputs: missing field"),
+    ("maa_cluster_crash", [(("algorithm", "tau"), 1)], "algorithm.tau: unknown field"),
+    # faults.crashes
+    ("maa_cluster_crash", [(("faults", "crashes"), {})],
+     "faults.crashes: unexpected type dict"),
+    ("maa_cluster_crash", [(("faults", "crashes", 0), 5)],
+     "faults.crashes[0]: must be an object"),
+    ("maa_cluster_crash", [(("faults", "crashes", 0, "pid"), _DELETE)],
+     "faults.crashes[0].pid: missing field"),
+    ("maa_cluster_crash", [(("faults", "crashes", 0, "pid"), 1.5)],
+     "faults.crashes[0].pid: unexpected type float"),
+    ("maa_cluster_crash", [(("faults", "crashes", 0, "after_events"), "x")],
+     "faults.crashes[0].after_events: unexpected type str"),
+    ("maa_cluster_crash", [(("faults", "crashes", 0, "bogus"), 1)],
+     "faults.crashes[0].bogus: unknown field"),
+    ("maa_cluster_crash", [(("faults", "bogus"), 1)], "faults.bogus: unknown field"),
+    # faults.partition
+    ("sc_quadratic_event", [(("faults",), {"partition": []})],
+     "faults.partition: unexpected type list"),
+    ("sc_quadratic_event", [(("faults",), {"partition": None})],
+     "faults.partition: unexpected type NoneType"),
+    ("sc_quadratic_event", [(("faults",), {"partition": dict(_PARTITION)}),
+                            (("faults", "partition", "side_a"), _DELETE)],
+     "faults.partition.side_a: missing field"),
+    ("sc_quadratic_event", [(("faults",), {"partition": dict(_PARTITION)}),
+                            (("faults", "partition", "from_event"), "x")],
+     "faults.partition.from_event: unexpected type str"),
+    ("sc_quadratic_event", [(("faults",), {"partition": dict(_PARTITION)}),
+                            (("faults", "partition", "bogus"), 1)],
+     "faults.partition.bogus: unknown field"),
+    # schedule and run
+    ("sc_quadratic_event", [(("schedule",), {"max_delay": "x"})],
+     "schedule.max_delay: unexpected type str"),
+    ("sc_quadratic_event", [(("schedule",), {"bogus": 1})], "schedule.bogus: unknown field"),
+    ("sc_quadratic_event", [(("run", "driver"), "x")], "run.driver: unknown driver 'x'"),
+    ("sc_quadratic_event", [(("run", "seeds"), 0)], "run.seeds: must be >= 1"),
+    ("sc_quadratic_event", [(("run", "seeds"), "x")], "run.seeds: unexpected type str"),
+    ("sc_quadratic_event", [(("run", "record_series"), 1)],
+     "run.record_series: unexpected type int"),
+    ("sc_quadratic_event", [(("run", "bogus"), 1)], "run.bogus: unknown field"),
+]
+
+
+def _edited_scenario(base: str, edits, path: Path) -> Path:
+    raw = json.loads((SCENARIOS / f"{base}.json").read_text())
+    for keys, value in edits:
+        node = raw
+        for key in keys[:-1]:
+            node = node[key]
+        if value is _DELETE:
+            del node[keys[-1]]
+        else:
+            node[keys[-1]] = value
+    path.write_text(json.dumps(raw))
+    return path
+
+
+@pytest.mark.parametrize("base,edits,line", CONFIG_ERRORS,
+                         ids=[line for _, _, line in CONFIG_ERRORS])
+def test_config_error_message(base, edits, line, tmp_path, capsys):
+    scenario = _edited_scenario(base, edits, tmp_path / "scenario.json")
+    code = _run(["run", scenario, "--out", tmp_path / "out"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_trace_with_batch_driver_exits_2(tmp_path):
     code = _run(["run", SCENARIOS / "sc_quadratic_batch.json",
                  "--out", tmp_path, "--trace"])

@@ -4,7 +4,8 @@ Each batch case pins SHA-256 digests of a small run's BatchResult arrays, and
 each event case pins the digest of its exported traces (recording on) and of
 its outputs (recording off), so an optimisation that moves any output bit or
 any scheduled event fails here by name instead of quietly shifting a rate
-fit. The pins were computed with numpy 2.4.6 on Python 3.11.7; a different
+fit. `asgd run` on every file in scenarios/ is pinned too, by its exit code
+and the bytes of its summary.json and metrics.csv. The pins were computed with numpy 2.4.6 on Python 3.11.7; a different
 numpy may draw differently, and a mismatch should then be recorded against
 that version, not re-pinned silently.
 """
@@ -233,3 +234,49 @@ def test_crash_and_partition_case_takes_both_fault_paths():
         released = [e for e in trace.events[last_output:]
                     if e[0] == "drop" and (e[2] < 2) != (e[3]["sender"] < 2)]
         assert len(released) == trace.counters["deferred"]
+
+
+# ---------------------------------------------------------------------------
+# `asgd run` on every scenario file
+# ---------------------------------------------------------------------------
+
+# scenario -> (exit code, sha256 of summary.json, sha256 of metrics.csv) of
+# `asgd run scenarios/<name>.json`, the file as committed
+GOLDEN_RUN = {
+    "divergence_partition": (
+        0, "292c7c165cc1f34414d43640bf187e51e9129d725b10f067f88b357731da6fb0",
+        "bb174ca11b018d442634f3d0d887f6adce5ab85cc0bc59f7d6748d253150a300"),
+    "liveness_blocked": (
+        3, "806b7f389af08c44cb3d50bf0b343709a8d6d8d979c6ec47ae835f24c18cd0ab",
+        "d7fb44b4a49a29ae0127eb7293b33b37d758a5758924b171ed5f6ecd70aa8405"),
+    "maa_cluster_crash": (
+        0, "7b045d0004e25017826ed3ecfc8277c112288169a5d5766e5f3d4c4f686f4448",
+        "7482d89d772a0692a9095e042001d80fd603c8be1a57c71ef8d0e51872fddf64"),
+    "maa_shared": (
+        0, "3c495fc4c2b523a3c531ba439fd1cdc5c808d775568db53a6b5b41cf48a515cc",
+        "d95c9412aa9d75ceee440aa3a99abbaa440ab3c6e3ae3af8c79dfadda70bd598"),
+    "nc_doublewell_batch": (
+        0, "b4fe009cd056ff6cf5a896905f10e85760acf715d8cada0ec0be5e9fc35ffd42",
+        "00ec2f091ed2f871374c39b33f5a1e5e9294cf909b328017460ab190b387b07c"),
+    "sc_quadratic_batch": (
+        0, "3f2ed43831be03f7fa374fad57ba7fded3f11f9e578163c2098e8338ae67535e",
+        "3f107a942651fb8090eb0923465ee2303d72e2efb6780654e7e8be2afbb786d1"),
+    "sc_quadratic_event": (
+        0, "6ce7f140ceaf3d90e6e93280e689b1079afd1c2265aa63dbbd3b05a8401107b4",
+        "8ca6d7b8033ab4338d5bfdf4891c909f7e115ea0e20646590191fea6e99a8694"),
+}
+
+
+def test_golden_run_covers_every_scenario_file():
+    assert sorted(GOLDEN_RUN) == sorted(p.stem for p in SCENARIOS.glob("*.json"))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUN))
+def test_run_outputs_match_pins(name, tmp_path):
+    code = cli.main(["run", str(SCENARIOS / f"{name}.json"), "--out", str(tmp_path)])
+    got = (code,
+           hashlib.sha256((tmp_path / "summary.json").read_bytes()).hexdigest(),
+           hashlib.sha256((tmp_path / "metrics.csv").read_bytes()).hexdigest())
+    assert got == GOLDEN_RUN[name], (
+        f"{name}: outputs moved (pinned with numpy {PINNED_NUMPY}, "
+        f"running numpy {np.__version__})")
