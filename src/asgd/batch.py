@@ -309,9 +309,9 @@ def _run_non_convex(topology, conf, spec, options, sched_rng, digest):
         raise ConfigError("batch.quorum_policy",
                           "split policy is defined for the strongly convex variant")
 
-    if conf.tau_override is not None:
+    if conf.tau is not None:
         noise, _ = _predraw_noise(n, d, T, options, want_tau=False)
-        taus = np.full(S, conf.tau_override, dtype=np.int64)
+        taus = np.full(S, conf.tau, dtype=np.int64)
     else:
         noise, taus = _predraw_noise(n, d, T, options, want_tau=True)
     proc_side, cluster_side, part_start = _proc_sides(topology, options)

@@ -7,9 +7,12 @@ Two commands:
 
 `run` executes a scenario file (JSON, format "asgd-scenario" version 1) and
 writes summary.json plus metrics.csv into the output directory; --trace also
-writes one JSONL event trace per seed (event driver only). Exit codes: 0 on
-success, 2 for configuration or usage problems, 3 when a run had a liveness
-violation (statistics are withheld in that case).
+writes one JSONL event trace per seed (event driver only) and audits every
+seed's trace. Exit codes: 0 on success, 2 for configuration or usage
+problems, 3 when a run had a liveness violation (statistics are withheld in
+that case), 4 when a trace audit failed on some seed (outputs are still
+written and summary.json names the seed; a liveness violation takes
+precedence).
 
 `verify` runs the acceptance criteria in asgd.checks by suite: contraction
 (criteria 1, 2, 4 and the shared-level check), variance (criterion 6),
@@ -24,15 +27,20 @@ first imported.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import enum
 import hashlib
 import json
 import os
 import sys
+import types
+import typing
 from pathlib import Path
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_LIVENESS = 3
+EXIT_AUDIT = 4
 
 SCENARIO_FORMAT = "asgd-scenario"
 SCENARIO_VERSION = 1
@@ -72,182 +80,121 @@ def _section(raw: dict, name: str, required: bool = False) -> dict:
     return value
 
 
-def _get(section: dict, where: str, key: str, kinds, required: bool = False,
-         default=None):
-    if key not in section:
-        if required:
-            _fail(f"{where}.{key}", "missing field")
-        return default
-    value = section[key]
-    if kinds is not None and not isinstance(value, kinds):
-        _fail(f"{where}.{key}", f"unexpected type {type(value).__name__}")
-    return value
+@dataclasses.dataclass(frozen=True)
+class RunOptions:
+    """The scenario's `run` section: which driver runs it and on which seeds."""
+
+    driver: str = "event"  # "event" | "batch"
+    seeds: int = 1
+    seed_root: int = 0
+    quorum_policy: str = "random"  # batch driver only
+    record_series: bool = True  # batch driver only
+
+    def __post_init__(self):
+        if self.driver not in ("event", "batch"):
+            _fail("run.driver", f"unknown driver {self.driver!r}")
+        if self.seeds < 1:
+            _fail("run.seeds", "must be >= 1")
 
 
-def _check_keys(section: dict, where: str, allowed: set) -> None:
-    for key in section:
-        if key not in allowed:
+def _unknown(where: str, value: str):
+    # "algorithm.maa_rule" -> "unknown rule 'x'", "algorithm.kind" -> "unknown kind 'x'"
+    _fail(where, f"unknown {where.rsplit('.', 1)[-1].rsplit('_', 1)[-1]} {value!r}")
+
+
+def _json_type(tp):
+    """The JSON value type(s) accepted for a field annotated `tp`."""
+    if typing.get_origin(tp) is tuple:
+        return list
+    if dataclasses.is_dataclass(tp):
+        return dict
+    if issubclass(tp, enum.Enum):
+        return str
+    if tp is float:
+        return (int, float)
+    return tp
+
+
+def _value(tp, value, where: str):
+    """Check one JSON value against the annotation `tp`; return it converted."""
+    # X | None accepts what X accepts: an absent key takes the default, and
+    # an explicit null is a type error
+    union = isinstance(tp, types.UnionType)
+    options = [a for a in typing.get_args(tp) if a is not type(None)] if union else [tp]
+    tp = next((a for a in options if isinstance(value, _json_type(a))), None)
+    if tp is None:
+        _fail(where, f"unexpected type {type(value).__name__}")
+    if typing.get_origin(tp) is tuple:
+        item = typing.get_args(tp)[0]
+        read = _read if dataclasses.is_dataclass(item) else _value
+        return tuple(read(item, v, f"{where}[{i}]") for i, v in enumerate(value))
+    if dataclasses.is_dataclass(tp):
+        return _read(tp, value, where)
+    if issubclass(tp, enum.Enum):
+        try:
+            return tp(value)
+        except ValueError:
+            _unknown(where, value)
+    return float(value) if tp is float else value
+
+
+def _read(cls, raw, where: str):
+    """Build the config dataclass `cls` from the JSON object `raw`.
+
+    The keys are the class's fields, a key left out takes the field's
+    default, and each value is checked and converted by its annotation.
+    """
+    if not isinstance(raw, dict):
+        _fail(where, "must be an object")
+    fields = dataclasses.fields(cls)
+    names = {f.name for f in fields}
+    for key in raw:
+        if key not in names:
             _fail(f"{where}.{key}", "unknown field")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for f in fields:
+        if f.name in raw:
+            kwargs[f.name] = _value(hints[f.name], raw[f.name], f"{where}.{f.name}")
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            _fail(f"{where}.{f.name}", "missing field")
+    return cls(**kwargs)
 
 
 def load_scenario(raw: dict):
-    """Build (topology, fault_plan, schedule, algorithm, oracle, run_opts)."""
+    """Build (topology, fault_plan, schedule, algorithm, oracle, run_opts).
+
+    Each section is read into its config class (see `_read`); the one key
+    that is not a field, algorithm.kind, picks the algorithm's class.
+    """
     from . import sim
-    from .maa import AggregationRule, MaaOnlyConfig
+    from .maa import MaaOnlyConfig
     from .oracle import OracleSpec
-    from .sgd import LrSchedule, SgdConfig, Variant
+    from .sgd import SgdConfig
 
     if raw.get("format") != SCENARIO_FORMAT:
         _fail("format", f"expected {SCENARIO_FORMAT!r}")
     if raw.get("version") != SCENARIO_VERSION:
         _fail("version", f"expected {SCENARIO_VERSION}")
-    _check_keys(raw, "scenario", {"format", "version", "topology", "oracle",
-                                  "algorithm", "faults", "schedule", "run"})
+    for key in raw:
+        if key not in ("format", "version", "topology", "oracle", "algorithm",
+                       "faults", "schedule", "run"):
+            _fail(f"scenario.{key}", "unknown field")
 
-    topo_raw = _section(raw, "topology", required=True)
-    _check_keys(topo_raw, "topology", {"n", "clusters"})
-    clusters = _get(topo_raw, "topology", "clusters", list, required=True)
-    topology = sim.Topology(
-        n=_get(topo_raw, "topology", "n", int, required=True),
-        clusters=tuple(tuple(c) for c in clusters),
-    )
-
-    oracle_raw = _section(raw, "oracle", required=True)
-    _check_keys(oracle_raw, "oracle",
-                {"kind", "dim", "sigma", "mu", "lipschitz", "x_star", "radius"})
-    x_star = _get(oracle_raw, "oracle", "x_star", list)
-    oracle = OracleSpec(
-        kind=_get(oracle_raw, "oracle", "kind", str, required=True),
-        dim=_get(oracle_raw, "oracle", "dim", int, required=True),
-        sigma=float(_get(oracle_raw, "oracle", "sigma", (int, float), required=True)),
-        mu=_get(oracle_raw, "oracle", "mu", (int, float)),
-        lipschitz=_get(oracle_raw, "oracle", "lipschitz", (int, float)),
-        x_star=tuple(x_star) if x_star is not None else None,
-        radius=_get(oracle_raw, "oracle", "radius", (int, float)),
-    )
-
-    algo_raw = _section(raw, "algorithm", required=True)
-    kind = _get(algo_raw, "algorithm", "kind", str, required=True)
-    if kind == "sgd":
-        _check_keys(algo_raw, "algorithm",
-                    {"kind", "variant", "iterations", "quorum", "x1", "lr",
-                     "maa_rule", "agreement_q", "cluster_quorum", "lr_check",
-                     "tau", "mark_rounds"})
-        variant_name = _get(algo_raw, "algorithm", "variant", str, required=True)
-        try:
-            variant = Variant(variant_name)
-        except ValueError:
-            _fail("algorithm.variant", f"unknown variant {variant_name!r}")
-        lr_raw = _get(algo_raw, "algorithm", "lr", dict, required=True)
-        _check_keys(lr_raw, "algorithm.lr", {"kind", "beta", "gamma", "value"})
-        lr = LrSchedule(
-            kind=_get(lr_raw, "algorithm.lr", "kind", str, required=True),
-            beta=_get(lr_raw, "algorithm.lr", "beta", (int, float)),
-            gamma=_get(lr_raw, "algorithm.lr", "gamma", (int, float)),
-            value=_get(lr_raw, "algorithm.lr", "value", (int, float)),
-        )
-        rule_name = _get(algo_raw, "algorithm", "maa_rule", str,
-                         default="mid_extremes")
-        try:
-            rule = AggregationRule(rule_name)
-        except ValueError:
-            _fail("algorithm.maa_rule", f"unknown rule {rule_name!r}")
-        agreement_q = _get(algo_raw, "algorithm", "agreement_q",
-                           (str, int, float), default="quarter_lr")
-        if not isinstance(agreement_q, str):
-            agreement_q = float(agreement_q)
-        algorithm = SgdConfig(
-            variant=variant,
-            iterations=_get(algo_raw, "algorithm", "iterations", int, required=True),
-            quorum=_get(algo_raw, "algorithm", "quorum", int, required=True),
-            x1=tuple(_get(algo_raw, "algorithm", "x1", list, required=True)),
-            lr=lr,
-            maa_rule=rule,
-            agreement_q=agreement_q,
-            cluster_quorum=_get(algo_raw, "algorithm", "cluster_quorum", int),
-            lr_check=_get(algo_raw, "algorithm", "lr_check", str, default="strict"),
-            tau_override=_get(algo_raw, "algorithm", "tau", int),
-            mark_rounds=_get(algo_raw, "algorithm", "mark_rounds", bool,
-                             default=False),
-        )
-    elif kind == "maa_only":
-        _check_keys(algo_raw, "algorithm",
-                    {"kind", "level", "rule", "q", "inputs", "cluster_quorum",
-                     "mark_rounds"})
-        rule_name = _get(algo_raw, "algorithm", "rule", str,
-                         default="mid_extremes")
-        try:
-            rule = AggregationRule(rule_name)
-        except ValueError:
-            _fail("algorithm.rule", f"unknown rule {rule_name!r}")
-        inputs = _get(algo_raw, "algorithm", "inputs", list, required=True)
-        algorithm = MaaOnlyConfig(
-            level=_get(algo_raw, "algorithm", "level", str, required=True),
-            rule=rule,
-            q=float(_get(algo_raw, "algorithm", "q", (int, float), required=True)),
-            inputs=tuple(tuple(row) for row in inputs),
-            cluster_quorum=_get(algo_raw, "algorithm", "cluster_quorum", int),
-            mark_rounds=_get(algo_raw, "algorithm", "mark_rounds", bool,
-                             default=True),
-        )
-    else:
-        _fail("algorithm.kind", f"unknown kind {kind!r}")
-
-    faults_raw = _section(raw, "faults")
-    _check_keys(faults_raw, "faults", {"crashes", "partition"})
-    crashes = []
-    for i, entry in enumerate(_get(faults_raw, "faults", "crashes", list,
-                                   default=[])):
-        if not isinstance(entry, dict):
-            _fail(f"faults.crashes[{i}]", "must be an object")
-        _check_keys(entry, f"faults.crashes[{i}]",
-                    {"pid", "after_events", "at_iteration"})
-        crashes.append(sim.CrashSpec(
-            pid=_get(entry, f"faults.crashes[{i}]", "pid", int, required=True),
-            after_events=_get(entry, f"faults.crashes[{i}]", "after_events", int),
-            at_iteration=_get(entry, f"faults.crashes[{i}]", "at_iteration", int),
-        ))
-    partition = None
-    part_raw = _get(faults_raw, "faults", "partition", dict)
-    if part_raw is not None:
-        _check_keys(part_raw, "faults.partition",
-                    {"side_a", "side_b", "from_event"})
-        partition = sim.PartitionSpec(
-            side_a=tuple(_get(part_raw, "faults.partition", "side_a", list,
-                              required=True)),
-            side_b=tuple(_get(part_raw, "faults.partition", "side_b", list,
-                              required=True)),
-            from_event=_get(part_raw, "faults.partition", "from_event", int,
-                            default=0),
-        )
-    fault_plan = sim.FaultPlan(crashes=tuple(crashes), partition=partition)
-
-    sched_raw = _section(raw, "schedule")
-    _check_keys(sched_raw, "schedule", {"max_delay", "event_budget"})
-    schedule = sim.Schedule(
-        max_delay=_get(sched_raw, "schedule", "max_delay", int, default=4),
-        event_budget=_get(sched_raw, "schedule", "event_budget", int,
-                          default=10_000_000),
-    )
-
-    run_raw = _section(raw, "run")
-    _check_keys(run_raw, "run",
-                {"driver", "seeds", "seed_root", "quorum_policy",
-                 "record_series"})
-    run_opts = {
-        "driver": _get(run_raw, "run", "driver", str, default="event"),
-        "seeds": _get(run_raw, "run", "seeds", int, default=1),
-        "seed_root": _get(run_raw, "run", "seed_root", int, default=0),
-        "quorum_policy": _get(run_raw, "run", "quorum_policy", str,
-                              default="random"),
-        "record_series": _get(run_raw, "run", "record_series", bool,
-                              default=True),
-    }
-    if run_opts["driver"] not in ("event", "batch"):
-        _fail("run.driver", f"unknown driver {run_opts['driver']!r}")
-    if run_opts["seeds"] < 1:
-        _fail("run.seeds", "must be >= 1")
-    return topology, fault_plan, schedule, algorithm, oracle, run_opts
+    topology = _read(sim.Topology, _section(raw, "topology", required=True), "topology")
+    oracle = _read(OracleSpec, _section(raw, "oracle", required=True), "oracle")
+    algo_raw = dict(_section(raw, "algorithm", required=True))
+    if "kind" not in algo_raw:
+        _fail("algorithm.kind", "missing field")
+    kind = _value(str, algo_raw.pop("kind"), "algorithm.kind")
+    classes = {"sgd": SgdConfig, "maa_only": MaaOnlyConfig}
+    if kind not in classes:
+        _unknown("algorithm.kind", kind)
+    algorithm = _read(classes[kind], algo_raw, "algorithm")
+    fault_plan = _read(sim.FaultPlan, _section(raw, "faults"), "faults")
+    schedule = _read(sim.Schedule, _section(raw, "schedule"), "schedule")
+    run = _read(RunOptions, _section(raw, "run"), "run")
+    return topology, fault_plan, schedule, algorithm, oracle, dataclasses.asdict(run)
 
 
 def apply_override(raw: dict, assignment: str) -> None:
@@ -278,12 +225,41 @@ def apply_override(raw: dict, assignment: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _audit_seeds(traces, props: list[str]) -> dict:
+    """Audit every seed's trace. Per property: ok over all seeds; the detail
+    is seed 0's when all pass, else the first failing seed's, named."""
+    from . import sim
+
+    reports = [sim.audit(trace, props) for trace in traces]
+    audit = {}
+    for prop in props:
+        failed = [s for s, report in enumerate(reports) if not report[prop]["ok"]]
+        if failed:
+            audit[prop] = {"ok": False, "detail": (
+                f"seed {failed[0]} ({len(failed)} of {len(reports)} seeds failed): "
+                f"{reports[failed[0]][prop]['detail']}")}
+        else:
+            audit[prop] = reports[0][prop]
+    return audit
+
+
+def _start_output(out: str, summary: dict, warnings: list[str]) -> Path:
+    """Record and print the warnings of the driver's validate_config pass,
+    then create the output directory. Each driver validates before its first
+    step, so a config error leaves no directory behind."""
+    summary["warnings"] = warnings
+    for w in warnings:
+        print(f"warning: {w}", file=sys.stderr)
+    outdir = Path(out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir
+
+
 def _cmd_run(args) -> int:
     import numpy as np
 
     from . import batch, harness, sim
-    from .maa import MaaOnlyConfig
-    from .sgd import SgdConfig, validate_config
+    from .sgd import SgdConfig
 
     raw = json.loads(Path(args.scenario).read_text())
     if not isinstance(raw, dict):
@@ -294,16 +270,9 @@ def _cmd_run(args) -> int:
         raw.setdefault("run", {})["seeds"] = args.seeds
 
     topology, fault_plan, schedule, algorithm, oracle, run_opts = load_scenario(raw)
-    warnings = list(validate_config(algorithm, topology, fault_plan, oracle))
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
-
     digest = sim.config_digest_of(raw)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     seeds = run_opts["seeds"]
     seed_root = run_opts["seed_root"]
-
     summary = {
         "format": "asgd-summary",
         "digest": digest,
@@ -311,7 +280,6 @@ def _cmd_run(args) -> int:
         "seeds": seeds,
         "seed_root": seed_root,
         "scenario": raw,
-        "warnings": warnings,
     }
 
     if run_opts["driver"] == "event":
@@ -319,17 +287,19 @@ def _cmd_run(args) -> int:
             topology, fault_plan, schedule, algorithm, oracle,
             seed_root=seed_root, seeds=seeds,
             record_events=args.trace, record_witness=args.trace)
+        outdir = _start_output(args.out, summary, ensemble.traces[0].warnings)
         if args.trace:
             for s, trace in enumerate(ensemble.traces):
                 path = outdir / f"trace_{s:04d}.jsonl"
                 path.write_text(trace.to_jsonl())
-            # asynchrony coverage needs at least two iterations to observe
             props = ["register_semantics", "quorum_composition",
                      "stale_filtering", "participant_monotone",
                      "witness_replay"]
-            if isinstance(algorithm, SgdConfig) and algorithm.iterations >= 2:
+            # asynchrony needs two processes and two iterations to show
+            if (isinstance(algorithm, SgdConfig) and algorithm.iterations >= 2
+                    and topology.n >= 2):
                 props.append("asynchrony_coverage")
-            summary["audit"] = sim.audit(ensemble.traces[0], props)
+            summary["audit"] = _audit_seeds(ensemble.traces, props)
         summary["liveness"] = {"ok": ensemble.ok, "counts": ensemble.liveness}
         if not ensemble.ok:
             summary["stats"] = None
@@ -357,9 +327,9 @@ def _cmd_run(args) -> int:
             partition=fault_plan.partition,
             record_series=run_opts["record_series"])
         result = batch.run_ensemble(topology, algorithm, oracle, options)
+        outdir = _start_output(args.out, summary, result.warnings)
         finals = result.outputs
         summary["liveness"] = {"ok": True}
-        summary["warnings"] = list(result.warnings)
         if run_opts["record_series"] and result.series:
             summary["series_len"] = {k: len(v) for k, v in result.series.items()}
 
@@ -378,6 +348,11 @@ def _cmd_run(args) -> int:
 
     harness.write_summary(outdir / "summary.json", summary)
     harness.write_csv(outdir / "metrics.csv", rows)
+    failed = [f"{k}: {v['detail']}" for k, v in summary.get("audit", {}).items()
+              if not v["ok"]]
+    if failed:
+        print("trace audit failed: " + "; ".join(failed), file=sys.stderr)
+        return EXIT_AUDIT
     print(f"ok: {seeds} seed(s), results in {outdir}")
     return EXIT_OK
 

@@ -169,9 +169,9 @@ class MaaOnlyConfig:
     """Run just the agreement machinery on fixed per-process inputs."""
 
     level: str  # "shared" | "cluster"
-    rule: AggregationRule
     q: float
     inputs: tuple[tuple[float, ...], ...]
+    rule: AggregationRule = AggregationRule.MID_EXTREMES
     cluster_quorum: int | None = None
     mark_rounds: bool = True
 

@@ -32,7 +32,6 @@ class SmoothnessInfo:
 
     lipschitz: float
     strong_convexity: float | None
-    optimum_value: float
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,6 @@ def smoothness_constants(spec: OracleSpec) -> SmoothnessInfo:
         return SmoothnessInfo(
             lipschitz=float(spec.lipschitz),
             strong_convexity=float(spec.mu),
-            optimum_value=0.0,
         )
     # d^2/dx^2 (x^2-1)^2 = 12 x^2 - 4; on |x| <= r the magnitude peaks at
     # max(4, 12 r^2 - 4).
@@ -109,7 +107,6 @@ def smoothness_constants(spec: OracleSpec) -> SmoothnessInfo:
     return SmoothnessInfo(
         lipschitz=max(4.0, 12.0 * r * r - 4.0),
         strong_convexity=None,
-        optimum_value=0.0,
     )
 
 

@@ -88,10 +88,10 @@ class SgdConfig:
     x1: tuple[float, ...]
     lr: LrSchedule
     maa_rule: maa.AggregationRule = maa.AggregationRule.MID_EXTREMES
-    agreement_q: object = "quarter_lr"  # "quarter_lr" or a fixed float
+    agreement_q: str | float = "quarter_lr"  # "quarter_lr" or a fixed float
     cluster_quorum: int | None = None
     lr_check: str = "strict"  # "strict" | "warn"
-    tau_override: int | None = None
+    tau: int | None = None  # fixes the non-convex output iteration
     mark_rounds: bool = False
 
     def __post_init__(self):
@@ -106,7 +106,7 @@ class SgdConfig:
             if not isinstance(q, (int, float)) or not 0 < q <= 1:
                 raise ConfigError("algorithm.agreement_q",
                                   f"must be 'quarter_lr' or a float in (0, 1], got {q!r}")
-        if self.tau_override is not None and not 1 <= self.tau_override <= self.iterations:
+        if self.tau is not None and not 1 <= self.tau <= self.iterations:
             raise ConfigError("algorithm.tau", f"must be in [1, {self.iterations}]")
 
     def q_at(self, t: int) -> float:
@@ -126,7 +126,7 @@ class SgdConfig:
             "agreement_q": self.agreement_q,
             "cluster_quorum": self.cluster_quorum,
             "lr_check": self.lr_check,
-            "tau": self.tau_override,
+            "tau": self.tau,
             "mark_rounds": self.mark_rounds,
         }
 
@@ -196,11 +196,6 @@ def validate_config(config, topology: sim.Topology, fault_plan: sim.FaultPlan,
     return warnings
 
 
-def effective_gradient(x_t: np.ndarray, x_next: np.ndarray, eta: float) -> np.ndarray:
-    """The step the ensemble actually took, rescaled back to gradient units."""
-    return (x_t - x_next) / eta
-
-
 def _ordered_average(held: list) -> np.ndarray:
     """Average message payloads in ascending sender order, one division."""
     ordered = sorted(held, key=lambda item: item[0])
@@ -268,7 +263,7 @@ def build_programs(algorithm, contexts, tau_rng) -> tuple[list, int | None]:
 
     tau is drawn here (once, shared by every process) from the dedicated
     stream so both execution drivers consume the stream identically; an
-    explicit tau_override skips the draw entirely. The caller, sim.run, has
+    explicit tau skips the draw entirely. The caller, sim.run, has
     already run validate_config.
     """
     if isinstance(algorithm, maa.MaaOnlyConfig):
@@ -277,8 +272,8 @@ def build_programs(algorithm, contexts, tau_rng) -> tuple[list, int | None]:
         raise TypeError(f"unknown algorithm config {type(algorithm).__name__}")
     if algorithm.variant is Variant.STRONGLY_CONVEX:
         return [_strongly_convex_program(algorithm, ctx) for ctx in contexts], None
-    if algorithm.tau_override is not None:
-        tau = algorithm.tau_override
+    if algorithm.tau is not None:
+        tau = algorithm.tau
     else:
         tau = int(tau_rng.integers(1, algorithm.iterations + 1))
     return [_non_convex_program(algorithm, ctx, tau) for ctx in contexts], tau

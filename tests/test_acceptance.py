@@ -361,7 +361,7 @@ def _c12_scenarios():
          sim.Schedule(), SgdConfig(iterations=3, **nc), dwell),
         ("nc-tau-override", "event", sim.Topology(4, _pairs(4)),
          sim.FaultPlan(), sim.Schedule(),
-         SgdConfig(iterations=3, tau_override=2, **nc), dwell),
+         SgdConfig(iterations=3, tau=2, **nc), dwell),
         ("nc-approach-rule", "event", sim.Topology(4, _pairs(4)),
          sim.FaultPlan(), sim.Schedule(),
          SgdConfig(iterations=2, maa_rule=APPROACH,
@@ -401,7 +401,7 @@ def _c12_scenarios():
         ("batch-nc", "batch", sim.Topology(4, _pairs(4)), None, None,
          SgdConfig(iterations=8, **nc), dwell),
         ("batch-nc-partition", "batch", sim.Topology(4, _pairs(4)), None,
-         None, SgdConfig(iterations=8, tau_override=5, cluster_quorum=1, **nc),
+         None, SgdConfig(iterations=8, tau=5, cluster_quorum=1, **nc),
          dwell),
     ]
     return scenarios

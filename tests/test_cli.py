@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from asgd import cli
+from asgd import batch, cli, sgd, sim
+from asgd.maa import AggregationRule
+from asgd.sgd import Variant
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -99,6 +101,8 @@ CONFIG_ERRORS = [
     ("sc_quadratic_event", [(("topology", "clusters"), 5)],
      "topology.clusters: unexpected type int"),
     ("sc_quadratic_event", [(("topology", "bogus"), 1)], "topology.bogus: unknown field"),
+    ("sc_quadratic_event", [(("topology", "clusters"), [[0, 1], [2, "x"]])],
+     "topology.clusters[1][1]: unexpected type str"),
     # oracle
     ("sc_quadratic_event", [(("oracle", "dim"), _DELETE)], "oracle.dim: missing field"),
     ("sc_quadratic_event", [(("oracle", "sigma"), "x")], "oracle.sigma: unexpected type str"),
@@ -146,6 +150,8 @@ CONFIG_ERRORS = [
      "algorithm.lr.beta: unexpected type str"),
     ("sc_quadratic_event", [(("algorithm", "lr", "bogus"), 1)],
      "algorithm.lr.bogus: unknown field"),
+    ("sc_quadratic_event", [(("algorithm", "lr"), {"kind": "constant"})],
+     "lr.value: must be positive, got 0.0"),
     # algorithm, kind "maa_only"
     ("maa_cluster_crash", [(("algorithm", "level"), _DELETE)],
      "algorithm.level: missing field"),
@@ -217,6 +223,95 @@ def test_config_error_message(base, edits, line, tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
     assert not (tmp_path / "out").exists()
+
+
+def test_absent_keys_take_the_dataclass_defaults(tmp_path):
+    edits = [(("algorithm", "lr"), {"kind": "decreasing", "beta": 2.0}),
+             (("algorithm", "lr_check"), "warn")]
+    scenario = _edited_scenario("sc_quadratic_event", edits, tmp_path / "scenario.json")
+    assert _run(["run", scenario, "--out", tmp_path / "out"]) == 0
+    _, plan, schedule, algorithm, _, run_opts = cli.load_scenario(
+        json.loads(scenario.read_text()))
+    assert algorithm.lr.gamma == 0.0 and algorithm.tau is None
+    assert algorithm.maa_rule is AggregationRule.MID_EXTREMES
+    assert plan == sim.FaultPlan() and schedule == sim.Schedule()
+    assert run_opts == {"driver": "event", "seeds": 3, "seed_root": 7,
+                        "quorum_policy": "random", "record_series": True}
+    raw = json.loads((SCENARIOS / "maa_shared.json").read_text())
+    del raw["algorithm"]["rule"]
+    assert cli.load_scenario(raw)[3].rule is AggregationRule.MID_EXTREMES
+
+
+def test_values_are_converted_by_annotation():
+    raw = json.loads((SCENARIOS / "sc_quadratic_event.json").read_text())
+    raw["oracle"].update(mu=1, lipschitz=4, x_star=[0, 1])
+    raw["algorithm"].update(x1=[0, 1], agreement_q=1, tau=3)
+    raw["faults"] = {"crashes": [{"pid": 1, "at_iteration": 2}],
+                     "partition": {"side_a": [0, 1], "side_b": [2, 3]}}
+    topology, plan, _, algorithm, oracle, _ = cli.load_scenario(raw)
+    assert topology.clusters == ((0, 1), (2, 3))
+    for value in (oracle.mu, oracle.lipschitz, *oracle.x_star, *algorithm.x1,
+                  algorithm.agreement_q):
+        assert type(value) is float
+    assert algorithm.tau == 3 and algorithm.variant is Variant.STRONGLY_CONVEX
+    assert plan.crashes == (sim.CrashSpec(pid=1, at_iteration=2),)
+    assert plan.partition == sim.PartitionSpec(side_a=(0, 1), side_b=(2, 3))
+
+
+@pytest.mark.parametrize("name,seeds,calls", [("sc_quadratic_event", 2, 2),
+                                              ("sc_quadratic_batch", 20, 1)])
+def test_run_validates_once_per_driver_pass(name, seeds, calls, tmp_path, monkeypatch):
+    seen = []
+    real = sgd.validate_config
+    monkeypatch.setattr(sgd, "validate_config",
+                        lambda *a: seen.append(1) or real(*a))
+    monkeypatch.setattr(batch, "validate_config", sgd.validate_config)
+    assert _run(["run", SCENARIOS / f"{name}.json", "--out", tmp_path,
+                 "--seeds", seeds, "--set", "algorithm.iterations=8"]) == 0
+    assert len(seen) == calls
+
+
+@pytest.mark.parametrize("name", ["sc_quadratic_event", "sc_quadratic_batch"])
+def test_driver_config_error_leaves_no_output_directory(name, tmp_path, capsys):
+    code = _run(["run", SCENARIOS / f"{name}.json", "--out", tmp_path / "out",
+                 "--set", "algorithm.quorum=99"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: algorithm.quorum: N=99")
+    assert not (tmp_path / "out").exists()
+
+
+def test_failed_audit_on_one_seed_exits_4(tmp_path, monkeypatch, capsys):
+    real = sim.audit
+    calls = []
+
+    def audit_failing_seed_1(trace, props):
+        report = real(trace, props)
+        calls.append(trace)
+        if len(calls) == 2:  # seeds are audited in order
+            report["quorum_composition"] = {"ok": False, "detail": "doctored"}
+        return report
+
+    monkeypatch.setattr(sim, "audit", audit_failing_seed_1)
+    code = _run(["run", SCENARIOS / "sc_quadratic_event.json", "--out", tmp_path,
+                 "--trace", "--seeds", 3])
+    assert code == cli.EXIT_AUDIT == 4
+    assert len(calls) == 3
+    audit = json.loads((tmp_path / "summary.json").read_text())["audit"]
+    assert audit["quorum_composition"] == {
+        "ok": False, "detail": "seed 1 (1 of 3 seeds failed): doctored"}
+    assert all(v["ok"] for k, v in audit.items() if k != "quorum_composition")
+    assert "seed 1" in capsys.readouterr().err
+    assert (tmp_path / "metrics.csv").exists()
+
+
+def test_single_process_traced_run_passes_its_audits(tmp_path):
+    code = _run(["run", SCENARIOS / "sc_quadratic_event.json", "--out", tmp_path,
+                 "--trace", "--set", "topology.n=1", "--set", "topology.clusters=[[0]]",
+                 "--set", "algorithm.quorum=1"])
+    assert code == 0
+    audit = json.loads((tmp_path / "summary.json").read_text())["audit"]
+    assert "asynchrony_coverage" not in audit
+    assert all(entry["ok"] for entry in audit.values())
 
 
 def test_trace_with_batch_driver_exits_2(tmp_path):

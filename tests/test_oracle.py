@@ -51,7 +51,6 @@ def test_quadratic_realizes_both_extreme_curvatures():
     assert QUAD.curvatures.tolist() == [1.0, 4.0]
     info = smoothness_constants(QUAD)
     assert info.lipschitz == 4.0 and info.strong_convexity == 1.0
-    assert info.optimum_value == 0.0
 
 
 def test_double_well_smoothness_for_radius_two():

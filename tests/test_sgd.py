@@ -12,7 +12,6 @@ from asgd.sgd import (
     SgdConfig,
     Variant,
     _ordered_average,
-    effective_gradient,
     validate_config,
 )
 
@@ -56,7 +55,7 @@ def test_config_field_validation():
     with pytest.raises(ConfigError):
         sc_config(agreement_q=1.5)
     with pytest.raises(ConfigError):
-        sc_config(tau_override=11)
+        sc_config(tau=11)
 
 
 def test_agreement_q_quarter_rule():
@@ -119,11 +118,6 @@ def test_maa_only_config_validated_against_topology():
                          q=0.5, inputs=((0.0, 0.0),) * 3)
     with pytest.raises(ConfigError):
         validate_config(conf, TOPO, NO_FAULTS, QUAD)
-
-
-def test_effective_gradient():
-    g = effective_gradient(np.array([1.0, 2.0]), np.array([0.8, 1.6]), 0.1)
-    assert np.allclose(g, [2.0, 4.0])
 
 
 def test_ordered_average_ignores_arrival_order():
