@@ -58,7 +58,8 @@ import numpy as np
 from . import sim
 from .maa import STAGE_TARGET, AggregationRule, required_rounds
 from .oracle import OracleSpec, clamp, grad
-from .sgd import ConfigError, SgdConfig, Variant, validate_config
+from .sgd import SgdConfig, Variant, validate_config
+from .sim import ConfigError
 from .vecmath import batched_approach_extreme, batched_mid_extremes
 
 # Reserved child index for the ensemble-wide adversary stream; member seeds
@@ -86,19 +87,14 @@ class BatchOptions:
 
     def __post_init__(self):
         if self.seeds < 1:
-            raise ConfigError("batch.seeds", "must be >= 1")
+            raise ConfigError("seeds", "must be >= 1")
         if self.seeds >= BATCH_SCHEDULE_TAG:
-            raise ConfigError("batch.seeds", "exceeds the reserved stream tag")
+            raise ConfigError("seeds", "exceeds the reserved stream tag")
+        if self.seed_root < 0:
+            raise ConfigError("seed_root", "must be >= 0")
         if self.quorum_policy not in ("random", "split"):
-            raise ConfigError("batch.quorum_policy",
+            raise ConfigError("quorum_policy",
                               f"must be 'random' or 'split', got {self.quorum_policy!r}")
-
-    def to_jsonable(self) -> dict:
-        return {
-            "seeds": self.seeds, "seed_root": self.seed_root,
-            "quorum_policy": self.quorum_policy,
-            "partition": self.partition.to_jsonable() if self.partition else None,
-        }
 
 
 @dataclass
@@ -136,7 +132,8 @@ def _sample_quorums(rng: np.random.Generator, seeds: int, allowed: np.ndarray,
     """(seeds, units, count) unit indices: self first, rest uniform; sorted."""
     units = allowed.shape[0]
     if (allowed.sum(axis=1) < count).any():
-        raise ConfigError("quorum", f"fewer than {count} reachable units for some receiver")
+        raise ConfigError("algorithm.quorum",
+                          f"fewer than {count} reachable units for some receiver")
     keys = rng.random((seeds, units, units))
     diag = np.arange(units)
     keys[:, diag, diag] = -1.0  # own message always arrives first
@@ -147,13 +144,13 @@ def _sample_quorums(rng: np.random.Generator, seeds: int, allowed: np.ndarray,
 
 def _split_quorums(n: int, count: int, proc_side: np.ndarray | None) -> np.ndarray:
     if n % count:
-        raise ConfigError("batch.quorum_policy",
+        raise ConfigError("run.quorum_policy",
                           f"split policy needs quorum {count} to divide n = {n}")
     groups = np.arange(n) // count
     if proc_side is not None:
         for g in range(n // count):
             if len(set(proc_side[groups == g])) > 1:
-                raise ConfigError("batch.quorum_policy",
+                raise ConfigError("run.quorum_policy",
                                   "split block straddles the partition")
     idx = (groups[:, None] * count) + np.arange(count)[None, :]
     return idx  # (n, count), already ascending
@@ -207,18 +204,14 @@ def _proc_sides(topology: sim.Topology, options: BatchOptions):
 def run_ensemble(topology: sim.Topology, algorithm: SgdConfig,
                  oracle_spec: OracleSpec, options: BatchOptions) -> BatchResult:
     if not isinstance(algorithm, SgdConfig):
-        raise ConfigError("algorithm", "the batch driver runs SgdConfig scenarios only")
+        raise ConfigError("run.driver", "the batch driver only runs sgd algorithms")
     warnings = validate_config(algorithm, topology,
                                sim.FaultPlan(partition=options.partition),
                                oracle_spec)
 
-    digest = sim.config_digest_of({
-        "driver": "batch",
-        "topology": topology.to_jsonable(),
-        "algorithm": algorithm.to_jsonable(),
-        "oracle": sim._oracle_jsonable(oracle_spec),
-        "options": options.to_jsonable(),
-    })
+    digest = sim.config_digest_of({"driver": "batch", "topology": topology,
+                                   "algorithm": algorithm, "oracle": oracle_spec,
+                                   "options": options})
     sched_rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence([options.seed_root, BATCH_SCHEDULE_TAG])))
 
@@ -306,7 +299,7 @@ def _run_non_convex(topology, conf, spec, options, sched_rng, digest):
     if quorum_clusters is None:
         quorum_clusters = topology.majority_quorum()
     if options.quorum_policy == "split" and conf.quorum != n:
-        raise ConfigError("batch.quorum_policy",
+        raise ConfigError("run.quorum_policy",
                           "split policy is defined for the strongly convex variant")
 
     if conf.tau is not None:

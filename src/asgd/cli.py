@@ -8,11 +8,16 @@ Two commands:
 `run` executes a scenario file (JSON, format "asgd-scenario" version 1) and
 writes summary.json plus metrics.csv into the output directory; --trace also
 writes one JSONL event trace per seed (event driver only) and audits every
-seed's trace. Exit codes: 0 on success, 2 for configuration or usage
-problems, 3 when a run had a liveness violation (statistics are withheld in
-that case), 4 when a trace audit failed on some seed (outputs are still
-written and summary.json names the seed; a liveness violation takes
-precedence).
+seed's trace. run.quorum_policy and run.record_series apply to the batch
+driver only; under the event driver, a value other than the default is a
+configuration error.
+
+Exit codes: 0 on success; 2 for a configuration or usage error and nothing
+else (a ConfigError, whose message names the exact scenario key, an
+unreadable file or malformed JSON; any other exception propagates); 3 when
+a run had a liveness violation (statistics are withheld in that case); 4
+when a trace audit failed on some seed (outputs are still written and
+summary.json names the seed; a liveness violation takes precedence).
 
 `verify` runs the acceptance criteria in asgd.checks by suite: contraction
 (criteria 1, 2, 4 and the shared-level check), variance (criterion 6),
@@ -64,7 +69,7 @@ def _apply_thread_cap() -> None:
 
 
 def _fail(field: str, message: str):
-    from .sgd import ConfigError
+    from .sim import ConfigError  # sim loads numpy, after ASGD_THREADS is applied
 
     raise ConfigError(field, message)
 
@@ -91,10 +96,17 @@ class RunOptions:
     record_series: bool = True  # batch driver only
 
     def __post_init__(self):
+        from .batch import BatchOptions
+
         if self.driver not in ("event", "batch"):
-            _fail("run.driver", f"unknown driver {self.driver!r}")
-        if self.seeds < 1:
-            _fail("run.seeds", "must be >= 1")
+            _fail("driver", f"unknown driver {self.driver!r}")
+        # the checks of the fields the two share live in BatchOptions
+        BatchOptions(seeds=self.seeds, seed_root=self.seed_root,
+                     quorum_policy=self.quorum_policy, record_series=self.record_series)
+        if self.driver == "event":
+            for name in ("quorum_policy", "record_series"):
+                if getattr(self, name) != getattr(RunOptions, name):
+                    _fail(name, "batch driver only; run.driver is 'event'")
 
 
 def _unknown(where: str, value: str):
@@ -135,7 +147,12 @@ def _value(tp, value, where: str):
             return tp(value)
         except ValueError:
             _unknown(where, value)
-    return float(value) if tp is float else value
+    if tp is float:
+        # json reads NaN and Infinity; an int this large would overflow float()
+        if not -sys.float_info.max <= value <= sys.float_info.max:
+            _fail(where, "must be finite")
+        return float(value)
+    return value
 
 
 def _read(cls, raw, where: str):
@@ -143,7 +160,11 @@ def _read(cls, raw, where: str):
 
     The keys are the class's fields, a key left out takes the field's
     default, and each value is checked and converted by its annotation.
+    A ConfigError from the class's own checks, which names a field relative
+    to the class, is raised again with `where` in front.
     """
+    from .sim import ConfigError
+
     if not isinstance(raw, dict):
         _fail(where, "must be an object")
     fields = dataclasses.fields(cls)
@@ -158,7 +179,10 @@ def _read(cls, raw, where: str):
             kwargs[f.name] = _value(hints[f.name], raw[f.name], f"{where}.{f.name}")
         elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
             _fail(f"{where}.{f.name}", "missing field")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}.{exc.field}" if exc.field else where, exc.message) from exc
 
 
 def load_scenario(raw: dict):
@@ -191,6 +215,10 @@ def load_scenario(raw: dict):
     if kind not in classes:
         _unknown("algorithm.kind", kind)
     algorithm = _read(classes[kind], algo_raw, "algorithm")
+    # the oracle's dimension is the scenario's: the run's statistics read it
+    if kind == "maa_only" and len(algorithm.inputs[0]) != oracle.dim:
+        _fail("algorithm.inputs",
+              f"dimension {len(algorithm.inputs[0])} != oracle dimension {oracle.dim}")
     fault_plan = _read(sim.FaultPlan, _section(raw, "faults"), "faults")
     schedule = _read(sim.Schedule, _section(raw, "schedule"), "schedule")
     run = _read(RunOptions, _section(raw, "run"), "run")
@@ -317,8 +345,6 @@ def _cmd_run(args) -> int:
     else:
         if args.trace:
             _fail("--trace", "event traces require run.driver == 'event'")
-        if not isinstance(algorithm, SgdConfig):
-            _fail("run.driver", "the batch driver only runs sgd algorithms")
         if fault_plan.crashes:
             _fail("faults.crashes", "crash plans require run.driver == 'event'")
         options = batch.BatchOptions(
@@ -422,16 +448,13 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     args = build_parser().parse_args(argv)
-    from .sgd import ConfigError
+    from .sim import ConfigError
 
     try:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_verify(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

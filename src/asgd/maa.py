@@ -177,23 +177,12 @@ class MaaOnlyConfig:
 
     def __post_init__(self):
         if self.level not in ("shared", "cluster"):
-            raise ValueError(f"maa.level: must be 'shared' or 'cluster', got {self.level!r}")
+            raise sim.ConfigError("level", f"must be 'shared' or 'cluster', got {self.level!r}")
         if not 0 < self.q <= 1:
-            raise ValueError(f"maa.q: must be in (0, 1], got {self.q}")
+            raise sim.ConfigError("q", f"must be in (0, 1], got {self.q}")
         widths = {len(row) for row in self.inputs}
         if len(widths) != 1:
-            raise ValueError("maa.inputs: rows must share one dimension")
-
-    def to_jsonable(self) -> dict:
-        return {
-            "kind": "maa_only",
-            "level": self.level,
-            "rule": self.rule.value,
-            "q": self.q,
-            "inputs": [list(row) for row in self.inputs],
-            "cluster_quorum": self.cluster_quorum,
-            "mark_rounds": self.mark_rounds,
-        }
+            raise sim.ConfigError("inputs", "rows must share one dimension")
 
 
 def build_maa_only_programs(conf: MaaOnlyConfig, contexts) -> list:

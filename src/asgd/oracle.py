@@ -23,6 +23,8 @@ from typing import Callable, Union
 
 import numpy as np
 
+from .sim import ConfigError
+
 LearningRate = Union[float, Callable[[int], float]]
 
 
@@ -53,25 +55,24 @@ class OracleSpec:
 
     def __post_init__(self):
         if self.kind not in ("quadratic", "double_well"):
-            raise ValueError(f"oracle.kind: unknown kind {self.kind!r}")
+            raise ConfigError("kind", f"unknown kind {self.kind!r}")
         if self.dim < 1:
-            raise ValueError(f"oracle.dim: must be >= 1, got {self.dim}")
+            raise ConfigError("dim", f"must be >= 1, got {self.dim}")
         if self.sigma < 0:
-            raise ValueError(f"oracle.sigma: must be >= 0, got {self.sigma}")
+            raise ConfigError("sigma", f"must be >= 0, got {self.sigma}")
         if self.kind == "quadratic":
             if self.mu is None or self.lipschitz is None:
-                raise ValueError("oracle: quadratic kind requires mu and lipschitz")
+                raise ConfigError("", "quadratic kind requires mu and lipschitz")
             if not (0 < self.mu <= self.lipschitz):
-                raise ValueError(
-                    f"oracle: need 0 < mu <= lipschitz, got mu={self.mu} lipschitz={self.lipschitz}"
-                )
+                raise ConfigError(
+                    "mu", f"need 0 < mu <= lipschitz, got mu={self.mu} lipschitz={self.lipschitz}")
             if self.dim == 1 and self.mu != self.lipschitz:
-                raise ValueError("oracle: dim=1 quadratic cannot realize mu != lipschitz")
+                raise ConfigError("", "dim=1 quadratic cannot realize mu != lipschitz")
             if self.x_star is not None and len(self.x_star) != self.dim:
-                raise ValueError("oracle.x_star: dimension mismatch")
+                raise ConfigError("x_star", "dimension mismatch")
         else:
             if self.radius is None or self.radius <= 0:
-                raise ValueError("oracle: double_well kind requires radius > 0")
+                raise ConfigError("radius", "double_well kind requires radius > 0")
 
     @property
     def curvatures(self) -> np.ndarray:

@@ -30,19 +30,12 @@ import numpy as np
 
 from . import maa, sim
 from .oracle import OracleSpec, clamp, smoothness_constants, stochastic_grad
+from .sim import ConfigError
 
 
 class Variant(Enum):
     STRONGLY_CONVEX = "strongly_convex"
     NON_CONVEX = "non_convex"
-
-
-class ConfigError(ValueError):
-    """Invalid configuration; `field` points at the offending entry."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(f"{field}: {message}")
-        self.field = field
 
 
 @dataclass(frozen=True)
@@ -57,14 +50,14 @@ class LrSchedule:
     def __post_init__(self):
         if self.kind == "decreasing":
             if self.beta <= 0:
-                raise ConfigError("lr.beta", f"must be positive, got {self.beta}")
+                raise ConfigError("beta", f"must be positive, got {self.beta}")
             if self.gamma < 0:
-                raise ConfigError("lr.gamma", f"must be nonnegative, got {self.gamma}")
+                raise ConfigError("gamma", f"must be nonnegative, got {self.gamma}")
         elif self.kind == "constant":
             if self.value <= 0:
-                raise ConfigError("lr.value", f"must be positive, got {self.value}")
+                raise ConfigError("value", f"must be positive, got {self.value}")
         else:
-            raise ConfigError("lr.kind", f"must be 'decreasing' or 'constant', got {self.kind!r}")
+            raise ConfigError("kind", f"must be 'decreasing' or 'constant', got {self.kind!r}")
 
     def eta(self, t: int) -> float:
         if self.kind == "decreasing":
@@ -73,11 +66,6 @@ class LrSchedule:
 
     def max_eta(self) -> float:
         return self.eta(1)
-
-    def to_jsonable(self) -> dict:
-        if self.kind == "decreasing":
-            return {"kind": self.kind, "beta": self.beta, "gamma": self.gamma}
-        return {"kind": self.kind, "value": self.value}
 
 
 @dataclass(frozen=True)
@@ -96,39 +84,23 @@ class SgdConfig:
 
     def __post_init__(self):
         if self.iterations < 1:
-            raise ConfigError("algorithm.iterations", "must be >= 1")
+            raise ConfigError("iterations", "must be >= 1")
         if self.quorum < 1:
-            raise ConfigError("algorithm.quorum", "must be >= 1")
+            raise ConfigError("quorum", "must be >= 1")
         if self.lr_check not in ("strict", "warn"):
-            raise ConfigError("algorithm.lr_check", f"must be 'strict' or 'warn', got {self.lr_check!r}")
+            raise ConfigError("lr_check", f"must be 'strict' or 'warn', got {self.lr_check!r}")
         if self.agreement_q != "quarter_lr":
             q = self.agreement_q
             if not isinstance(q, (int, float)) or not 0 < q <= 1:
-                raise ConfigError("algorithm.agreement_q",
+                raise ConfigError("agreement_q",
                                   f"must be 'quarter_lr' or a float in (0, 1], got {q!r}")
         if self.tau is not None and not 1 <= self.tau <= self.iterations:
-            raise ConfigError("algorithm.tau", f"must be in [1, {self.iterations}]")
+            raise ConfigError("tau", f"must be in [1, {self.iterations}]")
 
     def q_at(self, t: int) -> float:
         if self.agreement_q == "quarter_lr":
             return self.lr.eta(t) / 4.0
         return float(self.agreement_q)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "kind": "sgd",
-            "variant": self.variant.value,
-            "iterations": self.iterations,
-            "quorum": self.quorum,
-            "x1": list(self.x1),
-            "lr": self.lr.to_jsonable(),
-            "maa_rule": self.maa_rule.value,
-            "agreement_q": self.agreement_q,
-            "cluster_quorum": self.cluster_quorum,
-            "lr_check": self.lr_check,
-            "tau": self.tau,
-            "mark_rounds": self.mark_rounds,
-        }
 
 
 def validate_config(config, topology: sim.Topology, fault_plan: sim.FaultPlan,
@@ -142,14 +114,9 @@ def validate_config(config, topology: sim.Topology, fault_plan: sim.FaultPlan,
     warnings = fault_plan.validate_against(topology)
     if isinstance(config, maa.MaaOnlyConfig):
         if len(config.inputs) != topology.n:
-            raise ConfigError("maa.inputs", f"{len(config.inputs)} rows for {topology.n} processes")
-        if config.cluster_quorum is not None:
-            if not 1 <= config.cluster_quorum <= topology.m:
-                raise ConfigError("maa.cluster_quorum", f"must be in [1, {topology.m}]")
-            if config.cluster_quorum < topology.majority_quorum():
-                warnings.append(
-                    "cluster_quorum below majority: cross-partition agreement is forfeit")
-        return warnings
+            raise ConfigError("algorithm.inputs",
+                              f"{len(config.inputs)} rows for {topology.n} processes")
+        return warnings + _cluster_quorum_warnings(config.cluster_quorum, topology)
     if not isinstance(config, SgdConfig):
         raise ConfigError("algorithm", f"unknown config type {type(config).__name__}")
 
@@ -182,18 +149,29 @@ def validate_config(config, topology: sim.Topology, fault_plan: sim.FaultPlan,
         warnings.extend(issues)
 
     if config.variant is Variant.NON_CONVEX:
-        if config.cluster_quorum is not None:
-            if not 1 <= config.cluster_quorum <= topology.m:
-                raise ConfigError("algorithm.cluster_quorum", f"must be in [1, {topology.m}]")
-            if config.cluster_quorum < topology.majority_quorum():
-                warnings.append(
-                    "cluster_quorum below majority: cross-partition agreement is forfeit")
+        # both schedules are non-increasing, so q_1 is the largest target
+        if config.q_at(1) > 1:
+            raise ConfigError("algorithm.agreement_q",
+                              f"'quarter_lr' gives q_1 = eta_1 / 4 = {config.q_at(1):.6g}, "
+                              "above 1")
+        warnings += _cluster_quorum_warnings(config.cluster_quorum, topology)
         needed = 16 * lipschitz ** 2 * config.quorum
         if config.iterations < needed:
             warnings.append(
                 f"iterations: T = {config.iterations} below the theory premise "
                 f"16 L^2 N = {needed:.6g}; rate guarantees may not bind yet")
     return warnings
+
+
+def _cluster_quorum_warnings(cluster_quorum: int | None, topology: sim.Topology) -> list[str]:
+    """Check the agreement loop's cluster quorum against the cluster count."""
+    if cluster_quorum is None:
+        return []
+    if not 1 <= cluster_quorum <= topology.m:
+        raise ConfigError("algorithm.cluster_quorum", f"must be in [1, {topology.m}]")
+    if cluster_quorum < topology.majority_quorum():
+        return ["cluster_quorum below majority: cross-partition agreement is forfeit"]
+    return []
 
 
 def _ordered_average(held: list) -> np.ndarray:

@@ -43,7 +43,8 @@ from __future__ import annotations
 import bisect
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from enum import Enum
 from typing import Any, Iterator, Optional
 
 import numpy as np
@@ -51,6 +52,21 @@ import numpy as np
 # ---------------------------------------------------------------------------
 # Static configuration types
 # ---------------------------------------------------------------------------
+
+
+class ConfigError(ValueError):
+    """Invalid configuration.
+
+    A config class's own check names a field relative to the class (empty
+    for a check on the class as a whole); the scenario loader prefixes it
+    with the section's key. A check across sections names the full
+    scenario key.
+    """
+
+    def __init__(self, field: str, message: str):
+        super().__init__(f"{field}: {message}" if field else message)
+        self.field = field
+        self.message = message
 
 
 @dataclass(frozen=True)
@@ -61,15 +77,16 @@ class Topology:
     clusters: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ConfigError("n", f"must be >= 1, got {self.n}")
         seen = []
         for c in self.clusters:
             if len(c) == 0:
-                raise ValueError("topology.clusters: empty cluster")
+                raise ConfigError("clusters", "empty cluster")
             seen.extend(c)
         if sorted(seen) != list(range(self.n)):
-            raise ValueError(
-                f"topology.clusters: must partition 0..{self.n - 1}, got {self.clusters}"
-            )
+            raise ConfigError(
+                "clusters", f"must partition 0..{self.n - 1}, got {self.clusters}")
         # lookup tables, not fields: equality, hashing and repr are unchanged
         object.__setattr__(self, "_cluster_index", {
             pid: idx for idx, members in enumerate(self.clusters) for pid in members})
@@ -89,9 +106,6 @@ class Topology:
     def majority_quorum(self) -> int:
         return self.m // 2 + 1
 
-    def to_jsonable(self) -> dict:
-        return {"n": self.n, "clusters": [list(c) for c in self.clusters]}
-
 
 @dataclass(frozen=True)
 class CrashSpec:
@@ -103,11 +117,7 @@ class CrashSpec:
 
     def __post_init__(self):
         if (self.after_events is None) == (self.at_iteration is None):
-            raise ValueError("crash: exactly one of after_events / at_iteration required")
-
-    def to_jsonable(self) -> dict:
-        return {"pid": self.pid, "after_events": self.after_events,
-                "at_iteration": self.at_iteration}
+            raise ConfigError("", "exactly one of after_events / at_iteration required")
 
 
 @dataclass(frozen=True)
@@ -121,10 +131,6 @@ class PartitionSpec:
     side_b: tuple[int, ...]
     from_event: int = 0
 
-    def to_jsonable(self) -> dict:
-        return {"side_a": list(self.side_a), "side_b": list(self.side_b),
-                "from_event": self.from_event}
-
 
 @dataclass(frozen=True)
 class FaultPlan:
@@ -132,25 +138,25 @@ class FaultPlan:
     partition: PartitionSpec | None = None
 
     def validate_against(self, topology: Topology) -> list[str]:
-        """Hard-errors raise; returns a list of progress warnings."""
+        """Hard errors raise ConfigError; returns a list of progress warnings."""
         warnings = []
-        pids = [c.pid for c in self.crashes]
-        if len(set(pids)) != len(pids):
-            raise ValueError("faults.crashes: duplicate pid")
-        for c in self.crashes:
+        crashed_pids = set()
+        for i, c in enumerate(self.crashes):
+            if c.pid in crashed_pids:
+                raise ConfigError(f"faults.crashes[{i}].pid", f"duplicate pid {c.pid}")
             if not 0 <= c.pid < topology.n:
-                raise ValueError(f"faults.crashes: pid {c.pid} out of range")
+                raise ConfigError(f"faults.crashes[{i}].pid",
+                                  f"must be in [0, {topology.n - 1}], got {c.pid}")
+            crashed_pids.add(c.pid)
         if self.partition is not None:
             a, b = set(self.partition.side_a), set(self.partition.side_b)
             if a & b or (a | b) != set(range(topology.n)):
-                raise ValueError("faults.partition: sides must partition the processes")
+                raise ConfigError("faults.partition", "sides must partition the processes")
             for members in topology.clusters:
                 ms = set(members)
                 if ms & a and ms & b:
-                    raise ValueError(
-                        "faults.partition: cluster {} straddles the partition".format(members)
-                    )
-        crashed_pids = set(pids)
+                    raise ConfigError("faults.partition",
+                                      f"cluster {members} straddles the partition")
         dead_clusters = sum(
             1 for members in topology.clusters if set(members) <= crashed_pids
         )
@@ -160,12 +166,6 @@ class FaultPlan:
                 "is not guaranteed".format(dead_clusters)
             )
         return warnings
-
-    def to_jsonable(self) -> dict:
-        return {
-            "crashes": [c.to_jsonable() for c in self.crashes],
-            "partition": self.partition.to_jsonable() if self.partition else None,
-        }
 
 
 @dataclass(frozen=True)
@@ -177,12 +177,11 @@ class Schedule:
 
     def __post_init__(self):
         if self.max_delay < 1:
-            raise ValueError("schedule.max_delay: must be >= 1")
+            raise ConfigError("max_delay", "must be >= 1")
+        if self.max_delay >= 2 ** 63:
+            raise ConfigError("max_delay", "must be < 2^63, the bound of the int64 delay draw")
         if self.event_budget < 1:
-            raise ValueError("schedule.event_budget: must be >= 1")
-
-    def to_jsonable(self) -> dict:
-        return {"max_delay": self.max_delay, "event_budget": self.event_budget}
+            raise ConfigError("event_budget", "must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -426,9 +425,22 @@ class RunTrace:
         return "\n".join(lines) + "\n"
 
 
-def config_digest_of(payload: dict) -> str:
+def _config_value(value):
+    """json.dumps fallback: a config dataclass is written as {field: value}
+    over all its fields, an Enum as its value."""
+    if is_dataclass(value):
+        return {f.name: getattr(value, f.name) for f in fields(value)}
+    if isinstance(value, Enum):
+        return value.value
+    raise TypeError(f"{type(value).__name__} is not a config value")
+
+
+def config_digest_of(payload) -> str:
+    """Digest of `payload` as canonical JSON; config objects inside it are
+    written field by field (see `_config_value`)."""
     return hashlib.sha256(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+        json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                   default=_config_value).encode()
     ).hexdigest()[:16]
 
 
@@ -492,11 +504,11 @@ def run(
     witness = WitnessRecorder(enabled=record_witness)
 
     digest = config_digest_of({
-        "topology": topology.to_jsonable(),
-        "faults": fault_plan.to_jsonable(),
-        "schedule": schedule.to_jsonable(),
-        "algorithm": algorithm.to_jsonable(),
-        "oracle": _oracle_jsonable(oracle_spec),
+        "topology": topology,
+        "faults": fault_plan,
+        "schedule": schedule,
+        "algorithm": algorithm,
+        "oracle": oracle_spec,
         "seed": master_seed if isinstance(master_seed, int) else list(master_seed),
     })
 
@@ -769,12 +781,6 @@ def run(
         warnings=warnings,
         tau=tau,
     )
-
-
-def _oracle_jsonable(oracle_spec) -> dict:
-    from dataclasses import asdict
-
-    return asdict(oracle_spec)
 
 
 # ---------------------------------------------------------------------------

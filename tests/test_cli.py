@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from asgd import batch, cli, sgd, sim
+from asgd import batch, cli, harness, sgd, sim
 from asgd.maa import AggregationRule
 from asgd.sgd import Variant
 
@@ -103,6 +103,12 @@ CONFIG_ERRORS = [
     ("sc_quadratic_event", [(("topology", "bogus"), 1)], "topology.bogus: unknown field"),
     ("sc_quadratic_event", [(("topology", "clusters"), [[0, 1], [2, "x"]])],
      "topology.clusters[1][1]: unexpected type str"),
+    ("sc_quadratic_event", [(("topology", "n"), 0), (("topology", "clusters"), [])],
+     "topology.n: must be >= 1, got 0"),
+    ("sc_quadratic_event", [(("topology", "clusters"), [[0, 1], [2]])],
+     "topology.clusters: must partition 0..3, got ((0, 1), (2,))"),
+    ("sc_quadratic_event", [(("topology", "clusters"), [[0, 1], [2, 3], []])],
+     "topology.clusters: empty cluster"),
     # oracle
     ("sc_quadratic_event", [(("oracle", "dim"), _DELETE)], "oracle.dim: missing field"),
     ("sc_quadratic_event", [(("oracle", "sigma"), "x")], "oracle.sigma: unexpected type str"),
@@ -111,6 +117,12 @@ CONFIG_ERRORS = [
      "oracle.x_star: unexpected type float"),
     ("sc_quadratic_event", [(("oracle", "kind"), "x")], "oracle.kind: unknown kind 'x'"),
     ("sc_quadratic_event", [(("oracle", "bogus"), 1)], "oracle.bogus: unknown field"),
+    ("sc_quadratic_event", [(("oracle", "sigma"), float("inf"))], "oracle.sigma: must be finite"),
+    ("sc_quadratic_event", [(("oracle", "mu"), 10 ** 400)], "oracle.mu: must be finite"),
+    ("sc_quadratic_event", [(("algorithm", "agreement_q"), float("nan"))],
+     "algorithm.agreement_q: must be finite"),
+    ("sc_quadratic_event", [(("oracle", "mu"), 5)],
+     "oracle.mu: need 0 < mu <= lipschitz, got mu=5.0 lipschitz=4.0"),
     # algorithm, kind "sgd"
     ("sc_quadratic_event", [(("algorithm", "kind"), _DELETE)],
      "algorithm.kind: missing field"),
@@ -151,7 +163,9 @@ CONFIG_ERRORS = [
     ("sc_quadratic_event", [(("algorithm", "lr", "bogus"), 1)],
      "algorithm.lr.bogus: unknown field"),
     ("sc_quadratic_event", [(("algorithm", "lr"), {"kind": "constant"})],
-     "lr.value: must be positive, got 0.0"),
+     "algorithm.lr.value: must be positive, got 0.0"),
+    ("nc_doublewell_batch", [(("algorithm", "lr"), {"kind": "constant", "value": 8})],
+     "algorithm.agreement_q: 'quarter_lr' gives q_1 = eta_1 / 4 = 2, above 1"),
     # algorithm, kind "maa_only"
     ("maa_cluster_crash", [(("algorithm", "level"), _DELETE)],
      "algorithm.level: missing field"),
@@ -160,6 +174,15 @@ CONFIG_ERRORS = [
     ("maa_cluster_crash", [(("algorithm", "inputs"), _DELETE)],
      "algorithm.inputs: missing field"),
     ("maa_cluster_crash", [(("algorithm", "tau"), 1)], "algorithm.tau: unknown field"),
+    ("maa_cluster_crash", [(("algorithm", "q"), 2)], "algorithm.q: must be in (0, 1], got 2.0"),
+    ("maa_cluster_crash", [(("algorithm", "level"), "x")],
+     "algorithm.level: must be 'shared' or 'cluster', got 'x'"),
+    ("maa_cluster_crash", [(("algorithm", "inputs"), [[0.0], [1.0], [0.5]])],
+     "algorithm.inputs: 3 rows for 6 processes"),
+    ("maa_cluster_crash", [(("algorithm", "inputs"), [[0.0, 1.0]] * 6)],
+     "algorithm.inputs: dimension 2 != oracle dimension 1"),
+    ("maa_cluster_crash", [(("algorithm", "cluster_quorum"), 4)],
+     "algorithm.cluster_quorum: must be in [1, 3]"),
     # faults.crashes
     ("maa_cluster_crash", [(("faults", "crashes"), {})],
      "faults.crashes: unexpected type dict"),
@@ -174,6 +197,15 @@ CONFIG_ERRORS = [
     ("maa_cluster_crash", [(("faults", "crashes", 0, "bogus"), 1)],
      "faults.crashes[0].bogus: unknown field"),
     ("maa_cluster_crash", [(("faults", "bogus"), 1)], "faults.bogus: unknown field"),
+    ("maa_cluster_crash", [(("faults", "crashes", 0, "after_events"), _DELETE)],
+     "faults.crashes[0]: exactly one of after_events / at_iteration required"),
+    ("maa_cluster_crash", [(("faults", "crashes", 0, "at_iteration"), 1)],
+     "faults.crashes[0]: exactly one of after_events / at_iteration required"),
+    ("maa_cluster_crash", [(("faults", "crashes"), [{"pid": 5, "after_events": 40},
+                                                    {"pid": 5, "after_events": 80}])],
+     "faults.crashes[1].pid: duplicate pid 5"),
+    ("maa_cluster_crash", [(("faults", "crashes", 0, "pid"), 6)],
+     "faults.crashes[0].pid: must be in [0, 5], got 6"),
     # faults.partition
     ("sc_quadratic_event", [(("faults",), {"partition": []})],
      "faults.partition: unexpected type list"),
@@ -188,16 +220,40 @@ CONFIG_ERRORS = [
     ("sc_quadratic_event", [(("faults",), {"partition": dict(_PARTITION)}),
                             (("faults", "partition", "bogus"), 1)],
      "faults.partition.bogus: unknown field"),
+    ("sc_quadratic_event", [(("faults",), {"partition": {"side_a": [0, 2],
+                                                         "side_b": [1, 3]}})],
+     "faults.partition: cluster (0, 1) straddles the partition"),
     # schedule and run
     ("sc_quadratic_event", [(("schedule",), {"max_delay": "x"})],
      "schedule.max_delay: unexpected type str"),
     ("sc_quadratic_event", [(("schedule",), {"bogus": 1})], "schedule.bogus: unknown field"),
+    ("sc_quadratic_event", [(("schedule",), {"max_delay": 0})],
+     "schedule.max_delay: must be >= 1"),
+    ("sc_quadratic_event", [(("schedule",), {"max_delay": 2 ** 63})],
+     "schedule.max_delay: must be < 2^63, the bound of the int64 delay draw"),
     ("sc_quadratic_event", [(("run", "driver"), "x")], "run.driver: unknown driver 'x'"),
     ("sc_quadratic_event", [(("run", "seeds"), 0)], "run.seeds: must be >= 1"),
     ("sc_quadratic_event", [(("run", "seeds"), "x")], "run.seeds: unexpected type str"),
+    ("sc_quadratic_event", [(("run", "seed_root"), -1)], "run.seed_root: must be >= 0"),
     ("sc_quadratic_event", [(("run", "record_series"), 1)],
      "run.record_series: unexpected type int"),
     ("sc_quadratic_event", [(("run", "bogus"), 1)], "run.bogus: unknown field"),
+    ("sc_quadratic_event", [(("run", "quorum_policy"), "x")],
+     "run.quorum_policy: must be 'random' or 'split', got 'x'"),
+    ("sc_quadratic_event", [(("run", "quorum_policy"), "split")],
+     "run.quorum_policy: batch driver only; run.driver is 'event'"),
+    ("sc_quadratic_event", [(("run", "record_series"), False)],
+     "run.record_series: batch driver only; run.driver is 'event'"),
+    # checks the batch driver makes against other sections
+    ("maa_shared", [(("run", "driver"), "batch")],
+     "run.driver: the batch driver only runs sgd algorithms"),
+    ("sc_quadratic_batch", [(("run", "quorum_policy"), "split"),
+                            (("algorithm", "quorum"), 3)],
+     "run.quorum_policy: split policy needs quorum 3 to divide n = 8"),
+    ("sc_quadratic_batch", [(("faults",), {"partition": {"side_a": [0, 1, 2, 3],
+                                                         "side_b": [4, 5, 6, 7]}}),
+                            (("algorithm", "quorum"), 5)],
+     "algorithm.quorum: fewer than 5 reachable units for some receiver"),
 ]
 
 
@@ -312,6 +368,15 @@ def test_single_process_traced_run_passes_its_audits(tmp_path):
     audit = json.loads((tmp_path / "summary.json").read_text())["audit"]
     assert "asynchrony_coverage" not in audit
     assert all(entry["ok"] for entry in audit.values())
+
+
+def test_exit_2_is_only_for_config_errors(tmp_path, monkeypatch):
+    def broken(finals):
+        raise ValueError("not a config problem")
+
+    monkeypatch.setattr(harness, "internal_err", broken)
+    with pytest.raises(ValueError, match="not a config problem"):
+        _run(["run", SCENARIOS / "sc_quadratic_event.json", "--out", tmp_path])
 
 
 def test_trace_with_batch_driver_exits_2(tmp_path):

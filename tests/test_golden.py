@@ -165,23 +165,23 @@ EVENT_CASES = {
 # outputs (recording off), over the case's seeds in order
 GOLDEN_EVENT = {
     "crash_at_iteration_and_partition": {
-        "trace": "5987171f226174ee576f32328665c87577a077dd0d6f1beaf89f2ca7631d2a39",
+        "trace": "286054ca2031533fb58e119a99af3074c741959a2b711af8ecee4c4e21b2a96b",
         "outputs": "cf58969ef92a26fe8d4e338379e619e0890a2ff998836f9e49f07156789100f3",
     },
     "liveness_blocked": {
-        "trace": "6e4b3b2a6a3c834833d3d3424f2d811214b595528996aaf71e3e20124a7d7fa1",
+        "trace": "a2a8cc2001df20f7fa43c5712a4ea8dec74234e77698ecc795f13af44b06e901",
         "outputs": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     },
     "maa_cluster_crash": {
-        "trace": "552837d7e105f64aed509e9f91b2a0b1430310ed51c6731690150a709c6b3c42",
+        "trace": "2c293ebe8ae16a63a7a9e962e305b7699b2c845044608228546320f9e87c6d41",
         "outputs": "31731b4a6734648a12254f7bf216ed4150d19502ddf3f47ea5352bc68ea41e70",
     },
     "maa_shared": {
-        "trace": "2453f516d2ca7474d9c5de404bdfdf6380c71d5eddc203d78dbedc1fa2a10653",
+        "trace": "b997e32625220ebe63adc4df79c0a3fc75e3b17d13d30f78a1604a1bfd123542",
         "outputs": "f4a9e77f49baa6b6252379a50f5ac7c157437313754e1a92ab49c0687f1f87e0",
     },
     "sc_quadratic_event": {
-        "trace": "a145551a720d25a9b6d450cf56a38948dc69fe6c3fa428f8b1e69daee684f116",
+        "trace": "5baeb8926db1aeff99719413b91907d0eca8acee38aba6d434af1e4bcad3a519",
         "outputs": "40509ef62aed64264e24e5f283895e3c6e182913f6dab3272e435b0216c3cb1a",
     },
 }

@@ -177,9 +177,9 @@ def test_stage_targets():
 
 
 def test_maa_only_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(sim.ConfigError):
         MaaOnlyConfig(level="sideways", rule=MID, q=0.5, inputs=((0.0,),))
-    with pytest.raises(ValueError):
+    with pytest.raises(sim.ConfigError):
         MaaOnlyConfig(level="shared", rule=MID, q=0.0, inputs=((0.0,),))
-    with pytest.raises(ValueError):
+    with pytest.raises(sim.ConfigError):
         MaaOnlyConfig(level="shared", rule=MID, q=0.5, inputs=((0.0,), (0.0, 1.0)))

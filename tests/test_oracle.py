@@ -15,6 +15,7 @@ from asgd.oracle import (
     stochastic_grad,
     value,
 )
+from asgd.sim import ConfigError
 
 QUAD = OracleSpec(kind="quadratic", dim=2, sigma=1.0, mu=1.0, lipschitz=4.0)
 WELL = OracleSpec(kind="double_well", dim=2, sigma=0.3, radius=2.0)
@@ -65,7 +66,7 @@ def test_double_well_minimum_is_zero_at_wells():
 
 
 def test_dim1_quadratic_requires_equal_constants():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         OracleSpec(kind="quadratic", dim=1, sigma=0.0, mu=1.0, lipschitz=4.0)
 
 

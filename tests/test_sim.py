@@ -41,11 +41,11 @@ def cluster_agreement(inputs, q=0.5, quorum=None):
 # ---------------------------------------------------------------------------
 
 def test_topology_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(sim.ConfigError):
         sim.Topology(n=3, clusters=((0, 1), (1, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(sim.ConfigError):
         sim.Topology(n=3, clusters=((0, 1),))
-    with pytest.raises(ValueError):
+    with pytest.raises(sim.ConfigError):
         sim.Topology(n=2, clusters=((0, 1), ()))
     topo = sim.Topology(n=4, clusters=((0, 1), (2,), (3,)))
     assert topo.m == 3
@@ -69,19 +69,42 @@ def test_topology_tables_for_unsorted_clusters():
 
 
 def test_crash_spec_needs_exactly_one_trigger():
-    with pytest.raises(ValueError):
+    with pytest.raises(sim.ConfigError):
         sim.CrashSpec(pid=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(sim.ConfigError):
         sim.CrashSpec(pid=0, after_events=3, at_iteration=1)
 
 
 def test_partition_must_follow_cluster_boundaries():
     topo = one_cluster(2)
     plan = sim.FaultPlan(partition=sim.PartitionSpec(side_a=(0,), side_b=(1,)))
-    with pytest.raises(ValueError):
+    with pytest.raises(sim.ConfigError):
         plan.validate_against(topo)
     plan2 = sim.FaultPlan(partition=sim.PartitionSpec(side_a=(0,), side_b=(1,)))
     assert plan2.validate_against(singletons(2)) == []
+
+
+def test_config_digest_writes_every_field():
+    # the digest's JSON form: fields only, enums by value, tuples as lists
+    algorithm = SgdConfig(variant=Variant.NON_CONVEX, iterations=5, quorum=2,
+                          x1=(0.5, -1.0), lr=LrSchedule(kind="constant", value=0.05))
+    agreement = MaaOnlyConfig(level="cluster", q=0.5, inputs=((0.0,), (1.0,)))
+    plan = sim.FaultPlan(crashes=(sim.CrashSpec(pid=1, at_iteration=2),),
+                         partition=sim.PartitionSpec(side_a=(0,), side_b=(1,)))
+    expected = [
+        (algorithm, {"variant": "non_convex", "iterations": 5, "quorum": 2,
+                     "x1": [0.5, -1.0],
+                     "lr": {"kind": "constant", "beta": 0.0, "gamma": 0.0, "value": 0.05},
+                     "maa_rule": "mid_extremes", "agreement_q": "quarter_lr",
+                     "cluster_quorum": None, "lr_check": "strict", "tau": None,
+                     "mark_rounds": False}),
+        (agreement, {"level": "cluster", "q": 0.5, "inputs": [[0.0], [1.0]],
+                     "rule": "mid_extremes", "cluster_quorum": None, "mark_rounds": True}),
+        (plan, {"crashes": [{"pid": 1, "after_events": None, "at_iteration": 2}],
+                "partition": {"side_a": [0], "side_b": [1], "from_event": 0}}),
+    ]
+    for config, fields in expected:
+        assert sim.config_digest_of(config) == sim.config_digest_of(fields), config
 
 
 def test_fault_plan_warns_when_crashes_take_cluster_majority():
