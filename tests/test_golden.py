@@ -1,4 +1,4 @@
-"""Golden digests of the batch non-convex driver and the event kernel.
+"""Golden digests of the batch driver (both variants) and the event kernel.
 
 Each batch case pins SHA-256 digests of a small run's BatchResult arrays, and
 each event case pins the digest of its exported traces (recording on) and of
@@ -104,13 +104,88 @@ GOLDEN = {
 }
 
 
+QUAD_2D = OracleSpec(kind="quadratic", dim=2, sigma=0.7, mu=1.0, lipschitz=4.0)
+QUAD_3D = OracleSpec(kind="quadratic", dim=3, sigma=0.5, mu=1.0, lipschitz=4.0)
+DECREASING = LrSchedule(kind="decreasing", beta=2.0, gamma=8.0)
+
+
+def _singletons(n):
+    return sim.Topology(n=n, clusters=tuple((i,) for i in range(n)))
+
+
+def _case_sc_random_d2():
+    conf = SgdConfig(variant=Variant.STRONGLY_CONVEX, iterations=12, quorum=3,
+                     x1=(0.3, -0.2), lr=DECREASING)
+    cut = sim.PartitionSpec(side_a=(0, 1, 2), side_b=(3, 4, 5), from_event=6)
+    return _singletons(6), conf, QUAD_2D, batch.BatchOptions(seeds=24, seed_root=711,
+                                                             partition=cut)
+
+
+def _case_sc_random_d3():
+    # d = 3 guards the summation order of the diameter's squared norms
+    conf = SgdConfig(variant=Variant.STRONGLY_CONVEX, iterations=10, quorum=2,
+                     x1=(1.0, -0.5, 0.25), lr=DECREASING)
+    return _singletons(5), conf, QUAD_3D, batch.BatchOptions(seeds=20, seed_root=712)
+
+
+def _case_sc_split():
+    conf = SgdConfig(variant=Variant.STRONGLY_CONVEX, iterations=12, quorum=2,
+                     x1=(0.3, 0.3), lr=DECREASING)
+    return _singletons(6), conf, QUAD_2D, batch.BatchOptions(
+        seeds=16, seed_root=713, quorum_policy="split")
+
+
+def _case_sc_single_process():
+    # one process: the diameter is 0 at every iteration
+    conf = SgdConfig(variant=Variant.STRONGLY_CONVEX, iterations=9, quorum=1,
+                     x1=(0.3, 0.3), lr=DECREASING)
+    return _singletons(1), conf, QUAD_2D, batch.BatchOptions(seeds=12, seed_root=714)
+
+
+SC_CASES = {
+    "sc_random_d2": _case_sc_random_d2,
+    "sc_random_d3": _case_sc_random_d3,
+    "sc_split": _case_sc_split,
+    "sc_single_process": _case_sc_single_process,
+}
+
+# case -> {field: sha256 of the array's bytes}; taus is None under this variant
+GOLDEN_SC = {
+    "sc_random_d2": {
+        "outputs": "8d1423f047cf9bc9e165d059461a6dd5656062832afba95b0b8d88f1eb7c97cb",
+        "finals": "8d1423f047cf9bc9e165d059461a6dd5656062832afba95b0b8d88f1eb7c97cb",
+        "series.diam_sq": "fdb88c23f4e3c4ba26b3f756e10c469e818638f5faccd4c0d5f01facefcab184",
+        "series.grad_norm_sq": "43a2662a914f83fe7130d993d88ce8812ccb3e8a5ea84b34dda2f654715eeac8",
+    },
+    "sc_random_d3": {
+        "outputs": "4670cd19ed25109a75388fd8f6d161b83fed8f7c921f485f05a8733686004d55",
+        "finals": "4670cd19ed25109a75388fd8f6d161b83fed8f7c921f485f05a8733686004d55",
+        "series.diam_sq": "e23e48fa0afa5330899e7b74047c2f4f6e6f504d99845a30c6aaacb5bf92f43d",
+        "series.grad_norm_sq": "7f94c734cb56378e207ba119576cb2c6b87f0f9e78709949839f324871894d3e",
+    },
+    "sc_single_process": {
+        "outputs": "163c987a9c05d4d914f290b6bcb619abf51a8947d6fffbb95ada1f71686ee3df",
+        "finals": "163c987a9c05d4d914f290b6bcb619abf51a8947d6fffbb95ada1f71686ee3df",
+        "series.diam_sq": "3dc463a76fc170607c07b104c3cb531362ce7d6e10c1a34e0c0f370aeae08ce8",
+        "series.grad_norm_sq": "5fa9e0b560b42066462b834e118555c40c57ec8d3db3e0dfd22830ba25ad5d40",
+    },
+    "sc_split": {
+        "outputs": "d9ae2e75f02bbc21cbc0a9bf7a87eab9c74810feaa035f1158eb11e5e5fdabe3",
+        "finals": "d9ae2e75f02bbc21cbc0a9bf7a87eab9c74810feaa035f1158eb11e5e5fdabe3",
+        "series.diam_sq": "4bff33aeb674a4ca375f6ff8bf76327fb1ed6acf21e9bd9883fa9e63a1370884",
+        "series.grad_norm_sq": "fbb35a30e10157a6e879c1a0ca68edca8ae581f5c6811446757310cefee0583c",
+    },
+}
+
+
 def _sha(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
 
 
 def digests(result: batch.BatchResult) -> dict[str, str]:
-    out = {"outputs": _sha(result.outputs), "finals": _sha(result.finals),
-           "taus": _sha(result.taus)}
+    out = {"outputs": _sha(result.outputs), "finals": _sha(result.finals)}
+    if result.taus is not None:
+        out["taus"] = _sha(result.taus)
     for key in sorted(result.series):
         out[f"series.{key}"] = _sha(result.series[key])
     return out
@@ -122,6 +197,21 @@ def test_batch_non_convex_digests_match_pins(case):
     assert got == GOLDEN[case], (
         f"{case}: digests moved (pinned with numpy {PINNED_NUMPY}, "
         f"running numpy {np.__version__})")
+
+
+@pytest.mark.parametrize("case", sorted(SC_CASES))
+def test_batch_strongly_convex_digests_match_pins(case):
+    result = batch.run_ensemble(*SC_CASES[case]())
+    assert result.taus is None
+    assert digests(result) == GOLDEN_SC[case], (
+        f"{case}: digests moved (pinned with numpy {PINNED_NUMPY}, "
+        f"running numpy {np.__version__})")
+
+
+def test_single_process_diameter_is_zero():
+    result = batch.run_ensemble(*SC_CASES["sc_single_process"]())
+    assert result.series["diam_sq"].shape == (10, 12)
+    assert not result.series["diam_sq"].any()
 
 
 # ---------------------------------------------------------------------------
