@@ -31,12 +31,15 @@ schedules:
   rounds, and a partition is applied at iteration granularity
   (PartitionSpec.from_event is read as the first affected iteration).
 
-Per-seed noise and tau come from sim.derive_streams([seed_root, s], n), the
-same derivation the event kernel uses, so a replica here and an event run
-with master seed [seed_root, s] consume identical gradient noise. That is
-what makes the bit-exact cross-driver tests possible on configurations
-whose quorums are schedule-independent (n = N). The adversary's own draws
-come from one shared stream (child [seed_root, BATCH_SCHEDULE_TAG]).
+Per-seed noise and tau come from sim.seed_streams(seed_root, children,
+range(seeds)), the bulk derivation the event kernel's sim.derive_streams
+also runs on, so a replica here and an event run with master seed
+[seed_root, s] consume identical gradient noise. That is what makes the
+bit-exact cross-driver tests possible on configurations whose quorums are
+schedule-independent (n = N). Only the process children and, when wanted,
+the tau child are derived, never the schedule child, and the noise is held
+time-major, (T, S, n, d). The adversary's own draws come from one shared
+stream (SeedSequence([seed_root, BATCH_SCHEDULE_TAG])).
 
 The agreement rounds of one iteration run in cluster layout: values are
 held as (seeds, clusters, members, dim) from the first round to the last,
@@ -109,14 +112,20 @@ class BatchResult:
 
 def _predraw_noise(n: int, dim: int, iterations: int, options: BatchOptions,
                    want_tau: bool):
-    noise = np.empty((options.seeds, n, iterations, dim))
+    """Noise (T, S, n, d), time-major so that iteration t reads noise[t - 1]
+    whole, and taus (S,) when wanted; the schedule child is never derived."""
+    noise = np.empty((iterations, options.seeds, n, dim))
     taus = np.empty(options.seeds, dtype=np.int64) if want_tau else None
-    for s in range(options.seeds):
-        streams = sim.derive_streams([options.seed_root, s], n)
-        for p in range(n):
-            noise[s, p] = streams.processes[p].standard_normal((iterations, dim))
+    buf = np.empty((n, iterations, dim))  # one seed's draws, process-major
+    outs = list(buf)
+    children = [*range(2, n + 2), 1] if want_tau else range(2, n + 2)
+    streams = sim.seed_streams(options.seed_root, children, range(options.seeds))
+    for s, rngs in enumerate(streams):
+        for rng, out in zip(rngs, outs):
+            rng.standard_normal(out=out)
+        noise[:, s] = buf.transpose(1, 0, 2)
         if want_tau:
-            taus[s] = streams.tau.integers(1, iterations + 1)
+            taus[s] = rngs[n].integers(1, iterations + 1)
     return noise, taus
 
 
@@ -239,9 +248,9 @@ def _record_head(series, t, X, g):
     g = grad(spec, X), which the caller computes once for its own step."""
     if not series:
         return
-    diffs = X[:, :, None, :] - X[:, None, :, :]
-    d2 = np.einsum("sijd,sijd->sij", diffs, diffs)
-    series["diam_sq"][t - 1] = d2.max(axis=(1, 2))
+    i, j = np.triu_indices(X.shape[1], 1)  # no pairs when n = 1: diameter 0
+    diffs = X[:, i] - X[:, j]
+    series["diam_sq"][t - 1] = np.einsum("spd,spd->sp", diffs, diffs).max(axis=1, initial=0.0)
     if t <= series["grad_norm_sq"].shape[0]:
         series["grad_norm_sq"][t - 1] = np.einsum("spd,spd->sp", g, g).mean(axis=1)
 
@@ -263,7 +272,7 @@ def _run_strongly_convex(topology, conf, spec, options, sched_rng, digest):
     for t in range(1, T + 1):
         G = grad(spec, X)
         _record_head(series, t, X, G)
-        G = G + noise[:, :, t - 1] * spec.noise_scale
+        G = G + noise[t - 1] * spec.noise_scale
         y = X - conf.lr.eta(t) * G
         if split_idx is not None:
             gathered = y[rows, np.broadcast_to(split_idx, (S, n, conf.quorum))]
@@ -333,7 +342,7 @@ def _run_non_convex(topology, conf, spec, options, sched_rng, digest):
         allowed_p = cut_proc if cut else open_proc
         allowed_c = cut_cluster if cut else open_cluster
 
-        G = G + noise[:, :, t - 1] * spec.noise_scale
+        G = G + noise[t - 1] * spec.noise_scale
         idx = _sample_quorums(sched_rng, S, allowed_p, conf.quorum)
         g = _sequential_mean(G[rows, idx])
         eta = conf.lr.eta(t)

@@ -224,9 +224,11 @@ def witness_coefficients(witness: sim.WitnessRecorder, node: int) -> dict[int, F
 
     The weights certify the output as a convex combination of inputs: they
     are nonnegative and sum to one. Parents always have smaller indices than
-    their children, so one descending sweep suffices.
+    their children, so one descending sweep suffices. A pending weight is
+    an integer numerator over 2^D, D the node's longest path from `node`;
+    each input's weight becomes a Fraction once, at the end.
     """
-    pending: dict[int, Fraction] = {node: Fraction(1)}
+    pending: dict[int, tuple[int, int]] = {node: (1, 0)}
     coeffs: dict[int, Fraction] = {}
     for idx in range(node, -1, -1):
         weight = pending.pop(idx, None)
@@ -234,9 +236,11 @@ def witness_coefficients(witness: sim.WitnessRecorder, node: int) -> dict[int, F
             continue
         record = witness.nodes[idx]
         if record[0] == "input":
-            coeffs[idx] = coeffs.get(idx, Fraction(0)) + weight
-        else:
-            _, a, b = record
-            pending[a] = pending.get(a, Fraction(0)) + weight / 2
-            pending[b] = pending.get(b, Fraction(0)) + weight / 2
+            coeffs[idx] = Fraction(weight[0], 1 << weight[1])
+            continue
+        num, depth = weight[0], weight[1] + 1  # each parent gets half
+        for parent in record[1:3]:
+            held_num, held_depth = pending.get(parent, (0, depth))
+            top = max(held_depth, depth)
+            pending[parent] = ((held_num << (top - held_depth)) + (num << (top - depth)), top)
     return coeffs

@@ -48,6 +48,7 @@ from enum import Enum
 from typing import Any, Iterator, Optional
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 # ---------------------------------------------------------------------------
 # Static configuration types
@@ -186,7 +187,127 @@ class Schedule:
 
 # ---------------------------------------------------------------------------
 # Seeded stream derivation (the single implementation shared by all drivers)
+#
+# Stream c of a run seeded with `entropy` is numpy's
+# Generator(PCG64(SeedSequence(entropy).spawn(k)[c])). seed_streams derives
+# those streams for many seeds at once: SeedSequence's hash mixing and its
+# generate_state(4, uint64) run in numpy uint32 arithmetic over every
+# (seed, child) row of a block, and each PCG64 seeds itself from its row
+# through numpy's ISeedSequence interface, so no SeedSequence object is
+# built. tests/test_sim.py holds the streams bitwise to numpy's own.
 # ---------------------------------------------------------------------------
+
+_POOL_WORDS = 4  # SeedSequence's default pool size, in 32-bit words
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MASK32 = (1 << 32) - 1
+_BLOCK_ROWS = 1024  # (seed, child) rows derived per block
+
+
+def _entropy_words(entropy) -> list[int]:
+    """SeedSequence's entropy coercion: an int becomes its 32-bit words, low
+    word first (0 is one word); a sequence concatenates its items' words."""
+    if isinstance(entropy, (int, np.integer)):
+        value = int(entropy)
+        if value < 0:
+            raise ValueError("expected non-negative integer")
+        words = [value & _MASK32]
+        value >>= 32
+        while value:
+            words.append(value & _MASK32)
+            value >>= 32
+        return words
+    if isinstance(entropy, (str, bytes, float, np.inexact)):
+        raise TypeError(f"seed entropy must be an int or a sequence of ints, got {entropy!r}")
+    return [w for item in entropy for w in _entropy_words(item)]
+
+
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """The hash constant before and after each of `count` hashmix calls."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray, k: int, m: int) -> np.ndarray:
+    """Hashmix calls k..k+m-1, one per row of the result; `values`, (m, R) or
+    (R,), broadcasts to (m, R)."""
+    values = (values ^ consts[k:k + m, None]) * consts[k + 1:k + m + 1, None]
+    return values ^ (values >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
+    """(R, 4) uint64: SeedSequence(...).generate_state(4, uint64) for each
+    column of assembled entropy (L, R) uint32, which is the run entropy
+    padded to the pool, then the spawn key.
+
+    Pool words that one step of SeedSequence's mixing updates independently
+    are updated together; the hash constants, which depend only on the
+    number of hashmix calls made before, are precomputed.
+    """
+    width = entropy.shape[0]
+    consts = _hash_consts(_INIT_A, _MULT_A, _POOL_WORDS ** 2 + _POOL_WORDS * (width - _POOL_WORDS))
+    pool = _hashmix(entropy[:_POOL_WORDS], consts, 0, _POOL_WORDS)
+    k = _POOL_WORDS
+    for i_src in range(_POOL_WORDS):
+        dst = [i for i in range(_POOL_WORDS) if i != i_src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[i_src], consts, k, len(dst)))
+        k += len(dst)
+    for i_src in range(_POOL_WORDS, width):
+        pool = _mix(pool, _hashmix(entropy[i_src], consts, k, _POOL_WORDS))
+        k += _POOL_WORDS
+    # generate_state(8 uint32 words) cycles over the pool with its own constants
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_consts(_INIT_B, _MULT_B, 8), 0, 8)
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+class _DerivedSeed(ISeedSequence):
+    """One stream's PCG64 seed words, already derived by _pcg64_seeds."""
+
+    __slots__ = ("_words",)
+
+    def __init__(self, words: np.ndarray):
+        self._words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("a derived seed holds only PCG64's four uint64 words")
+        return self._words
+
+
+def seed_streams(entropy, children, seeds=None) -> Iterator[list[np.random.Generator]]:
+    """Yield a list of one Generator per child in `children`, the stream of
+    that child of SeedSequence(entropy).spawn: once, or for each seed index s
+    in the sequence `seeds` (each below 2^32), of SeedSequence([*entropy, s]).
+
+    Seeds are derived a block at a time, never all at once.
+    """
+    prefix = _entropy_words(entropy)
+    children = list(children)
+    per_block = max(1, _BLOCK_ROWS // max(1, len(children)))
+    if seeds is None:
+        blocks = [[prefix]]
+    else:
+        blocks = ([prefix + _entropy_words(s) for s in seeds[start:start + per_block]]
+                  for start in range(0, len(seeds), per_block))
+    for block in blocks:
+        run_words = len(block[0])
+        if seeds is not None and any(len(words) != len(prefix) + 1 for words in block):
+            raise ValueError("seed indices must be below 2^32")
+        width = max(run_words, _POOL_WORDS)  # run entropy padded to the pool
+        cols = np.zeros((width + 1, len(block), len(children)), dtype=np.uint32)
+        cols[:run_words] = np.array(block, dtype=np.uint32).T[:, :, None]
+        cols[width] = children  # the spawn key
+        words = _pcg64_seeds(cols.reshape(width + 1, -1)).reshape(len(block), len(children), 4)
+        for seed_words in words:
+            yield [np.random.Generator(np.random.PCG64(_DerivedSeed(w))) for w in seed_words]
 
 
 @dataclass
@@ -198,13 +319,8 @@ class RunStreams:
 
 def derive_streams(entropy, n: int) -> RunStreams:
     """Per-run streams: child 0 schedule, child 1 tau, children 2..n+1 per pid."""
-    ss = np.random.SeedSequence(entropy)
-    children = ss.spawn(n + 2)
-    return RunStreams(
-        schedule=np.random.Generator(np.random.PCG64(children[0])),
-        tau=np.random.Generator(np.random.PCG64(children[1])),
-        processes=[np.random.Generator(np.random.PCG64(c)) for c in children[2:]],
-    )
+    schedule, tau, *processes = next(seed_streams(entropy, range(n + 2)))
+    return RunStreams(schedule=schedule, tau=tau, processes=processes)
 
 
 # ---------------------------------------------------------------------------

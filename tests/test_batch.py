@@ -23,6 +23,39 @@ def test_chunked_normal_draws_match_sequential_draws():
     assert chunked.tobytes() == single.tobytes()
 
 
+def test_predraw_noise_is_time_major_numpy_spawn_draws():
+    n, d, T = 3, 2, 5
+    options = BatchOptions(seeds=4, seed_root=2 ** 32 + 9)
+    noise, taus = batch._predraw_noise(n, d, T, options, want_tau=True)
+    assert noise.shape == (T, 4, n, d) and noise.flags.c_contiguous
+    for s in range(4):
+        children = np.random.SeedSequence([options.seed_root, s]).spawn(n + 2)
+        rngs = [np.random.Generator(np.random.PCG64(c)) for c in children]
+        for p in range(n):
+            assert noise[:, s, p].tobytes() == rngs[2 + p].standard_normal((T, d)).tobytes()
+        assert taus[s] == rngs[1].integers(1, T + 1)
+    again, no_taus = batch._predraw_noise(n, d, T, options, want_tau=False)
+    assert no_taus is None and again.tobytes() == noise.tobytes()
+
+
+def _tensor_diameters(X):
+    """The diameter as first written, over the (S, n, n, d) difference
+    tensor: the reference for the pair-list version."""
+    diffs = X[:, :, None, :] - X[:, None, :, :]
+    return np.einsum("sijd,sijd->sij", diffs, diffs).max(axis=(1, 2))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_record_head_diameter_equals_the_tensor_form_bitwise(n, d):
+    rng = np.random.default_rng(10 * n + d)
+    X = rng.standard_normal((40, n, d)) * np.exp(rng.uniform(-20, 20, (40, 1, 1)))
+    X[:3] = X[:3, :1]  # seeds whose processes all agree
+    series = batch._series_store(True, 1, 40)
+    batch._record_head(series, 1, X, np.zeros_like(X))
+    assert series["diam_sq"][0].tobytes() == _tensor_diameters(X).tobytes()
+
+
 def test_strongly_convex_matches_event_driver_bitwise():
     conf = SgdConfig(variant=Variant.STRONGLY_CONVEX, iterations=4, quorum=2,
                      x1=(1.0, -0.5), lr=LrSchedule(kind="constant", value=0.1))

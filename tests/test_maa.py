@@ -10,6 +10,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from schedutil import run_scripted
 
@@ -165,6 +166,50 @@ def test_random_schedules_witness_convexity():
             assert sum(coeffs.values()) == 1
             assert all(c >= 0 for c in coeffs.values())
             assert witness.replay(node).tobytes() == value.tobytes()
+
+
+def _fraction_coefficients(witness, node):
+    """witness_coefficients as first written, with one Fraction per pending
+    weight: the reference for the integer version."""
+    pending = {node: Fraction(1)}
+    coeffs = {}
+    for idx in range(node, -1, -1):
+        weight = pending.pop(idx, None)
+        if weight is None:
+            continue
+        record = witness.nodes[idx]
+        if record[0] == "input":
+            coeffs[idx] = coeffs.get(idx, Fraction(0)) + weight
+        else:
+            _, a, b = record
+            pending[a] = pending.get(a, Fraction(0)) + weight / 2
+            pending[b] = pending.get(b, Fraction(0)) + weight / 2
+    return coeffs
+
+
+def test_witness_coefficients_equal_the_fraction_reference():
+    order = [1] * 8 + [0] * 8
+    results, _, witness = run_scripted([0.0, 1.0], 2, MID, order)
+    for _, node in results.values():
+        assert witness_coefficients(witness, node) == _fraction_coefficients(witness, node)
+
+    rng = random.Random(7)
+    for _ in range(40):
+        # random DAGs: parents drawn anywhere below, so paths of unequal
+        # length meet, and mid(a, a) occurs
+        witness = sim.WitnessRecorder()
+        for _ in range(rng.randint(1, 4)):
+            witness.input(np.array([rng.random()]))
+        for _ in range(rng.randint(0, 300)):
+            top = len(witness.nodes) - 1
+            a = rng.randint(max(0, top - 6), top)
+            b = a if rng.random() < 0.05 else rng.randint(0, top)
+            witness.mid(a, b)
+        for node in (len(witness.nodes) - 1, rng.randrange(len(witness.nodes))):
+            got = witness_coefficients(witness, node)
+            assert got == _fraction_coefficients(witness, node)
+            assert sum(got.values()) == 1
+            assert all(isinstance(c, Fraction) for c in got.values())
 
 
 # ---------------------------------------------------------------------------

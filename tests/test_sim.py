@@ -139,6 +139,76 @@ def test_derive_streams_reproducible_and_distinct():
     assert a.tau.integers(1 << 30) != c.tau.integers(1 << 30)
 
 
+def _numpy_streams(entropy, k):
+    """numpy's own objects: the streams seed_streams re-derives in bulk."""
+    return [np.random.Generator(np.random.PCG64(child))
+            for child in np.random.SeedSequence(entropy).spawn(k)]
+
+
+def _same_stream(ours, theirs):
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    assert ours.integers(0, 2 ** 63, size=4).tobytes() == theirs.integers(0, 2 ** 63, size=4).tobytes()
+    assert ours.standard_normal(3).tobytes() == theirs.standard_normal(3).tobytes()
+
+
+@pytest.mark.parametrize("root", [0, 1, 2 ** 32 - 1, 2 ** 32 + 5, 2 ** 70 + 3])
+def test_seed_streams_equal_numpy_spawn_bitwise(root):
+    # every child (schedule, tau, each process) of [root, s], for s = 0 and
+    # for large s, on one-word roots and on multi-word roots
+    n = 3
+    seeds = [0, 1, 2 ** 31 - 8, 2 ** 32 - 1]
+    got = list(zip(seeds, sim.seed_streams(root, range(n + 2), seeds)))
+    assert len(got) == len(seeds)
+    for s, rngs in got:
+        want = _numpy_streams([root, s], n + 2)
+        assert len(rngs) == n + 2
+        for ours, theirs in zip(rngs, want):
+            _same_stream(ours, theirs)
+
+
+@pytest.mark.parametrize("entropy", [0, 7, 2 ** 32 - 1, 2 ** 40 + 9, [11, 3],
+                                     [2 ** 33, 2 ** 31 - 8], [1, 2, 3, 4, 5, 6], []])
+def test_derive_streams_equals_numpy_spawn_bitwise(entropy):
+    # the event kernel's master seed: a bare int or a list of ints
+    n = 4
+    streams = sim.derive_streams(entropy, n)
+    want = _numpy_streams(entropy, n + 2)
+    for ours, theirs in zip([streams.schedule, streams.tau, *streams.processes], want):
+        _same_stream(ours, theirs)
+
+
+def test_seed_streams_in_blocks_and_children_subsets():
+    # more seeds than one block, children in any order, the schedule child
+    # left out (as the batch driver does)
+    children = [3, 2, 1]
+    seeds = range(1000)
+    for s, rngs in zip(seeds, sim.seed_streams(5, children, seeds)):
+        if s % 97 == 0 or s == 999:
+            want = _numpy_streams([5, s], 4)
+            for ours, child in zip(rngs, children):
+                _same_stream(ours, want[child])
+
+
+def test_streams_are_pinned_to_numpy_2_4_6_draws():
+    # fails when a numpy release moves the seeded streams, whichever layer moved
+    assert next(sim.seed_streams(0, [1]))[0].bit_generator.random_raw(2).tolist() == \
+        [12492077108140196533, 4482314363672241088]
+    rng = next(sim.seed_streams(2 ** 32 - 1, [3], [2 ** 31 - 8]))[0]
+    assert rng.bit_generator.random_raw(2).tolist() == [13239760972781499918, 14046995837809404917]
+
+
+def test_negative_entropy_word_raises_as_numpy_does():
+    for entropy in (-1, [3, -1]):
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            np.random.SeedSequence(entropy)
+        with pytest.raises(ValueError, match="expected non-negative integer"):
+            sim.derive_streams(entropy, 2)
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        next(sim.seed_streams(3, [2], [-1]))
+    with pytest.raises(ValueError, match="below 2"):
+        next(sim.seed_streams(3, [2], [2 ** 32]))
+
+
 # ---------------------------------------------------------------------------
 # Kernel runs: agreement programs
 # ---------------------------------------------------------------------------
