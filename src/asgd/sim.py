@@ -41,6 +41,7 @@ built at all (no payload digests, no tag copies).
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -48,7 +49,6 @@ from enum import Enum
 from typing import Any, Iterator, Optional
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 # ---------------------------------------------------------------------------
 # Static configuration types
@@ -268,18 +268,26 @@ def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
 
 
-class _DerivedSeed(ISeedSequence):
-    """One stream's PCG64 seed words, already derived by _pcg64_seeds."""
+@functools.cache
+def _derived_seed_class():
+    # deferred: importing numpy.random takes about 9 ms, which a process
+    # that never draws (a config error, `asgd --help`) should not pay
+    from numpy.random.bit_generator import ISeedSequence
 
-    __slots__ = ("_words",)
+    class DerivedSeed(ISeedSequence):
+        """One stream's PCG64 seed words, already derived by _pcg64_seeds."""
 
-    def __init__(self, words: np.ndarray):
-        self._words = words
+        __slots__ = ("_words",)
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or dtype is not np.uint64:
-            raise ValueError("a derived seed holds only PCG64's four uint64 words")
-        return self._words
+        def __init__(self, words: np.ndarray):
+            self._words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError("a derived seed holds only PCG64's four uint64 words")
+            return self._words
+
+    return DerivedSeed
 
 
 def seed_streams(entropy, children, seeds=None) -> Iterator[list[np.random.Generator]]:
@@ -291,6 +299,7 @@ def seed_streams(entropy, children, seeds=None) -> Iterator[list[np.random.Gener
     """
     prefix = _entropy_words(entropy)
     children = list(children)
+    derived_seed = _derived_seed_class()
     per_block = max(1, _BLOCK_ROWS // max(1, len(children)))
     if seeds is None:
         blocks = [[prefix]]
@@ -307,7 +316,7 @@ def seed_streams(entropy, children, seeds=None) -> Iterator[list[np.random.Gener
         cols[width] = children  # the spawn key
         words = _pcg64_seeds(cols.reshape(width + 1, -1)).reshape(len(block), len(children), 4)
         for seed_words in words:
-            yield [np.random.Generator(np.random.PCG64(_DerivedSeed(w))) for w in seed_words]
+            yield [np.random.Generator(np.random.PCG64(derived_seed(w))) for w in seed_words]
 
 
 @dataclass
