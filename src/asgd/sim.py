@@ -264,7 +264,7 @@ def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
         pool = _mix(pool, _hashmix(entropy[i_src], consts, k, _POOL_WORDS))
         k += _POOL_WORDS
     # generate_state(8 uint32 words) cycles over the pool with its own constants
-    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_consts(_INIT_B, _MULT_B, 8), 0, 8)
+    state = _hashmix(pool[np.arange(8) % _POOL_WORDS], _hash_consts(_INIT_B, _MULT_B, 8), 0, 8)
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
 
 
