@@ -63,7 +63,7 @@ from .maa import STAGE_TARGET, AggregationRule, required_rounds
 from .oracle import OracleSpec, clamp, grad
 from .sgd import SgdConfig, Variant, validate_config
 from .sim import ConfigError
-from .vecmath import batched_approach_extreme, batched_mid_extremes
+from .vecmath import batched_approach_extreme, batched_mid_extremes, diameter_sq
 
 # Reserved child index for the ensemble-wide adversary stream; member seeds
 # are [seed_root, s] for s < seeds, kept far below this tag.
@@ -136,13 +136,17 @@ def _side_mask(units: int, unit_side: np.ndarray | None):
     return unit_side[:, None] == unit_side[None, :]
 
 
+def _require_reachable(allowed: np.ndarray, count: int, key: str, units: str) -> None:
+    """Raise unless every receiver may hear at least `count` units."""
+    if (allowed.sum(axis=1) < count).any():
+        raise ConfigError(key, f"fewer than {count} reachable {units}")
+
+
 def _sample_quorums(rng: np.random.Generator, seeds: int, allowed: np.ndarray,
                     count: int) -> np.ndarray:
-    """(seeds, units, count) unit indices: self first, rest uniform; sorted."""
+    """(seeds, units, count) unit indices: self first, rest uniform; sorted.
+    The caller has checked that `count` units are reachable."""
     units = allowed.shape[0]
-    if (allowed.sum(axis=1) < count).any():
-        raise ConfigError("algorithm.quorum",
-                          f"fewer than {count} reachable units for some receiver")
     keys = rng.random((seeds, units, units))
     diag = np.arange(units)
     keys[:, diag, diag] = -1.0  # own message always arrives first
@@ -248,16 +252,13 @@ def _record_head(series, t, X, g):
     g = grad(spec, X), which the caller computes once for its own step."""
     if not series:
         return
-    i, j = np.triu_indices(X.shape[1], 1)  # no pairs when n = 1: diameter 0
-    diffs = X[:, i] - X[:, j]
-    series["diam_sq"][t - 1] = np.einsum("spd,spd->sp", diffs, diffs).max(axis=1, initial=0.0)
+    series["diam_sq"][t - 1] = diameter_sq(X)
     if t <= series["grad_norm_sq"].shape[0]:
         series["grad_norm_sq"][t - 1] = np.einsum("spd,spd->sp", g, g).mean(axis=1)
 
 
 def _run_strongly_convex(topology, conf, spec, options, sched_rng, digest):
     S, n, d, T = options.seeds, topology.n, spec.dim, conf.iterations
-    noise, _ = _predraw_noise(n, d, T, options, want_tau=False)
     proc_side, _, part_start = _proc_sides(topology, options)
 
     split_idx = None
@@ -265,6 +266,10 @@ def _run_strongly_convex(topology, conf, spec, options, sched_rng, digest):
         split_idx = _split_quorums(n, conf.quorum, proc_side)
     open_allowed = _side_mask(n, None)
     cut_allowed = _side_mask(n, proc_side)
+    if split_idx is None and part_start is not None and part_start <= T:
+        _require_reachable(cut_allowed, conf.quorum, "algorithm.quorum",
+                           "units for some receiver")
+    noise, _ = _predraw_noise(n, d, T, options, want_tau=False)
 
     X = np.broadcast_to(np.asarray(conf.x1, dtype=np.float64), (S, n, d)).copy()
     series = _series_store(options.record_series, T, S)
@@ -311,16 +316,24 @@ def _run_non_convex(topology, conf, spec, options, sched_rng, digest):
         raise ConfigError("run.quorum_policy",
                           "split policy is defined for the strongly convex variant")
 
-    if conf.tau is not None:
-        noise, _ = _predraw_noise(n, d, T, options, want_tau=False)
-        taus = np.full(S, conf.tau, dtype=np.int64)
-    else:
-        noise, taus = _predraw_noise(n, d, T, options, want_tau=True)
     proc_side, cluster_side, part_start = _proc_sides(topology, options)
     open_proc = _side_mask(n, None)
     cut_proc = _side_mask(n, proc_side)
     open_cluster = _side_mask(m, None)
     cut_cluster = _side_mask(m, cluster_side)
+    if part_start is not None and part_start <= T:
+        _require_reachable(cut_proc, conf.quorum, "algorithm.quorum",
+                           "units for some receiver")
+        if any(required_rounds(conf.q_at(t), conf.maa_rule, "cluster")
+               for t in range(part_start, T + 1)):  # an exchange runs cut
+            _require_reachable(cut_cluster, quorum_clusters,
+                               "algorithm.cluster_quorum", "clusters")
+
+    if conf.tau is not None:
+        noise, _ = _predraw_noise(n, d, T, options, want_tau=False)
+        taus = np.full(S, conf.tau, dtype=np.int64)
+    else:
+        noise, taus = _predraw_noise(n, d, T, options, want_tau=True)
 
     sm_rounds = required_rounds(STAGE_TARGET[conf.maa_rule], conf.maa_rule, "shared")
 
@@ -359,9 +372,6 @@ def _run_non_convex(topology, conf, spec, options, sched_rng, digest):
         ex_keys = sched_rng.random((S, rounds, m, m))
         ex_keys[:, :, diag, diag] = -1.0
         ex_keys[:, :, ~allowed_c] = np.inf
-        if (allowed_c.sum(axis=1) < quorum_clusters).any():
-            raise ConfigError("algorithm.cluster_quorum",
-                              f"fewer than {quorum_clusters} reachable clusters")
         ex_idx = np.sort(np.argsort(ex_keys, axis=3)[:, :, :, :quorum_clusters], axis=3)
         ex_rows = (ex_idx.transpose(1, 0, 2, 3) + seed_base).reshape(rounds, -1)
 

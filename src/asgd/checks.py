@@ -50,7 +50,7 @@ def _sc_config(iterations, quorum):
 
 
 def _span(points) -> float:
-    return math.sqrt(vecmath.diameter_sq(np.asarray(points)))
+    return math.sqrt(vecmath.diameter_sq(vecmath.as_point_set(points)))
 
 
 def _outputs(trace: sim.RunTrace) -> np.ndarray:
@@ -78,11 +78,11 @@ def _stage_worst_ratio(rule, trials, seed):
             mask = rng.random(k) < float(rng.uniform(0.2, 1.0))
             mask[first_writer] = True
             mask[i] = True
-            view = pts[mask]
+            view = pts[mask][None]
             if rule is MID:
-                new_pts.append(vecmath.mid_extremes(view))
+                new_pts.append(vecmath.batched_mid_extremes(view)[0])
             else:
-                new_pts.append(vecmath.approach_extreme(view, pts[i]))
+                new_pts.append(vecmath.batched_approach_extreme(view, pts[i][None])[0])
         worst = max(worst, _span(np.stack(new_pts)) / (factor * diam))
     return worst
 
@@ -217,13 +217,8 @@ def variance_scaling(quick: bool = False) -> Check:
     details = []
     ok = True
     for b in batches:
-        groups = draws_total // b
-        draws = np.empty((groups, spec.dim))
-        for g in range(groups):
-            acc = np.zeros(spec.dim)
-            for _ in range(b):
-                acc += noise(spec, rng)
-            draws[g] = acc / b
+        # the B draws of every group in one call, summed left to right
+        draws = batch._sequential_mean(noise(spec, rng, (draws_total // b, b)))
         total_var = float(draws.var(axis=0, ddof=1).sum())
         bound = sigma ** 2 / b * 1.1
         ok &= total_var <= bound

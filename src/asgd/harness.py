@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import batch, sim
+from . import batch, sim, vecmath
 from .maa import CLUSTER_FACTOR, SHARED_FACTOR, AggregationRule
 from .oracle import OracleSpec, sequential_sgd
 
@@ -62,29 +62,21 @@ def per_seed_external_sq(finals: np.ndarray, spec: OracleSpec) -> np.ndarray:
     return np.einsum("spd,spd->sp", delta, delta).mean(axis=1)
 
 
-def _pairwise_sq(finals: np.ndarray) -> np.ndarray:
-    diffs = finals[:, :, None, :] - finals[:, None, :, :]
-    return np.einsum("sijd,sijd->sij", diffs, diffs)
-
-
 def internal_err(finals: np.ndarray) -> tuple[Estimate, tuple[int, int]]:
-    """Worst process pair by seed-mean squared distance, with its spread."""
-    d2 = _pairwise_sq(finals)
-    n = finals.shape[1]
-    if n < 2:
-        return Estimate(mean=0.0, stderr=0.0, count=finals.shape[0]), (0, 0)
-    means = d2.mean(axis=0)
-    i, j = divmod(int(np.argmax(means)), n)
-    return estimate(d2[:, i, j]), (i, j)
+    """Worst process pair by seed-mean squared distance, with its spread;
+    (0, 0) with error 0 for a single process."""
+    first, second = vecmath.pair_list(finals.shape[1])
+    d2 = vecmath.pair_sq(finals)
+    best = int(d2.mean(axis=0).argmax())
+    return estimate(d2[:, best]), (int(first[best]), int(second[best]))
 
 
 def cross_err(finals: np.ndarray, side_a, side_b) -> Estimate:
     """Worst cross-side pair by seed-mean squared distance."""
-    d2 = _pairwise_sq(finals)
     best = None
     for i in side_a:
         for j in side_b:
-            cand = d2[:, i, j]
+            cand = vecmath.diameter_sq(finals[:, [i, j]])  # i to j, per seed
             if best is None or cand.mean() > best.mean():
                 best = cand
     return estimate(best)
@@ -171,8 +163,8 @@ def contraction_report(trace: sim.RunTrace, rule: AggregationRule) -> dict[str, 
                 continue
             cur = np.stack([by_round[r][p] for p in shared_pids])
             nxt = np.stack([by_round[r_next][p] for p in shared_pids])
-            span_cur = math.sqrt(float(_pairwise_sq(cur[None]).max()))
-            span_nxt = math.sqrt(float(_pairwise_sq(nxt[None]).max()))
+            span_cur = math.sqrt(vecmath.diameter_sq(cur))
+            span_nxt = math.sqrt(vecmath.diameter_sq(nxt))
             if span_cur <= 1e-15:
                 # no ratio to take, but consensus must not grow back
                 skipped[kind] += 1

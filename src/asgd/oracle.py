@@ -136,9 +136,10 @@ def clamp(spec: OracleSpec, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def noise(spec: OracleSpec, rng: np.random.Generator) -> np.ndarray:
-    """One zero-mean Gaussian noise draw with total variance sigma^2."""
-    return rng.standard_normal(spec.dim) * spec.noise_scale
+def noise(spec: OracleSpec, rng: np.random.Generator, shape: tuple = ()) -> np.ndarray:
+    """Zero-mean Gaussian noise draws with total variance sigma^2 each,
+    shape (*shape, dim); one draw by default."""
+    return rng.standard_normal((*shape, spec.dim)) * spec.noise_scale
 
 
 def stochastic_grad(spec: OracleSpec, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:

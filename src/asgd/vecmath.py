@@ -1,19 +1,31 @@
 """Geometry kernels for the agreement protocols.
 
-Everything here operates on float64 vectors and uses exact float comparison.
-Ties between candidate pairs are broken by the smallest lexicographic index
-pair in the stored point order, which is what a row-major argmax over the
-pairwise distance matrix returns. Squared distances are always computed as
-the sum over the last axis of squared coordinate differences; keeping one
-expression shape everywhere means the scalar helpers and the batched driver
-agree bitwise on which pair is extreme.
+Everything here operates on float64 vectors, over any leading axes
+(..., k, d), and uses exact float comparison. There is one squared distance,
+the sum over the last axis of squared coordinate differences, and one scan
+over pairs of a k-point set, the pair list
 
-The batched midpoint-of-extremes kernel scans the pair list
-[(0, 0)] + [(i, j) for i < j] in row-major order instead of the full
-distance matrix. The matrix is symmetric, so the first maximum among the
-upper-triangle pairs in row-major order is the matrix's first maximum; listing
-(0, 0) first keeps the matrix's answer when every distance is zero (all points
-equal), and its own distance is computed, so a NaN in point 0 still selects it.
+    [(0, 0)] + [(i, j) for i < j]        (row-major)
+
+Every diameter, extreme pair and farthest point in the package comes from
+these two, so the event kernel, the batch driver, the harness statistics and
+the checks agree bitwise on which pair is extreme and on its distance.
+
+Ties break to the first maximum in list order. That is what a row-major
+argmax over the full (k, k) distance matrix returns, with the same pair:
+
+- the matrix is symmetric (a - b and b - a differ only in sign), so its first
+  maximum is never below the diagonal: the mirror image comes first;
+- a diagonal entry (i, i) is +0 for a finite point, so it can be the first
+  maximum only when every distance is zero, and then (0, 0) is first in
+  both;
+- a NaN coordinate in point i makes (0, i) NaN, which comes before (i, i);
+  (0, 0) itself is computed, so a NaN in point 0 selects it.
+
+The one case where the two differ is an infinite coordinate: inf - inf makes
+the diagonal entry (i, i) NaN while (0, i) is only inf, so the full matrix
+picked (i, i) and the scan picks (0, i). A run whose values stay finite never
+meets it.
 """
 
 from __future__ import annotations
@@ -22,14 +34,10 @@ import functools
 
 import numpy as np
 
-# A Vector is a 1-d float64 ndarray; a PointSet is a 2-d (count, dim) float64
-# ndarray whose row order is semantically meaningful (tie-breaking).
-Vector = np.ndarray
-PointSet = np.ndarray
 
-
-def as_point_set(points) -> PointSet:
-    """Coerce a sequence of vectors into a (count, dim) float64 array.
+def as_point_set(points) -> np.ndarray:
+    """Coerce a sequence of vectors into a (count, dim) float64 array, whose
+    row order breaks ties.
 
     Raises ValueError on an empty set or on mixed dimensions.
     """
@@ -41,94 +49,69 @@ def as_point_set(points) -> PointSet:
     return arr
 
 
-def squared_distance_matrix(points: PointSet) -> np.ndarray:
-    """All pairwise squared distances, shape (count, count)."""
-    diff = points[:, None, :] - points[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)
-
-
-def diameter_sq(points) -> float:
-    """Largest pairwise squared distance in the set (0.0 for a singleton)."""
-    pts = as_point_set(points)
-    return float(squared_distance_matrix(pts).max())
-
-
-def extreme_pair(points: PointSet) -> tuple[int, int]:
-    """Indices (i, j) of the pair realizing the diameter.
-
-    First maximum in row-major order, so the smallest lexicographic (i, j)
-    wins ties; a singleton set returns (0, 0).
-    """
-    d2 = squared_distance_matrix(points)
-    flat = int(np.argmax(d2))
-    return divmod(flat, d2.shape[0])
-
-
-def mid_extremes(points) -> Vector:
-    """Midpoint of the pair of points at maximum distance.
-
-    A singleton set maps to its own element (the (0, 0) "pair").
-    """
-    pts = as_point_set(points)
-    i, j = extreme_pair(pts)
-    return (pts[i] + pts[j]) / 2.0
-
-
-def farthest_index(points: PointSet, anchor: Vector) -> int:
-    """Index of the point farthest from anchor (first maximum on ties)."""
-    diff = points - anchor[None, :]
-    d2 = np.einsum("ij,ij->i", diff, diff)
-    return int(np.argmax(d2))
-
-
-def approach_extreme(points, anchor) -> Vector:
-    """Midpoint of the anchor and the set's farthest point from it.
-
-    The anchor does not have to be a member of the set, but it must match the
-    set's dimension.
-    """
-    pts = as_point_set(points)
-    y = np.asarray(anchor, dtype=np.float64)
-    if y.shape != (pts.shape[1],):
-        raise ValueError(
-            f"anchor dimension {y.shape} does not match point set dimension ({pts.shape[1]},)"
-        )
-    b = pts[farthest_index(pts, y)]
-    return (y + b) / 2.0
-
-
-# ---------------------------------------------------------------------------
-# Batched variants used by the vectorized ensemble driver.  Shapes are
-# (seeds, count, dim); the per-seed selected pair matches what the scalar
-# functions above would pick on that seed's slice.
-# ---------------------------------------------------------------------------
+def _sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distance between rows of a and b, summed over the last axis."""
+    diff = a - b
+    return np.einsum("...d,...d->...", diff, diff)
 
 
 @functools.lru_cache(maxsize=32)
-def _pair_list(count: int) -> tuple[np.ndarray, np.ndarray]:
+def pair_list(count: int) -> tuple[np.ndarray, np.ndarray]:
     """First and second indices of [(0, 0)] + [(i, j) for i < j], row-major."""
+    if count < 1:
+        raise ValueError("expected a nonempty point set")
     first, second = (np.r_[0, idx] for idx in np.triu_indices(count, k=1))
     first.flags.writeable = second.flags.writeable = False  # shared by every call
     return first, second
 
 
+def _scan(points: np.ndarray):
+    """The listed pairs' operands a, b (..., P, d) and distances (..., P)."""
+    first, second = pair_list(points.shape[-2])
+    a = points.take(first, axis=-2)
+    b = points.take(second, axis=-2)
+    return a, b, _sq(a, b)
+
+
+def pair_sq(points: np.ndarray) -> np.ndarray:
+    """Squared distance of every listed pair; (..., k, d) -> (..., P)."""
+    return _scan(points)[2]
+
+
+def diameter_sq(points: np.ndarray) -> np.ndarray:
+    """Largest pairwise squared distance per set; (..., k, d) -> (...)."""
+    return _scan(points)[2].max(axis=-1)
+
+
+def extreme_pair(points: np.ndarray) -> tuple[int, int]:
+    """Indices (i, j) of the set's first maximum in the pair list; a
+    singleton or all-equal set returns (0, 0)."""
+    first, second = pair_list(points.shape[0])
+    best = int(_scan(points)[2].argmax())
+    return int(first[best]), int(second[best])
+
+
+def farthest_index(points: np.ndarray, anchor: np.ndarray):
+    """Index of each set's point farthest from its anchor, first maximum on
+    ties; points (..., k, d), anchor (..., d) -> (...)."""
+    if anchor.shape[-1:] != points.shape[-1:]:
+        raise ValueError(f"anchor dimension {anchor.shape[-1:]} does not match "
+                         f"point set dimension {points.shape[-1:]}")
+    return _sq(points, anchor[..., None, :]).argmax(axis=-1)
+
+
 def batched_mid_extremes(points: np.ndarray) -> np.ndarray:
-    """mid_extremes applied independently per seed; (S, k, d) -> (S, d)."""
-    s, k, d = points.shape
-    first, second = _pair_list(k)
-    a = points.take(first, axis=1)
-    b = points.take(second, axis=1)
-    diff = a - b
-    d2 = np.einsum("spk,spk->sp", diff, diff)
+    """Midpoint of each set's extreme pair; (S, k, d) -> (S, d)."""
+    s, _, d = points.shape
+    a, b, d2 = _scan(points)
+    pairs = d2.shape[1]
     # flat row of each seed's first maximum in the (s * pairs, d) views
-    best = d2.argmax(axis=1) + np.arange(0, s * len(first), len(first))
+    best = d2.argmax(axis=1) + np.arange(0, s * pairs, pairs)
     return (a.reshape(-1, d)[best] + b.reshape(-1, d)[best]) / 2.0
 
 
 def batched_approach_extreme(points: np.ndarray, anchors: np.ndarray) -> np.ndarray:
-    """approach_extreme per seed; points (S, k, d), anchors (S, d) -> (S, d)."""
-    diff = points - anchors[:, None, :]
-    d2 = np.einsum("sij,sij->si", diff, diff)
-    far = d2.argmax(axis=1)
-    b = points[np.arange(points.shape[0]), far]
-    return (anchors + b) / 2.0
+    """Midpoint of each anchor and its set's farthest point from it;
+    points (S, k, d), anchors (S, d) -> (S, d)."""
+    far = farthest_index(points, anchors)
+    return (anchors + points[np.arange(points.shape[0]), far]) / 2.0

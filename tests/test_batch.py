@@ -137,8 +137,49 @@ def test_sample_quorums_include_self_and_respect_mask():
             assert i in idx[s, i]
             side = set(range(2)) if i < 2 else set(range(2, 4))
             assert set(idx[s, i]) <= side
-    with pytest.raises(ConfigError):
-        _sample_quorums(rng, 1, allowed, 3)
+    batch._require_reachable(allowed, 2, "algorithm.quorum", "units")
+    with pytest.raises(ConfigError, match="fewer than 3 reachable units"):
+        batch._require_reachable(allowed, 3, "algorithm.quorum", "units")
+
+
+def _no_draw(*args, **kwargs):
+    raise AssertionError("noise drawn before the quorums were checked")
+
+
+def _cut_run(q, from_event):
+    """Three two-member clusters cut one against two, cluster quorum 2: no
+    exchange round can run once the cut is on (iteration from_event, T = 4)."""
+    topo = sim.Topology(n=6, clusters=((0, 1), (2, 3), (4, 5)))
+    spec = OracleSpec(kind="double_well", dim=1, sigma=0.3, radius=1.5)
+    conf = SgdConfig(variant=Variant.NON_CONVEX, iterations=4, quorum=1,
+                     x1=(0.0,), lr=LrSchedule(kind="constant", value=0.01),
+                     agreement_q=q, cluster_quorum=2)
+    cut = sim.PartitionSpec(side_a=(0, 1), side_b=(2, 3, 4, 5), from_event=from_event)
+    return batch.run_ensemble(topo, conf, spec,
+                              BatchOptions(seeds=2, seed_root=3, partition=cut))
+
+
+def test_unreachable_cluster_quorum_raises_before_any_draw(monkeypatch):
+    monkeypatch.setattr(batch, "_predraw_noise", _no_draw)
+    for from_event in (0, 4):
+        with pytest.raises(ConfigError, match="fewer than 2 reachable clusters"):
+            _cut_run(0.5, from_event)
+
+
+def test_unreachable_quorum_raises_before_any_draw(monkeypatch):
+    monkeypatch.setattr(batch, "_predraw_noise", _no_draw)
+    topo = sim.Topology(n=4, clusters=((0,), (1,), (2,), (3,)))
+    conf = SgdConfig(variant=Variant.STRONGLY_CONVEX, iterations=3, quorum=3,
+                     x1=(0.5, 0.5), lr=LrSchedule(kind="constant", value=0.1))
+    cut = sim.PartitionSpec(side_a=(0, 1), side_b=(2, 3), from_event=3)
+    with pytest.raises(ConfigError, match="fewer than 3 reachable units"):
+        batch.run_ensemble(topo, conf, QUAD,
+                           BatchOptions(seeds=2, seed_root=3, partition=cut))
+
+
+def test_cut_masks_that_are_never_used_do_not_raise():
+    _cut_run(0.5, 5)  # the cut starts after the last iteration
+    _cut_run(1.0, 0)  # q = 1 needs no exchange round
 
 
 def test_sm_maps_are_convex_and_exact():

@@ -254,6 +254,9 @@ CONFIG_ERRORS = [
                                                          "side_b": [4, 5, 6, 7]}}),
                             (("algorithm", "quorum"), 5)],
      "algorithm.quorum: fewer than 5 reachable units for some receiver"),
+    ("nc_doublewell_batch", [(("faults",), {"partition": {"side_a": [0, 1],
+                                                          "side_b": [2, 3, 4, 5]}})],
+     "algorithm.cluster_quorum: fewer than 2 reachable clusters"),
 ]
 
 

@@ -1,25 +1,30 @@
 """Geometry kernel tests.
 
-The oracle for everything in this file is a brute-force pure-Python scan over
-all pairs, written independently of the numpy implementations.
+Two oracles: a brute-force pure-Python scan over all pairs, written
+independently of the numpy implementations, and a copy of the scalar full
+(k, k) distance-matrix code the pair-list scan replaced, which every
+diameter, extreme pair and farthest point must match bitwise.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from asgd import harness
+from asgd.maa import AggregationRule
 from asgd.vecmath import (
-    approach_extreme,
     as_point_set,
     batched_approach_extreme,
     batched_mid_extremes,
     diameter_sq,
     extreme_pair,
     farthest_index,
-    mid_extremes,
+    pair_list,
+    pair_sq,
 )
 
 
@@ -36,45 +41,139 @@ def brute_force_extreme_pair(rows):
     return best, best_d2
 
 
+# ---------------------------------------------------------------------------
+# The scalar full-matrix functions the pair-list scan replaced, kept as the
+# reference ("scalar" in a test name means these)
+# ---------------------------------------------------------------------------
+
+
+def full_matrix(points):
+    diff = points[:, None, :] - points[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff)
+
+
+def full_extreme_pair(points):
+    d2 = full_matrix(points)
+    return divmod(int(np.argmax(d2)), d2.shape[0])
+
+
+def full_mid_extremes(points):
+    i, j = full_extreme_pair(points)
+    return (points[i] + points[j]) / 2.0
+
+
+def full_farthest_index(points, anchor):
+    diff = points - anchor[None, :]
+    return int(np.argmax(np.einsum("ij,ij->i", diff, diff)))
+
+
+def full_approach_extreme(points, anchor):
+    return (anchor + points[full_farthest_index(points, anchor)]) / 2.0
+
+
+def full_pairwise_sq(finals):
+    diffs = finals[:, :, None, :] - finals[:, None, :, :]
+    return np.einsum("sijd,sijd->sij", diffs, diffs)
+
+
+def full_internal_err(finals):
+    d2 = full_pairwise_sq(finals)
+    n = finals.shape[1]
+    if n < 2:
+        return harness.Estimate(mean=0.0, stderr=0.0, count=finals.shape[0]), (0, 0)
+    i, j = divmod(int(np.argmax(d2.mean(axis=0))), n)
+    return harness.estimate(d2[:, i, j]), (i, j)
+
+
+def full_cross_err(finals, side_a, side_b):
+    d2 = full_pairwise_sq(finals)
+    best = None
+    for i in side_a:
+        for j in side_b:
+            cand = d2[:, i, j]
+            if best is None or cand.mean() > best.mean():
+                best = cand
+    return harness.estimate(best)
+
+
+def full_diameter_sq(points):
+    return full_pairwise_sq(points[None]).max()
+
+
+# rows of tie_heavy_sets holding each kind of set
+KINDS = {"grid": slice(0, 40), "duplicates": slice(40, 80), "equal": slice(80, 110),
+         "signed_zeros": slice(110, 150), "nan": slice(150, 180), "floats": slice(180, 240)}
+
+
+def tie_heavy_sets(rng, k, d, count=240):
+    """(count, k, d) sets, by KINDS: integer grids, where equal distances
+    are common, the same with duplicate rows, all-equal sets, signed zeros,
+    a NaN coordinate, and wide-range floats."""
+    pts = rng.integers(-2, 3, size=(count, k, d)).astype(np.float64)
+    pts[40:80, -1] = pts[40:80, 0]
+    pts[80:110] = pts[80:110, :1]
+    # all distances zero, but the chosen pair shows in the zero's sign
+    pts[110:150] = np.where(rng.random((40, k, d)) < 0.5, -0.0, 0.0)
+    pts[150 + np.arange(30), rng.integers(k, size=30), rng.integers(d, size=30)] = np.nan
+    pts[180:] = rng.normal(size=(count - 180, k, d)) * np.exp(
+        rng.uniform(-20, 20, (count - 180, 1, 1)))
+    return pts
+
+
+SHAPES = [(k, d) for k in range(1, 7) for d in (1, 2, 3, 5)]
+
+
 def test_diameter_sq_known_value():
-    assert diameter_sq([[0.0, 0.0], [3.0, 4.0]]) == 25.0
+    assert diameter_sq(as_point_set([[0.0, 0.0], [3.0, 4.0]])) == 25.0
 
 
 def test_diameter_sq_singleton_is_zero():
-    assert diameter_sq([[7.0, -2.0, 1.0]]) == 0.0
+    assert diameter_sq(as_point_set([[7.0, -2.0, 1.0]])) == 0.0
 
 
 def test_mid_extremes_known_value():
-    out = mid_extremes([[0.0, 0.0], [2.0, 0.0], [1.0, 1.0]])
-    assert out.tolist() == [1.0, 0.0]
+    out = batched_mid_extremes(np.array([[[0.0, 0.0], [2.0, 0.0], [1.0, 1.0]]]))
+    assert out.tolist() == [[1.0, 0.0]]
 
 
 def test_mid_extremes_singleton_maps_to_itself():
-    out = mid_extremes([[0.5, -1.5]])
-    assert out.tolist() == [0.5, -1.5]
+    assert batched_mid_extremes(np.array([[[0.5, -1.5]]])).tolist() == [[0.5, -1.5]]
 
 
 def test_approach_extreme_known_value():
-    out = approach_extreme([[1.0, 0.0], [4.0, 0.0]], [0.0, 0.0])
-    assert out.tolist() == [2.0, 0.0]
+    out = batched_approach_extreme(np.array([[[1.0, 0.0], [4.0, 0.0]]]), np.zeros((1, 2)))
+    assert out.tolist() == [[2.0, 0.0]]
 
 
 def test_approach_extreme_dimension_mismatch():
-    with pytest.raises(ValueError):
-        approach_extreme([[1.0, 0.0]], [0.0, 0.0, 0.0])
+    pts = as_point_set([[1.0, 0.0]])
+    for anchor in (np.zeros(3), np.zeros(1)):  # the second would broadcast
+        with pytest.raises(ValueError):
+            farthest_index(pts, anchor)
+        with pytest.raises(ValueError):
+            batched_approach_extreme(pts[None], anchor[None])
 
 
 def test_empty_set_rejected():
     with pytest.raises(ValueError):
         diameter_sq(np.zeros((0, 3)))
+    with pytest.raises(ValueError):
+        as_point_set(np.zeros((0, 3)))
+
+
+def test_pair_list_is_row_major_after_the_zero_pair():
+    first, second = pair_list(4)
+    assert list(zip(first.tolist(), second.tolist())) == [
+        (0, 0), (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    assert pair_list(1)[0].tolist() == [0] and pair_list(1)[1].tolist() == [0]
 
 
 def test_tie_break_is_first_lexicographic_pair():
     # Four corners of a square: both diagonals have the same length, so the
     # winning pair must be (0, 2) rather than (1, 3).
-    square = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
-    assert extreme_pair(as_point_set(square)) == (0, 2)
-    assert mid_extremes(square).tolist() == [0.5, 0.5]
+    square = as_point_set([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    assert extreme_pair(square) == (0, 2)
+    assert batched_mid_extremes(square[None]).tolist() == [[0.5, 0.5]]
 
 
 def test_farthest_index_tie_break_first():
@@ -95,6 +194,72 @@ def test_extreme_pair_matches_brute_force_oracle():
         assert math.isclose(diameter_sq(pts), want_d2, rel_tol=1e-12, abs_tol=1e-300)
 
 
+@pytest.mark.parametrize("k,d", SHAPES)
+def test_scan_matches_full_matrix_bitwise(k, d):
+    rng = np.random.default_rng(100 * k + d)
+    pts = tie_heavy_sets(rng, k, d)
+    anchors = tie_heavy_sets(rng, 1, d)[:, 0]
+    mids = batched_mid_extremes(pts)
+    approach = batched_approach_extreme(pts, anchors)
+    diam = diameter_sq(pts)
+    far = farthest_index(pts, anchors)
+    for s in range(pts.shape[0]):
+        assert extreme_pair(pts[s]) == full_extreme_pair(pts[s]), s
+        assert mids[s].tobytes() == full_mid_extremes(pts[s]).tobytes(), s
+        assert diam[s].tobytes() == full_matrix(pts[s]).max().tobytes(), s
+        assert far[s] == full_farthest_index(pts[s], anchors[s]), s
+        assert approach[s].tobytes() == full_approach_extreme(pts[s], anchors[s]).tobytes(), s
+
+
+def test_infinite_coordinate_is_where_the_scan_and_matrix_differ():
+    # inf - inf makes the matrix's (1, 1) NaN, its first maximum; the scan
+    # has no (1, 1) and picks the infinite distance (0, 1)
+    pts = as_point_set([[0.0, 0.0], [np.inf, 5.0]])
+    with np.errstate(invalid="ignore"):
+        assert full_extreme_pair(pts) == (1, 1)
+    assert extreme_pair(pts) == (0, 1)
+
+
+@pytest.mark.parametrize("k,d", SHAPES)
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_harness_statistics_match_full_matrix_bitwise(k, d, kind):
+    rng = np.random.default_rng(10 * k + d)
+    finals = tie_heavy_sets(rng, k, d)[KINDS[kind]]
+    if not (k == 1 and kind == "nan"):  # the old n = 1 branch skipped the NaN
+        assert repr(harness.internal_err(finals)) == repr(full_internal_err(finals))
+    assert pair_sq(finals).shape == (len(finals), len(pair_list(k)[0]))
+    assert diameter_sq(finals[0]).tobytes() == full_diameter_sq(finals[0]).tobytes()
+    if k >= 2:
+        sides = (tuple(range(k // 2)), tuple(range(k // 2, k)))
+        for side_a, side_b in (sides, sides[::-1]):
+            assert (repr(harness.cross_err(finals, side_a, side_b))
+                    == repr(full_cross_err(finals, side_a, side_b)))
+
+
+def test_internal_err_single_process_nan_is_not_hidden():
+    est, pair = harness.internal_err(np.full((3, 1, 2), np.nan))
+    assert math.isnan(est.mean) and pair == (0, 0)
+
+
+def test_contraction_report_matches_full_matrix_bitwise(monkeypatch):
+    rng = np.random.default_rng(31)
+    round_values = {}
+    for scope in range(40):
+        k, d = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+        sets = tie_heavy_sets(rng, k, d)[rng.integers(240, size=4)]
+        sets[1:] *= rng.choice([0.0, 0.5, 1.0, 2.0], size=(3, 1, 1))
+        for r, values in enumerate(sets):
+            kind = ("sm", "cmaa")[scope % 2]
+            round_values[(kind, scope, r)] = dict(enumerate(values))
+    trace = SimpleNamespace(round_values=round_values)
+    new = [harness.contraction_report(trace, rule) for rule in AggregationRule]
+    monkeypatch.setattr(harness.vecmath, "diameter_sq", full_diameter_sq)
+    old = [harness.contraction_report(trace, rule) for rule in AggregationRule]
+    assert repr(new) == repr(old)
+    assert all(rep.rounds_measured and rep.rounds_skipped
+               for reports in new for rep in reports.values())
+
+
 @given(
     st.lists(
         st.lists(st.floats(-100, 100, allow_nan=False), min_size=2, max_size=2),
@@ -105,7 +270,7 @@ def test_extreme_pair_matches_brute_force_oracle():
 @settings(max_examples=200, deadline=None)
 def test_mid_extremes_stays_in_bounding_box(rows):
     pts = as_point_set(rows)
-    mid = mid_extremes(pts)
+    mid = batched_mid_extremes(pts[None])[0]
     lo = pts.min(axis=0) - 1e-9
     hi = pts.max(axis=0) + 1e-9
     assert np.all(mid >= lo) and np.all(mid <= hi)
@@ -130,7 +295,7 @@ def test_midpoint_contraction_with_shared_point_smoke():
         d = int(rng.integers(1, 9))
         a, b, _ = shared_point_sets(rng, d)
         union = np.vstack([a, b])
-        gap = mid_extremes(a) - mid_extremes(b)
+        gap = batched_mid_extremes(a[None])[0] - batched_mid_extremes(b[None])[0]
         assert float(gap @ gap) <= (7.0 / 8.0) * diameter_sq(union) + 1e-12
 
 
@@ -142,7 +307,8 @@ def test_anchored_contraction_with_shared_point_smoke():
         ya = a[int(rng.integers(len(a)))]
         yb = b[int(rng.integers(len(b)))]
         union = np.vstack([a, b])
-        gap = approach_extreme(a, ya) - approach_extreme(b, yb)
+        gap = (batched_approach_extreme(a[None], ya[None])[0]
+               - batched_approach_extreme(b[None], yb[None])[0])
         assert float(gap @ gap) <= (31.0 / 32.0) * diameter_sq(union) + 1e-12
 
 
@@ -151,7 +317,7 @@ def test_batched_mid_extremes_matches_scalar_bitwise():
     pts = rng.normal(size=(40, 5, 3))
     out = batched_mid_extremes(pts)
     for s in range(pts.shape[0]):
-        assert out[s].tobytes() == mid_extremes(pts[s]).tobytes()
+        assert out[s].tobytes() == full_mid_extremes(pts[s]).tobytes()
 
 
 def test_batched_mid_extremes_matches_scalar_on_ties():
@@ -167,7 +333,7 @@ def test_batched_mid_extremes_matches_scalar_on_ties():
             pts[80:120] = np.where(rng.random((40, k, d)) < 0.5, -0.0, 0.0)
             out = batched_mid_extremes(pts)
             for s in range(pts.shape[0]):
-                assert out[s].tobytes() == mid_extremes(pts[s]).tobytes(), (k, d, s)
+                assert out[s].tobytes() == full_mid_extremes(pts[s]).tobytes(), (k, d, s)
 
 
 def test_batched_approach_extreme_matches_scalar_bitwise():
@@ -176,7 +342,7 @@ def test_batched_approach_extreme_matches_scalar_bitwise():
     anchors = rng.normal(size=(40, 2))
     out = batched_approach_extreme(pts, anchors)
     for s in range(pts.shape[0]):
-        assert out[s].tobytes() == approach_extreme(pts[s], anchors[s]).tobytes()
+        assert out[s].tobytes() == full_approach_extreme(pts[s], anchors[s]).tobytes()
 
 
 def test_batched_mid_extremes_singleton():
