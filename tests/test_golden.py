@@ -244,11 +244,26 @@ def _case_crash_at_iteration_and_partition():
     return topo, plan, sim.Schedule(), conf, spec, 808, 3
 
 
+def _case_pairs_with_delay(max_delay, seed_root):
+    # agreement-coupled SGD: register operations and broadcasts, so the
+    # schedule stream serves event choices and delay draws interleaved
+    topo = sim.Topology(n=4, clusters=((0, 1), (2, 3)))
+    conf = SgdConfig(variant=Variant.NON_CONVEX, iterations=2, quorum=2,
+                     x1=(0.25, -0.25), lr=LrSchedule(kind="constant", value=0.0625),
+                     agreement_q=0.25, lr_check="warn")
+    return (topo, sim.FaultPlan(), sim.Schedule(max_delay=max_delay), conf, WELL_2D,
+            seed_root, 2)
+
+
 EVENT_CASES = {
     **{name: functools.partial(_scenario, name)
        for name in ("liveness_blocked", "maa_cluster_crash", "maa_shared",
                     "sc_quadratic_event")},
     "crash_at_iteration_and_partition": _case_crash_at_iteration_and_partition,
+    # every delay draw has a range of one value and takes nothing from the stream
+    "delay_one": functools.partial(_case_pairs_with_delay, 1, 901),
+    # delay draws above 2^32 take whole 64-bit words between 32-bit event choices
+    "delay_wide": functools.partial(_case_pairs_with_delay, 2 ** 40 + 3, 902),
 }
 
 # case -> sha256 of the concatenated trace exports (recording on) and of the
@@ -257,6 +272,14 @@ GOLDEN_EVENT = {
     "crash_at_iteration_and_partition": {
         "trace": "286054ca2031533fb58e119a99af3074c741959a2b711af8ecee4c4e21b2a96b",
         "outputs": "cf58969ef92a26fe8d4e338379e619e0890a2ff998836f9e49f07156789100f3",
+    },
+    "delay_one": {
+        "trace": "1dd2078ac44a1e7e514d08753a0b7522419593295a2fb694c3bcf3c7df7d1618",
+        "outputs": "ab26c4a641a9a2f528a8c7044239502142bc77b66f1b9b55c7550fd061a5d1d1",
+    },
+    "delay_wide": {
+        "trace": "3c196ce6cd47c1db91b8a63c80c03deb2215d30be80d3b69241c0e574b4ff6d2",
+        "outputs": "5874ff5e83aee162a23dbf9594016612f2cece47f40618d8ad946b79537aa1bb",
     },
     "liveness_blocked": {
         "trace": "a2a8cc2001df20f7fa43c5712a4ea8dec74234e77698ecc795f13af44b06e901",
