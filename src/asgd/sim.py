@@ -27,7 +27,12 @@ Schedule invariant: the enabled events are, in this order, the pending
 message deliveries in arrival order, then the runnable processes by
 ascending pid; each event is picked by one ``integers(enabled_count)`` draw
 from the schedule stream. That order and that draw define the seeded
-schedule, so no optimisation may reorder them.
+schedule, so no optimisation may reorder them. The draws, these and each
+delay's ``integers(1, max_delay + 1)``, take the values numpy's
+``Generator.integers`` gives, in the same order from the same stream;
+``_schedule_draws`` computes them in Python ints from the stream's raw
+words, read in blocks, because numpy's per-call cost dominates a scalar
+draw.
 
 The runnable set ({READY} plus {BLOCKED whose wait holds}) is maintained
 incrementally, not rebuilt per event. It changes only when a step blocks,
@@ -330,6 +335,82 @@ def derive_streams(entropy, n: int) -> RunStreams:
     """Per-run streams: child 0 schedule, child 1 tau, children 2..n+1 per pid."""
     schedule, tau, *processes = next(seed_streams(entropy, range(n + 2)))
     return RunStreams(schedule=schedule, tau=tau, processes=processes)
+
+
+_U32 = 0xFFFF_FFFF
+_U64 = 0xFFFF_FFFF_FFFF_FFFF
+
+
+def _schedule_draws(generator: np.random.Generator, block: int = 512):
+    """Return draw(n) -> int, the value of int(generator.integers(n)) for
+    1 <= n <= 2^63, call after call, from the generator's PCG64 stream.
+
+    numpy pays about 3 us of call overhead per scalar draw; this takes the
+    stream's raw 64-bit words `block` at a time and applies numpy's
+    bounded-integer rule to them in Python ints. For the range rng = n - 1:
+
+    - rng = 0 draws nothing;
+    - rng < 2^32 - 1 is Lemire's method on uint32 halves, which are handed
+      out low half first, the high half held for the next one, as PCG64's
+      next_uint32 does;
+    - rng = 2^32 - 1 takes one uint32 half as it is;
+    - a larger rng is Lemire's method on whole words, which leaves a held
+      half where it is.
+
+    It starts from the half the generator may already hold. The generator
+    itself must not be drawn from once this has begun.
+    """
+    bitgen = generator.bit_generator
+    state = bitgen.state
+    held = state["uinteger"] if state["has_uint32"] else None
+    words = iter(())
+
+    def next_word() -> int:
+        nonlocal words
+        word = next(words, None)
+        if word is None:
+            words = iter(bitgen.random_raw(block).tolist())
+            word = next(words)
+        return word
+
+    def next_half() -> int:
+        nonlocal held
+        if held is None:
+            word = next_word()
+            held = word >> 32
+            return word & _U32
+        half, held = held, None
+        return half
+
+    def draw(n: int) -> int:
+        nonlocal held
+        rng = n - 1
+        if rng < _U32:
+            if not rng:
+                return 0
+            # next_half() inlined: this is the path of every event choice
+            if held is None:
+                word = next_word()
+                held = word >> 32
+                m = (word & _U32) * n
+            else:
+                m = held * n
+                held = None
+            if (m & _U32) < n:
+                threshold = (_U32 - rng) % n
+                while (m & _U32) < threshold:
+                    m = next_half() * n
+            return m >> 32
+        if rng == _U32:
+            return next_half()
+        m = next_word() * n
+        if (m & _U64) < n:
+            threshold = (_U64 - rng) % n
+            while (m & _U64) < threshold:
+                m = next_word() * n
+        return m >> 64
+
+    return draw
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +747,8 @@ def run(
         "register_writes": 0, "register_reads": 0, "wakeups": 0,
     }
 
-    sched_rng = streams.schedule
+    # the only reader of the schedule stream
+    draw = _schedule_draws(streams.schedule)
     crash_by_events = {c.pid: c.after_events for c in fault_plan.crashes
                        if c.after_events is not None}
     crash_by_iter = {c.pid: c.at_iteration for c in fault_plan.crashes
@@ -784,7 +866,7 @@ def run(
             }
             break
 
-        choice = int(sched_rng.integers(enabled_count))
+        choice = draw(enabled_count)
         counters["events"] += 1
 
         if choice < len(ready_msgs):
@@ -843,7 +925,7 @@ def run(
                     if record_events:
                         log("defer", pid, receiver=other, tag=list(effect.tag))
                     continue
-                delay = int(sched_rng.integers(1, schedule.max_delay + 1))
+                delay = 1 + draw(schedule.max_delay)
                 buckets.setdefault(tick + delay, []).append(msg)
         elif isinstance(effect, (WaitCount, WaitClusters)):
             st.status = BLOCKED

@@ -26,11 +26,33 @@ The one case where the two differ is an infinite coordinate: inf - inf makes
 the diagonal entry (i, i) NaN while (0, i) is only inf, so the full matrix
 picked (i, i) and the scan picks (0, i). A run whose values stay finite never
 meets it.
+
+``extreme_pair`` answers one- and two-point sets, the event kernel's common
+case, without the scan, and returns the scan's pair. One point lists only
+(0, 0). Two points list (0, 0) and (0, 1), so the scan picks (0, 1) exactly
+when s01 > s00 or s00 is not NaN and s01 is NaN:
+
+- s00 is NaN when point 0 has a NaN or infinite coordinate (x - x), and +0
+  otherwise, so a non-finite point 0 gives (0, 0);
+- with s00 = +0, s01 is a sum of rounded squares of diff = p1 - p0
+  (negating the difference leaves each square as it is), each +0, positive
+  or NaN, and it is NaN, +0 or positive. Once a partial sum is positive or
+  NaN it stays so, since every addend is; while it is +0, adding a square
+  (or fusing its product, as an FMA does) gives exactly that square rounded.
+  So whatever order or grouping the sum takes, s01 is +0, and the scan
+  picks (0, 0), exactly when every rounded square diff * diff is 0: equal
+  points, signed zeros, and differences whose squares underflow.
+
+The two-point test runs on Python floats, which are the same IEEE doubles
+with the same rounding, because numpy's per-call cost is most of the time
+on sets this small.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import operator
 
 import numpy as np
 
@@ -86,7 +108,15 @@ def diameter_sq(points: np.ndarray) -> np.ndarray:
 def extreme_pair(points: np.ndarray) -> tuple[int, int]:
     """Indices (i, j) of the set's first maximum in the pair list; a
     singleton or all-equal set returns (0, 0)."""
-    first, second = pair_list(points.shape[0])
+    count = points.shape[0]
+    if count == 1:
+        return 0, 0
+    if count == 2:  # the scan's pair, without the scan (module docstring)
+        p0, p1 = points.tolist()
+        if all(map(math.isfinite, p0)) and any([d * d for d in map(operator.sub, p1, p0)]):
+            return 0, 1
+        return 0, 0
+    first, second = pair_list(count)
     best = int(_scan(points)[2].argmax())
     return int(first[best]), int(second[best])
 

@@ -1,6 +1,7 @@
 """Event kernel: registers, scheduling, faults, liveness, audits."""
 
 import hashlib
+import random
 
 import numpy as np
 import pytest
@@ -207,6 +208,107 @@ def test_negative_entropy_word_raises_as_numpy_does():
         next(sim.seed_streams(3, [2], [-1]))
     with pytest.raises(ValueError, match="below 2"):
         next(sim.seed_streams(3, [2], [2 ** 32]))
+
+
+# ---------------------------------------------------------------------------
+# Scheduler draws
+# ---------------------------------------------------------------------------
+
+# bounds n of integers(n) around the switches of numpy's bounded-integer
+# rule: Lemire on uint32, a uint32 as it is at 2^32, whole words above
+DRAW_BOUNDS = [1, 2, 3, 2 ** 31 + 7, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1]
+
+
+def _draw_mix(seed, count):
+    """(low, high) of `count` integers(low, high) calls: the bounds above,
+    small event counts, and delays integers(1, high) with high up to 2^63."""
+    pick = random.Random(seed)
+    mix = []
+    for _ in range(count):
+        kind = pick.randrange(3)
+        if kind == 0:
+            mix.append((0, pick.choice(DRAW_BOUNDS)))
+        elif kind == 1:
+            mix.append((0, pick.randrange(1, 24)))
+        else:
+            mix.append((1, pick.choice([2, 3, 2 ** 32, 2 ** 63, pick.randrange(2, 2 ** 63 + 1)])))
+    return mix
+
+
+def _draw_both(seed, mix, block, held_half=False):
+    """numpy's integers(low, high) and the kernel's draws, over `mix`, from
+    two copies of the same PCG64 stream."""
+    want_rng = np.random.Generator(np.random.PCG64(seed))
+    ours_rng = np.random.Generator(np.random.PCG64(seed))
+    if held_half:
+        for rng in (want_rng, ours_rng):
+            rng.integers(2 ** 16)  # one uint32: the high half is held
+            assert rng.bit_generator.state["has_uint32"] == 1
+    draw = sim._schedule_draws(ours_rng, block)
+    want = [int(want_rng.integers(low, high)) for low, high in mix]
+    return want, [low + draw(high - low) for low, high in mix]
+
+
+@pytest.mark.parametrize("block", [1, 3, 512])
+@pytest.mark.parametrize("held_half", [False, True])
+def test_schedule_draws_equal_numpy_integers_bitwise(block, held_half):
+    for seed in range(25):
+        want, got = _draw_both(seed, _draw_mix(seed, 400), block, held_half)
+        assert got == want, seed
+
+
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _stream_whose_next_word_is(word):
+    """A PCG64 Generator whose next raw word is `word`. PCG64 steps its
+    128-bit LCG state and then outputs XSL-RR of it; a stepped state whose
+    high word is 0 outputs its low word unrotated, so the state one step
+    before it is set."""
+    bitgen = np.random.PCG64(0)
+    inc = bitgen.state["state"]["inc"]
+    before = (word - inc) * pow(_PCG64_MULT, -1, 2 ** 128) % 2 ** 128
+    bitgen.state = {"bit_generator": "PCG64", "state": {"state": before, "inc": inc},
+                    "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bitgen)
+
+
+@pytest.mark.parametrize("n,bits", [(3, 32), (2 ** 31 + 7, 32), (2 ** 32 - 1, 32),
+                                    (2 ** 40 + 3, 64), (2 ** 63 - 25, 64)])
+def test_schedule_draws_reject_exactly_below_the_threshold(n, bits):
+    # Lemire's method rejects a draw x whose x * n mod 2^bits is below
+    # t = 2^bits mod n: craft x with that leftover t - 1 (rejected) and t
+    # (kept); n is odd, so x = leftover / n mod 2^bits
+    threshold = 2 ** bits % n
+    assert threshold > 0
+    for leftover in (threshold - 1, threshold):
+        x = leftover * pow(n, -1, 2 ** bits) % 2 ** bits
+        word = x if bits == 64 else (0xABCD1234 << 32) | x
+        assert _stream_whose_next_word_is(word).bit_generator.random_raw() == word
+        want_rng = _stream_whose_next_word_is(word)
+        want = [int(want_rng.integers(n)) for _ in range(3)]
+        draw = sim._schedule_draws(_stream_whose_next_word_is(word), block=2)
+        assert [draw(n) for _ in range(3)] == want, leftover
+        assert (want[0] == x * n >> bits) == (leftover == threshold)
+
+
+def test_schedule_draws_of_one_value_take_nothing_from_the_stream():
+    mix = [(0, 1), (1, 2)] * 50 + [(0, 2 ** 32), (0, 7), (1, 2 ** 40)]
+    want, got = _draw_both(5, mix, block=3)
+    assert got == want
+    assert got[:100] == [0, 1] * 50
+    assert got[100:] == _draw_both(5, mix[100:], block=3)[1]
+
+
+def test_schedule_draws_are_pinned_to_numpy_2_4_6_draws():
+    # fails when a numpy release changes its bounded-integer rule
+    mix = [(0, 6), (0, 2 ** 32), (1, 2 ** 40 + 4), (0, 3), (0, 2 ** 31 + 7),
+           (1, 2 ** 63), (0, 2 ** 32 + 1), (0, 1), (0, 5)]
+    pinned = [1, 2902673494, 235650851865, 0, 168654340, 726114886686888756,
+              776632366, 0, 0]
+    want, got = _draw_both(2024, mix, block=512)
+    assert want == pinned
+    assert got == pinned
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,67 @@ def test_infinite_coordinate_is_where_the_scan_and_matrix_differ():
     assert extreme_pair(pts) == (0, 1)
 
 
+def scan_extreme_pair(points):
+    """Copy of the pair-list scan, which extreme_pair skips on one and two
+    points."""
+    first, second = pair_list(points.shape[0])
+    diff = points[first] - points[second]
+    best = int(np.einsum("pd,pd->p", diff, diff).argmax())
+    return int(first[best]), int(second[best])
+
+
+# coordinates for one- and two-point sets: signed zeros, a subnormal, values
+# whose differences square to a subnormal, to 0 or to inf, NaN and +-inf
+EDGE_VALUES = [0.0, -0.0, 1.0, -1.5, 5e-324, 1e-170, 3e-170, 1e-160, 1e300,
+               -1e300, math.nan, math.inf, -math.inf]
+
+
+def _two_point_sets(rng, d, count):
+    if d == 1:
+        return [as_point_set([[a], [b]]) for a in EDGE_VALUES for b in EDGE_VALUES]
+    idx = rng.integers(len(EDGE_VALUES), size=(count, 2, d))
+    sets = np.array(EDGE_VALUES)[idx]
+    sets[: count // 4, 1] = sets[: count // 4, 0]  # equal points
+    return list(sets)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_extreme_pair_on_two_points_is_the_scans_pair(d):
+    rng = np.random.default_rng(d)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for pts in _two_point_sets(rng, d, 600):
+            assert extreme_pair(pts) == scan_extreme_pair(pts), pts.tolist()
+            assert extreme_pair(pts[:1]) == scan_extreme_pair(pts[:1]) == (0, 0)
+
+
+@pytest.mark.parametrize("p0,p1,pair", [
+    ([1.0, -2.0], [1.0, -2.0], (0, 0)),            # equal points
+    ([0.0, -0.0], [-0.0, 0.0], (0, 0)),            # signed zeros
+    ([1e-170, 0.0], [3e-170, 0.0], (0, 0)),        # the square underflows to 0
+    ([5e-324, 0.0], [0.0, 0.0], (0, 0)),
+    ([1e-160, 0.0], [0.0, 0.0], (0, 1)),           # a subnormal square
+    ([1e300, 0.0], [-1e300, 0.0], (0, 1)),         # the square overflows
+    ([math.nan, 0.0], [1.0, 0.0], (0, 0)),         # NaN in point 0: s00 is NaN
+    ([0.0, math.inf], [0.0, math.inf], (0, 0)),    # inf - inf in s00
+    ([0.0, -math.inf], [0.0, 5.0], (0, 0)),
+    ([0.0, 0.0], [math.nan, 0.0], (0, 1)),         # NaN in point 1: s01 is NaN
+    ([0.0, 0.0], [0.0, math.inf], (0, 1)),
+    ([0.0, 0.0], [-math.inf, 0.0], (0, 1)),
+])
+def test_extreme_pair_two_point_cases(p0, p1, pair):
+    pts = as_point_set([p0, p1])
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert scan_extreme_pair(pts) == pair
+    assert extreme_pair(pts) == pair
+
+
+@pytest.mark.parametrize("points", [[[1.0, 2.0], [3.0]], [[1.0], [2.0, 3.0]],
+                                    [[1.0, 2.0], [3.0, 4.0, 5.0]]])
+def test_two_points_of_mixed_dimension_raise(points):
+    with pytest.raises(ValueError):
+        extreme_pair(as_point_set(points))
+
+
 @pytest.mark.parametrize("k,d", SHAPES)
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_harness_statistics_match_full_matrix_bitwise(k, d, kind):
