@@ -345,9 +345,10 @@ def _schedule_draws(generator: np.random.Generator, block: int = 512):
     """Return draw(n) -> int, the value of int(generator.integers(n)) for
     1 <= n <= 2^63, call after call, from the generator's PCG64 stream.
 
-    numpy pays about 3 us of call overhead per scalar draw; this takes the
-    stream's raw 64-bit words `block` at a time and applies numpy's
-    bounded-integer rule to them in Python ints. For the range rng = n - 1:
+    A scalar `integers` call costs about 3 us, nearly all call overhead
+    (timeit, 2-vCPU Xeon VM, numpy 2.4); this takes the stream's raw
+    64-bit words `block` at a time and applies numpy's bounded-integer rule
+    to them in Python ints, about 0.5 us a draw. For the range rng = n - 1:
 
     - rng = 0 draws nothing;
     - rng < 2^32 - 1 is Lemire's method on uint32 halves, which are handed

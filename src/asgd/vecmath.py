@@ -30,7 +30,7 @@ meets it.
 ``extreme_pair`` answers one- and two-point sets, the event kernel's common
 case, without the scan, and returns the scan's pair. One point lists only
 (0, 0). Two points list (0, 0) and (0, 1), so the scan picks (0, 1) exactly
-when s01 > s00 or s00 is not NaN and s01 is NaN:
+when s00 is not NaN and s01 is either NaN or above s00:
 
 - s00 is NaN when point 0 has a NaN or infinite coordinate (x - x), and +0
   otherwise, so a non-finite point 0 gives (0, 0);
@@ -44,8 +44,8 @@ when s01 > s00 or s00 is not NaN and s01 is NaN:
   points, signed zeros, and differences whose squares underflow.
 
 The two-point test runs on Python floats, which are the same IEEE doubles
-with the same rounding, because numpy's per-call cost is most of the time
-on sets this small.
+with the same rounding (a NaN square is true to ``any``, as it should be),
+because numpy's per-call cost is most of the time on sets this small.
 """
 
 from __future__ import annotations
