@@ -48,6 +48,19 @@ is scattered back to process order once per iteration. After a
 midpoint-of-extremes round every member holds its cluster's aggregate, so
 the member axis collapses to 1 until the next stage map expands it.
 
+Both quorum levels, a process's N senders each iteration and a cluster's
+exchange partners each round, are picked by _lowest from one uniform key
+per (receiver, sender): the receiver's own key is -1 and a sender it may
+not hear is inf, and the quorum is the `count` lowest keys. _lowest marks
+the keys not above each row's count-th lowest (a sort of the values, not
+of indices) and reads the marked positions with np.flatnonzero, which
+lists them row-major, so each quorum comes out ascending with no index
+sort. A tie at the cut marks more than `count` keys in some row; only then
+does the call fall back to the argsort expression, whose order among equal
+keys is numpy's and need not be stable. The members' values are gathered
+by flat row of a (seeds * units, dim) view, as the exchange rounds gather
+whole clusters.
+
 Restrictions, enforced at entry: no crash plans (use the event driver), and
 the non-convex agreement stage supports uniform cluster sizes of 1 or 2.
 """
@@ -142,6 +155,27 @@ def _require_reachable(allowed: np.ndarray, count: int, key: str, units: str) ->
         raise ConfigError(key, f"fewer than {count} reachable {units}")
 
 
+def _lowest(keys: np.ndarray, count: int) -> np.ndarray:
+    """Ascending positions of the `count` lowest keys of each last-axis row:
+    np.sort(np.argsort(keys, axis=-1)[..., :count], axis=-1), bitwise.
+
+    Every row has at least `count` keys not above its count-th lowest (a NaN
+    cut marks the whole row), so exactly rows * count marked keys means
+    exactly `count` in every row, and then they are the argsort's first
+    `count` whatever its order among them.
+    """
+    units = keys.shape[-1]
+    rows = keys.size // units
+    cut = np.sort(keys, axis=-1)[..., count - 1:count]
+    marked = keys > cut
+    np.logical_not(marked, out=marked)
+    pos = np.flatnonzero(marked)
+    if pos.size != rows * count:  # a tie at the cut
+        return np.sort(np.argsort(keys, axis=-1)[..., :count], axis=-1)
+    pos = pos.reshape(rows, count) - np.arange(0, rows * units, units)[:, None]
+    return pos.reshape(keys.shape[:-1] + (count,))
+
+
 def _sample_quorums(rng: np.random.Generator, seeds: int, allowed: np.ndarray,
                     count: int) -> np.ndarray:
     """(seeds, units, count) unit indices: self first, rest uniform; sorted.
@@ -151,8 +185,7 @@ def _sample_quorums(rng: np.random.Generator, seeds: int, allowed: np.ndarray,
     diag = np.arange(units)
     keys[:, diag, diag] = -1.0  # own message always arrives first
     keys[:, ~allowed] = np.inf
-    idx = np.argsort(keys, axis=2)[:, :, :count]
-    return np.sort(idx, axis=2)
+    return _lowest(keys, count)
 
 
 def _split_quorums(n: int, count: int, proc_side: np.ndarray | None) -> np.ndarray:
@@ -273,21 +306,20 @@ def _run_strongly_convex(topology, conf, spec, options, sched_rng, digest):
 
     X = np.broadcast_to(np.asarray(conf.x1, dtype=np.float64), (S, n, d)).copy()
     series = _series_store(options.record_series, T, S)
-    rows = np.arange(S)[:, None, None]
+    seed_base = (np.arange(S) * n)[:, None, None]  # flat row of (seed, process 0)
     for t in range(1, T + 1):
         G = grad(spec, X)
         _record_head(series, t, X, G)
         G = G + noise[t - 1] * spec.noise_scale
         y = X - conf.lr.eta(t) * G
         if split_idx is not None:
-            gathered = y[rows, np.broadcast_to(split_idx, (S, n, conf.quorum))]
+            idx = split_idx
         else:
             allowed = open_allowed
             if part_start is not None and t >= part_start:
                 allowed = cut_allowed
             idx = _sample_quorums(sched_rng, S, allowed, conf.quorum)
-            gathered = y[rows, idx]
-        X = _sequential_mean(gathered)
+        X = _sequential_mean(y.reshape(S * n, d).take(idx + seed_base, axis=0))
     if series:
         _record_head(series, T + 1, X, None)
     return BatchResult(outputs=X, finals=X, taus=None, series=series,
@@ -340,7 +372,7 @@ def _run_non_convex(topology, conf, spec, options, sched_rng, digest):
     X = np.broadcast_to(np.asarray(conf.x1, dtype=np.float64), (S, n, d)).copy()
     outputs = np.empty_like(X)
     series = _series_store(options.record_series, T, S)
-    rows = np.arange(S)[:, None, None]
+    proc_base = (np.arange(S) * n)[:, None, None]  # flat row of (seed, process 0)
     # flat row of (seed, cluster) in a (S * m, k * d) view of the cluster layout
     seed_base = (np.arange(S) * m)[None, :, None, None]
     diag = np.arange(m)
@@ -357,7 +389,7 @@ def _run_non_convex(topology, conf, spec, options, sched_rng, digest):
 
         G = G + noise[t - 1] * spec.noise_scale
         idx = _sample_quorums(sched_rng, S, allowed_p, conf.quorum)
-        g = _sequential_mean(G[rows, idx])
+        g = _sequential_mean(G.reshape(S * n, d).take(idx + proc_base, axis=0))
         eta = conf.lr.eta(t)
         y = X - eta * g
 
@@ -372,7 +404,7 @@ def _run_non_convex(topology, conf, spec, options, sched_rng, digest):
         ex_keys = sched_rng.random((S, rounds, m, m))
         ex_keys[:, :, diag, diag] = -1.0
         ex_keys[:, :, ~allowed_c] = np.inf
-        ex_idx = np.sort(np.argsort(ex_keys, axis=3)[:, :, :, :quorum_clusters], axis=3)
+        ex_idx = _lowest(ex_keys, quorum_clusters)
         ex_rows = (ex_idx.transpose(1, 0, 2, 3) + seed_base).reshape(rounds, -1)
 
         V = y[:, members]  # (S, m, k, d); after mid_extremes (S, m, 1, d)

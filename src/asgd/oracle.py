@@ -19,6 +19,7 @@ baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -74,14 +75,18 @@ class OracleSpec:
             if self.radius is None or self.radius <= 0:
                 raise ConfigError("radius", "double_well kind requires radius > 0")
 
-    @property
+    @cached_property
     def curvatures(self) -> np.ndarray:
-        """Diagonal curvature of the quadratic oracle."""
+        """Diagonal curvature of the quadratic oracle, built once per spec
+        (every quadratic gradient reads it) and read-only."""
         if self.kind != "quadratic":
             raise ValueError("curvatures only defined for the quadratic oracle")
         if self.dim == 1:
-            return np.array([self.mu])
-        return np.linspace(self.mu, self.lipschitz, self.dim)
+            curv = np.array([self.mu])
+        else:
+            curv = np.linspace(self.mu, self.lipschitz, self.dim)
+        curv.flags.writeable = False
+        return curv
 
     @property
     def target(self) -> np.ndarray:

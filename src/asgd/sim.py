@@ -527,6 +527,9 @@ class RegisterBank:
 # ---------------------------------------------------------------------------
 
 TRACE_FORMAT_VERSION = 1
+# One encoder for every trace line: json.dumps(..., sort_keys=True) writes
+# the same bytes but builds a new encoder per call.
+_TRACE_JSON = json.JSONEncoder(sort_keys=True)
 
 
 def _digest(value) -> str:
@@ -605,13 +608,14 @@ class RunTrace:
 
     def to_jsonl(self) -> str:
         """Line-delimited export; deterministic bytes for a deterministic run."""
-        lines = [json.dumps({
+        encode = _TRACE_JSON.encode
+        lines = [encode({
             "format": "asgd-trace",
             "version": TRACE_FORMAT_VERSION,
             "config": self.config_digest,
             "n": self.n,
             "tau": self.tau,
-        }, sort_keys=True)]
+        })]
         for ev in self.events:
             kind, tick, pid, data = ev
             rec = {"k": kind, "t": tick, "p": pid}
@@ -622,13 +626,13 @@ class RunTrace:
                     rec[key] = _digest(val)
                 else:
                     rec[key] = val
-            lines.append(json.dumps(rec, sort_keys=True))
+            lines.append(encode(rec))
         trailer = {
             "outputs": {str(p): _digest(v) for p, v in sorted(self.outputs.items())},
             "liveness": self.liveness,
             "counters": dict(sorted(self.counters.items())),
         }
-        lines.append(json.dumps(trailer, sort_keys=True))
+        lines.append(encode(trailer))
         return "\n".join(lines) + "\n"
 
 

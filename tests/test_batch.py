@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from asgd import batch, sim
-from asgd.batch import BatchOptions, _SM_PATTERNS, _compose_sm_maps, _sample_quorums
+from asgd.batch import (BatchOptions, _SM_PATTERNS, _compose_sm_maps, _lowest,
+                        _sample_quorums)
 from asgd.oracle import OracleSpec, grad, sequential_sgd
 from asgd.sgd import ConfigError, LrSchedule, SgdConfig, Variant
 
@@ -140,6 +141,83 @@ def test_sample_quorums_include_self_and_respect_mask():
     batch._require_reachable(allowed, 2, "algorithm.quorum", "units")
     with pytest.raises(ConfigError, match="fewer than 3 reachable units"):
         batch._require_reachable(allowed, 3, "algorithm.quorum", "units")
+
+
+def _argsort_lowest(keys, count):
+    """The index-sort expression _lowest stands in for."""
+    return np.sort(np.argsort(keys, axis=-1)[..., :count], axis=-1)
+
+
+def _count_argsorts(monkeypatch):
+    calls = []
+    real = np.argsort
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    return calls
+
+
+@pytest.mark.parametrize("shape", [(40, 7, 7), (6, 5, 4, 4)])
+def test_lowest_matches_argsort_on_distinct_keys_without_argsort(shape, monkeypatch):
+    rng = np.random.default_rng(11)
+    units = shape[-1]
+    keys = rng.random(shape)
+    diag = np.arange(units)
+    keys[..., diag, diag] = -1.0
+    allowed = rng.random((units, units)) < 0.7
+    allowed[diag, diag] = True
+    cut = keys.copy()
+    cut[..., ~allowed] = np.inf  # never the cut while count <= the fewest allowed
+    wants = {count: (_argsort_lowest(keys, count), _argsort_lowest(cut, count))
+             for count in range(1, units + 1)}
+    calls = _count_argsorts(monkeypatch)
+    for count, (want, want_cut) in wants.items():
+        assert _lowest(keys, count).tobytes() == want.tobytes()
+        if count <= allowed.sum(axis=1).min():
+            assert _lowest(cut, count).tobytes() == want_cut.tobytes()
+    assert calls == []
+
+
+@pytest.mark.parametrize("shape", [(30, 6, 6), (4, 3, 5, 5)])
+def test_lowest_falls_back_to_argsort_on_ties(shape, monkeypatch):
+    rng = np.random.default_rng(12)
+    units = shape[-1]
+    ties = rng.integers(0, 3, size=shape).astype(np.float64)
+    cut = rng.random(shape)
+    cut[..., :2, units - 3:] = np.inf  # receivers 0 and 1 hear units - 3 senders
+    wants = [(keys, count, _argsort_lowest(keys, count))
+             for keys in (ties, cut) for count in (1, 2, units - 2, units)]
+    calls = _count_argsorts(monkeypatch)
+    for keys, count, want in wants:
+        assert _lowest(keys, count).tobytes() == want.tobytes()
+    # integer keys tie at the cut for every count below units; the inf keys
+    # only at units - 2, above the units - 3 senders receivers 0 and 1 hear
+    assert len(calls) == 3 + 1
+
+
+def test_lowest_matches_argsort_with_nan_keys():
+    keys = np.random.default_rng(13).random((20, 5))
+    keys[3, 1] = keys[7, 0] = keys[7, 4] = np.nan
+    for count in range(1, 6):
+        got, want = _lowest(keys, count), _argsort_lowest(keys, count)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_sample_quorums_draw_one_key_array_from_the_stream():
+    allowed = np.ones((5, 5), dtype=bool)
+    allowed[0, 3:] = False
+    rng = np.random.default_rng(14)
+    reference = np.random.default_rng(14)
+    idx = _sample_quorums(rng, 9, allowed, 3)
+    keys = reference.random((9, 5, 5))
+    assert rng.bit_generator.state == reference.bit_generator.state
+    keys[:, np.arange(5), np.arange(5)] = -1.0
+    keys[:, ~allowed] = np.inf
+    assert idx.shape == (9, 5, 3)
+    assert idx.tobytes() == _argsort_lowest(keys, 3).tobytes()
 
 
 def _no_draw(*args, **kwargs):

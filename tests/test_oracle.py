@@ -54,6 +54,18 @@ def test_quadratic_realizes_both_extreme_curvatures():
     assert info.lipschitz == 4.0 and info.strong_convexity == 1.0
 
 
+def test_curvatures_are_built_once_and_read_only():
+    spec = OracleSpec(kind="quadratic", dim=3, sigma=0.0, mu=1.0, lipschitz=3.0)
+    first = spec.curvatures
+    assert spec.curvatures is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 5.0
+    assert first.tolist() == [1.0, 2.0, 3.0]
+    assert not OracleSpec(kind="quadratic", dim=1, sigma=0.0, mu=2.0,
+                          lipschitz=2.0).curvatures.flags.writeable
+
+
 def test_double_well_smoothness_for_radius_two():
     spec = OracleSpec(kind="double_well", dim=1, sigma=0.0, radius=2.0)
     assert smoothness_constants(spec).lipschitz == 44.0
