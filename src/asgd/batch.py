@@ -49,9 +49,9 @@ midpoint-of-extremes round every member holds its cluster's aggregate, so
 the member axis collapses to 1 until the next stage map expands it.
 
 Both quorum levels, a process's N senders each iteration and a cluster's
-exchange partners each round, are picked by _lowest from one uniform key
-per (receiver, sender): the receiver's own key is -1 and a sender it may
-not hear is inf, and the quorum is the `count` lowest keys. _lowest marks
+exchange partners each round, are the `count` lowest of one uniform key
+per (receiver, sender), drawn by _quorum_keys (the receiver's own key is
+-1, a sender it may not hear is inf) and picked by _lowest. _lowest marks
 the keys not above each row's count-th lowest (a sort of the values, not
 of indices) and reads the marked positions with np.flatnonzero, which
 lists them row-major, so each quorum comes out ascending with no index
@@ -176,16 +176,24 @@ def _lowest(keys: np.ndarray, count: int) -> np.ndarray:
     return pos.reshape(keys.shape[:-1] + (count,))
 
 
+def _quorum_keys(rng: np.random.Generator, lead: tuple[int, ...],
+                 allowed: np.ndarray) -> np.ndarray:
+    """lead + (units, units) uniform keys, one per (receiver, sender): -1 for
+    the receiver itself, whose own message always arrives first, and inf for
+    a sender it may not hear."""
+    units = allowed.shape[0]
+    keys = rng.random(lead + (units, units))
+    diag = np.arange(units)
+    keys[..., diag, diag] = -1.0
+    keys[..., ~allowed] = np.inf
+    return keys
+
+
 def _sample_quorums(rng: np.random.Generator, seeds: int, allowed: np.ndarray,
                     count: int) -> np.ndarray:
     """(seeds, units, count) unit indices: self first, rest uniform; sorted.
     The caller has checked that `count` units are reachable."""
-    units = allowed.shape[0]
-    keys = rng.random((seeds, units, units))
-    diag = np.arange(units)
-    keys[:, diag, diag] = -1.0  # own message always arrives first
-    keys[:, ~allowed] = np.inf
-    return _lowest(keys, count)
+    return _lowest(_quorum_keys(rng, (seeds,), allowed), count)
 
 
 def _split_quorums(n: int, count: int, proc_side: np.ndarray | None) -> np.ndarray:
@@ -375,7 +383,6 @@ def _run_non_convex(topology, conf, spec, options, sched_rng, digest):
     proc_base = (np.arange(S) * n)[:, None, None]  # flat row of (seed, process 0)
     # flat row of (seed, cluster) in a (S * m, k * d) view of the cluster layout
     seed_base = (np.arange(S) * m)[None, :, None, None]
-    diag = np.arange(m)
     for t in range(1, T + 1):
         G = grad(spec, X)
         _record_head(series, t, X, G)
@@ -401,10 +408,7 @@ def _run_non_convex(topology, conf, spec, options, sched_rng, digest):
             # each member's weights on member 0's and member 1's value
             on0 = _compose_sm_maps(sched_rng, S, m, rounds, sm_rounds)[..., None]
             on1 = 1.0 - on0
-        ex_keys = sched_rng.random((S, rounds, m, m))
-        ex_keys[:, :, diag, diag] = -1.0
-        ex_keys[:, :, ~allowed_c] = np.inf
-        ex_idx = _lowest(ex_keys, quorum_clusters)
+        ex_idx = _lowest(_quorum_keys(sched_rng, (S, rounds), allowed_c), quorum_clusters)
         ex_rows = (ex_idx.transpose(1, 0, 2, 3) + seed_base).reshape(rounds, -1)
 
         V = y[:, members]  # (S, m, k, d); after mid_extremes (S, m, 1, d)
