@@ -35,7 +35,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import sim
-from .vecmath import as_point_set, extreme_pair, farthest_index
+from .vecmath import as_point_set, extreme_pair, farthest_index, picks_both
+
+_F64 = np.dtype(np.float64)
 
 
 class AggregationRule(Enum):
@@ -101,7 +103,23 @@ def _required_rounds(q, rule: AggregationRule, level: str) -> int:
 def _aggregate(ctx, rule: AggregationRule, value: np.ndarray, node: int,
                payloads: list):
     """One aggregation step over (value, witness node) payloads; returns the
-    new (value, witness node). Used by both agreement levels."""
+    new (value, witness node). Used by both agreement levels.
+
+    Midpoint-of-extremes over one or two plain float64 vectors of one shape,
+    the common case with clusters of two, is answered from the payloads
+    themselves, bitwise as the general path; anything else goes through
+    as_point_set, which coerces the values and rejects mixed dimensions.
+    """
+    if rule is AggregationRule.MID_EXTREMES and len(payloads) in (1, 2):
+        a, na = payloads[0]
+        if type(a) is np.ndarray and a.dtype is _F64 and a.ndim == 1:
+            if len(payloads) == 1:
+                return (a + a) / 2.0, ctx.witness.mid(na, na)
+            b, nb = payloads[1]
+            if type(b) is np.ndarray and b.dtype is _F64 and b.shape == a.shape:
+                if picks_both(a.tolist(), b.tolist()):
+                    return (a + b) / 2.0, ctx.witness.mid(na, nb)
+                return (a + a) / 2.0, ctx.witness.mid(na, na)
     vals = as_point_set([p[0] for p in payloads])
     if rule is AggregationRule.MID_EXTREMES:
         i0, j0 = extreme_pair(vals)

@@ -899,14 +899,8 @@ def run(
             continue
         st.feed = None
 
-        if isinstance(effect, Write):
-            bank = bank_for(effect.instance, pid)
-            bank.write(effect.round_index, pid, pid, effect.payload)
-            counters["register_writes"] += 1
-            if record_events:
-                log("write", pid, instance=list(effect.instance),
-                    round=effect.round_index, payload=effect.payload)
-        elif isinstance(effect, Read):
+        # reads first: a register stage does about two per write
+        if isinstance(effect, Read):
             bank = bank_for(effect.instance, pid)
             st.feed = bank.read(effect.round_index, effect.owner)
             counters["register_reads"] += 1
@@ -914,6 +908,13 @@ def run(
                 log("read", pid, instance=list(effect.instance),
                     round=effect.round_index, owner=effect.owner,
                     observed=_digest(st.feed) if st.feed is not None else None)
+        elif isinstance(effect, Write):
+            bank = bank_for(effect.instance, pid)
+            bank.write(effect.round_index, pid, pid, effect.payload)
+            counters["register_writes"] += 1
+            if record_events:
+                log("write", pid, instance=list(effect.instance),
+                    round=effect.round_index, payload=effect.payload)
         elif isinstance(effect, Broadcast):
             # synchronous self-delivery, delayed delivery to everyone else
             if record_events:

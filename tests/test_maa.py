@@ -8,13 +8,14 @@ the aggregation logic itself.
 import dataclasses
 import math
 import random
+import types
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from schedutil import run_scripted
 
-from asgd import checks, harness, sim
+from asgd import checks, harness, maa, sim
 from asgd.maa import (
     AggregationRule,
     MaaOnlyConfig,
@@ -22,6 +23,7 @@ from asgd.maa import (
     required_rounds,
     witness_coefficients,
 )
+from asgd.vecmath import as_point_set, pair_list, pair_sq
 
 MID = AggregationRule.MID_EXTREMES
 APPROACH = AggregationRule.APPROACH_EXTREME
@@ -210,6 +212,136 @@ def test_witness_coefficients_equal_the_fraction_reference():
             assert got == _fraction_coefficients(witness, node)
             assert sum(got.values()) == 1
             assert all(isinstance(c, Fraction) for c in got.values())
+
+
+# ---------------------------------------------------------------------------
+# The aggregation step on one or two payloads
+# ---------------------------------------------------------------------------
+
+def _reference_mid_extremes(ctx, payloads):
+    """The general path: as_point_set, the extreme pair of the pair-list
+    scan that extreme_pair stands for, then the midpoint."""
+    vals = as_point_set([p[0] for p in payloads])
+    first, second = pair_list(vals.shape[0])
+    best = int(pair_sq(vals).argmax())
+    i0, j0 = int(first[best]), int(second[best])
+    return (vals[i0] + vals[j0]) / 2.0, ctx.witness.mid(payloads[i0][1], payloads[j0][1])
+
+
+def _witnessed(values):
+    """A context whose witness holds one input node per value, and the
+    (value, node) payloads."""
+    ctx = types.SimpleNamespace(witness=sim.WitnessRecorder())
+    return ctx, [(v, ctx.witness.input(np.asarray(v, dtype=np.float64)))
+                 for v in values]
+
+
+def _assert_aggregate_is_the_general_path(values, rule=MID):
+    ctx, payloads = _witnessed(values)
+    ref_ctx, ref_payloads = _witnessed(values)
+    value = np.zeros(np.shape(values[0]))
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, node = maa._aggregate(ctx, rule, value, -1, payloads)
+        want, want_node = _reference_mid_extremes(ref_ctx, ref_payloads)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes(), [np.asarray(v).tolist() for v in values]
+    assert node == want_node
+    assert ctx.witness.nodes[node] == ref_ctx.witness.nodes[want_node]
+
+
+EDGE_PAIRS = [
+    ([1.0, -2.0], [1.0, -2.0]),            # equal points
+    ([0.0, -0.0], [-0.0, 0.0]),            # signed zeros
+    ([-0.0, -0.0], [0.0, 0.0]),
+    ([1e-170, 0.0], [3e-170, 0.0]),        # the square underflows to 0
+    ([5e-324, 0.0], [0.0, -5e-324]),
+    ([1e-160, 0.0], [0.0, 0.0]),           # a subnormal square
+    ([1e300, 0.0], [-1e300, 0.0]),         # the square and the sum overflow
+    ([math.nan, 0.0], [1.0, 0.0]),         # NaN in point 0
+    ([0.0, 0.0], [math.nan, 0.0]),         # NaN in point 1
+    ([math.nan, 0.0], [math.nan, 0.0]),
+    ([0.0, math.inf], [0.0, math.inf]),    # inf in point 0 (inf - inf)
+    ([0.0, -math.inf], [0.0, 5.0]),
+    ([0.0, 0.0], [-math.inf, 0.0]),        # inf in point 1
+    ([math.inf, 0.0], [-math.inf, 0.0]),
+]
+
+
+@pytest.mark.parametrize("p0,p1", EDGE_PAIRS)
+def test_aggregate_on_edge_pairs_is_the_general_path(p0, p1):
+    a, b = np.array(p0), np.array(p1)
+    _assert_aggregate_is_the_general_path([a, b])
+    _assert_aggregate_is_the_general_path([b, a])
+    _assert_aggregate_is_the_general_path([a])
+    _assert_aggregate_is_the_general_path([b])
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_aggregate_on_random_pairs_is_the_general_path(d):
+    rng = np.random.default_rng(d)
+    for _ in range(300):
+        a = rng.standard_normal(d) * 10.0 ** rng.integers(-200, 200)
+        b = a + rng.standard_normal(d) * 10.0 ** rng.integers(-200, 10)
+        if rng.random() < 0.2:
+            b = a.copy()
+        _assert_aggregate_is_the_general_path([a, b])
+        _assert_aggregate_is_the_general_path([a])
+
+
+def _counting_as_point_set(monkeypatch):
+    calls = []
+
+    def counted(points):
+        calls.append(len(points))
+        return as_point_set(points)
+
+    monkeypatch.setattr(maa, "as_point_set", counted)
+    return calls
+
+
+def test_aggregate_fast_path_skips_as_point_set(monkeypatch):
+    calls = _counting_as_point_set(monkeypatch)
+    _assert_aggregate_is_the_general_path([np.array([1.0, 2.0])])
+    _assert_aggregate_is_the_general_path([np.array([1.0, 2.0]), np.array([3.0, 0.5])])
+    assert calls == []
+
+
+@pytest.mark.parametrize("values", [
+    [np.array([1, 2]), np.array([4, -3])],               # integer arrays
+    [np.array([1, 2])],
+    [[1.0, 2.0], [4.0, -3.0]],                           # lists
+    [[1.0, 2.0]],
+    [np.array([1.0, 2.0]), [4.0, -3.0]],                 # one of each
+    [np.array([1.0, 2.0], dtype=np.float32), np.array([4.0, -3.0])],
+    [np.array([1.0, 2.0]), np.array([4.0, -3.0]), np.array([0.0, 0.0])],
+])
+def test_aggregate_other_payloads_take_the_general_path(monkeypatch, values):
+    calls = _counting_as_point_set(monkeypatch)
+    _assert_aggregate_is_the_general_path(values)
+    assert calls == [len(values)]
+
+
+@pytest.mark.parametrize("values", [
+    [np.array([1.0, 2.0]), np.array([3.0])],
+    [np.array([1.0]), np.array([2.0, 3.0])],
+    [np.array([1.0, 2.0]), np.array([3.0, 4.0, 5.0])],
+    [np.array([[1.0, 2.0]])],                            # not a vector
+])
+@pytest.mark.parametrize("rule", [MID, APPROACH])
+def test_aggregate_rejects_mixed_dimensions(values, rule):
+    ctx, payloads = _witnessed([np.zeros(1)] * len(values))
+    payloads = [(v, node) for v, (_, node) in zip(values, payloads)]
+    with pytest.raises(ValueError):
+        maa._aggregate(ctx, rule, np.zeros(2), -1, payloads)
+
+
+def test_aggregate_approach_extreme_takes_the_general_path(monkeypatch):
+    calls = _counting_as_point_set(monkeypatch)
+    ctx, payloads = _witnessed([np.array([1.0, 2.0]), np.array([4.0, -3.0])])
+    got, node = maa._aggregate(ctx, APPROACH, np.array([0.0, 0.0]), 0, payloads)
+    assert got.tolist() == [2.0, -1.5]
+    assert ctx.witness.nodes[node] == ("mid", 0, 1)
+    assert calls == [2]
 
 
 # ---------------------------------------------------------------------------
