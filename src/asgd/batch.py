@@ -82,17 +82,6 @@ from .vecmath import batched_approach_extreme, batched_mid_extremes, diameter_sq
 # are [seed_root, s] for s < seeds, kept far below this tag.
 BATCH_SCHEDULE_TAG = 2 ** 31 - 7
 
-# Reachable one-stage maps of the two-member shared-memory stage, rows =
-# (new value of member 0, new value of member 1) as weights over the pair.
-# _compose_sm_maps draws indices into this table and composes them in the
-# weight-pair form.
-_SM_PATTERNS = np.array([
-    [[0.5, 0.5], [0.5, 0.5]],  # both members collected both cells
-    [[1.0, 0.0], [0.5, 0.5]],  # member 0 collected only its own cell
-    [[0.5, 0.5], [0.0, 1.0]],  # member 1 collected only its own cell
-])
-
-
 @dataclass(frozen=True)
 class BatchOptions:
     seeds: int
@@ -228,9 +217,16 @@ def _compose_sm_maps(rng: np.random.Generator, seeds: int, clusters: int,
     """(rounds_outer, seeds, clusters, 2) composed shared-memory stages.
 
     Entry [..., i] is member i's weight on member 0's entering value; its
-    weight on member 1 is one minus that. A stage's pick indexes
-    _SM_PATTERNS: every pattern keeps a member's row or averages the two, so
-    one stage is the average of the two weights and a choice per member.
+    weight on member 1 is one minus that. Each stage of the two-member
+    shared-memory stage draws one of three reachable outcomes:
+
+    - pick 0, both members collected both cells: both take the average;
+    - pick 1, member 0 collected only its own cell: member 0 keeps its
+      value and member 1 takes the average;
+    - pick 2, member 1 collected only its own cell: member 1 keeps its
+      value and member 0 takes the average.
+
+    So one stage is the average of the two weights and a choice per member.
     """
     picks = rng.integers(0, 3, size=(seeds, clusters, rounds_outer, rounds_sm),
                          dtype=np.int8)

@@ -4,14 +4,22 @@ import numpy as np
 import pytest
 
 from asgd import batch, sim
-from asgd.batch import (BatchOptions, _SM_PATTERNS, _compose_sm_maps, _lowest,
-                        _sample_quorums)
+from asgd.batch import BatchOptions, _compose_sm_maps, _lowest, _sample_quorums
 from asgd.oracle import OracleSpec, grad, sequential_sgd
 from asgd.sgd import ConfigError, LrSchedule, SgdConfig, Variant
 
 QUAD = OracleSpec(kind="quadratic", dim=2, sigma=0.7, mu=1.0, lipschitz=4.0)
 PAIR = sim.Topology(n=2, clusters=((0, 1),))
 FAST = sim.Schedule(max_delay=3)
+
+# Reachable one-stage maps of the two-member shared-memory stage, rows =
+# (new value of member 0, new value of member 1) as weights over the pair,
+# indexed by _compose_sm_maps's picks: the reference for its weight pairs.
+_SM_PATTERNS = np.array([
+    [[0.5, 0.5], [0.5, 0.5]],  # both members collected both cells
+    [[1.0, 0.0], [0.5, 0.5]],  # member 0 collected only its own cell
+    [[0.5, 0.5], [0.0, 1.0]],  # member 1 collected only its own cell
+])
 
 
 def test_chunked_normal_draws_match_sequential_draws():
