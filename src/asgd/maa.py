@@ -112,11 +112,11 @@ def _aggregate(ctx, rule: AggregationRule, value: np.ndarray, node: int,
     """
     if rule is AggregationRule.MID_EXTREMES and len(payloads) in (1, 2):
         a, na = payloads[0]
-        if type(a) is np.ndarray and a.dtype is _F64 and a.ndim == 1:
+        if type(a) is np.ndarray and a.dtype == _F64 and a.ndim == 1:
             if len(payloads) == 1:
                 return (a + a) / 2.0, ctx.witness.mid(na, na)
             b, nb = payloads[1]
-            if type(b) is np.ndarray and b.dtype is _F64 and b.shape == a.shape:
+            if type(b) is np.ndarray and b.dtype == _F64 and b.shape == a.shape:
                 if picks_both(a.tolist(), b.tolist()):
                     return (a + b) / 2.0, ctx.witness.mid(na, nb)
                 return (a + a) / 2.0, ctx.witness.mid(na, na)
