@@ -217,16 +217,11 @@ def _compose_sm_maps(rng: np.random.Generator, seeds: int, clusters: int,
     """(rounds_outer, seeds, clusters, 2) composed shared-memory stages.
 
     Entry [..., i] is member i's weight on member 0's entering value; its
-    weight on member 1 is one minus that. Each stage of the two-member
-    shared-memory stage draws one of three reachable outcomes:
-
-    - pick 0, both members collected both cells: both take the average;
-    - pick 1, member 0 collected only its own cell: member 0 keeps its
-      value and member 1 takes the average;
-    - pick 2, member 1 collected only its own cell: member 1 keeps its
-      value and member 0 takes the average.
-
-    So one stage is the average of the two weights and a choice per member.
+    weight on member 1 is one minus that. A stage picks one of three
+    outcomes: 0, both members collected both cells and take the average;
+    1 or 2, member 0 or member 1 collected only its own cell and keeps its
+    value while the other takes the average. So one stage is the average
+    of the two weights and a choice per member.
     """
     picks = rng.integers(0, 3, size=(seeds, clusters, rounds_outer, rounds_sm),
                          dtype=np.int8)

@@ -329,10 +329,9 @@ def test_aggregate_other_payloads_take_the_general_path(monkeypatch, values):
 ])
 @pytest.mark.parametrize("rule", [MID, APPROACH])
 def test_aggregate_rejects_mixed_dimensions(values, rule):
-    ctx, payloads = _witnessed([np.zeros(1)] * len(values))
-    payloads = [(v, node) for v, (_, node) in zip(values, payloads)]
+    ctx = types.SimpleNamespace(witness=sim.WitnessRecorder())
     with pytest.raises(ValueError):
-        maa._aggregate(ctx, rule, np.zeros(2), -1, payloads)
+        maa._aggregate(ctx, rule, np.zeros(2), -1, [(v, -1) for v in values])
 
 
 def test_aggregate_approach_extreme_takes_the_general_path(monkeypatch):
