@@ -319,7 +319,7 @@ def _cmd_run(args) -> int:
         if args.trace:
             for s, trace in enumerate(ensemble.traces):
                 path = outdir / f"trace_{s:04d}.jsonl"
-                path.write_text(trace.to_jsonl())
+                path.write_bytes(trace.to_jsonl().encode("ascii"))
             props = ["register_semantics", "quorum_composition",
                      "stale_filtering", "participant_monotone",
                      "witness_replay"]

@@ -292,13 +292,13 @@ def csv_row(config_hash: str, axes: dict, stat: str, est: Estimate) -> str:
 
 
 def write_csv(path, rows: list[str]) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
         for row in rows:
             fh.write(row + "\n")
 
 
 def write_summary(path, payload: dict) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")

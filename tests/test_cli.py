@@ -45,8 +45,9 @@ def test_run_trace_writes_jsonl_and_audit(tmp_path):
     code = _run(["run", SCENARIOS / "maa_shared.json",
                  "--out", tmp_path, "--trace", "--seeds", 2])
     assert code == 0
-    assert (tmp_path / "trace_0000.jsonl").exists()
-    assert (tmp_path / "trace_0001.jsonl").exists()
+    for name in ("trace_0000.jsonl", "trace_0001.jsonl"):
+        data = (tmp_path / name).read_bytes()
+        assert data.isascii() and data.endswith(b"\n") and b"\r" not in data
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert all(entry["ok"] for entry in summary["audit"].values())
 

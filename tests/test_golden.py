@@ -12,7 +12,9 @@ that version, not re-pinned silently.
 
 import functools
 import hashlib
+import inspect
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -333,6 +335,64 @@ def test_event_digests_match_pins(case):
     assert got == GOLDEN_EVENT[case], (
         f"{case}: digests moved (pinned with numpy {PINNED_NUMPY}, "
         f"running numpy {np.__version__})")
+
+
+def _kinds_sim_run_logs() -> set[str]:
+    return set(re.findall(r'\blog\("(\w+)"', inspect.getsource(sim.run)))
+
+
+def test_event_cases_log_every_event_kind():
+    # a kind no golden case logs is a kind whose export no pin guards
+    logged = {e[0] for case in EVENT_CASES
+              for trace in _event_runs(case, record=True) for e in trace.events}
+    assert _kinds_sim_run_logs() == logged == {
+        "crash", "defer", "deliver", "drop", "iter", "note", "output", "read",
+        "round", "send", "wait", "wake", "write"}
+
+
+def _reference_jsonl(trace: sim.RunTrace) -> str:
+    """The trace export as first written: json.dumps for every line, and
+    every array digested again at every event that logs it."""
+    def digest(value):
+        if isinstance(value, np.ndarray):
+            return hashlib.sha256(value.tobytes()).hexdigest()[:12]
+        if isinstance(value, tuple):
+            return "+".join(digest(v) for v in value)
+        return hashlib.sha256(repr(value).encode()).hexdigest()[:12]
+
+    lines = [json.dumps({"format": "asgd-trace", "version": 1,
+                         "config": trace.config_digest, "n": trace.n,
+                         "tau": trace.tau}, sort_keys=True)]
+    for kind, tick, pid, data in trace.events:
+        rec = {"k": kind, "t": tick, "p": pid}
+        for key, val in data.items():
+            if isinstance(val, (np.ndarray, tuple)) and key in ("payload", "value"):
+                rec["h"] = digest(val)
+            elif isinstance(val, np.ndarray):
+                rec[key] = digest(val)
+            else:
+                rec[key] = val
+        lines.append(json.dumps(rec, sort_keys=True))
+    lines.append(json.dumps({
+        "outputs": {str(p): digest(v) for p, v in sorted(trace.outputs.items())},
+        "liveness": trace.liveness,
+        "counters": dict(sorted(trace.counters.items())),
+    }, sort_keys=True))
+    return "\n".join(lines) + "\n"
+
+
+def test_event_export_equals_reference_line_by_line():
+    kinds = set()
+    for case in ("crash_at_iteration_and_partition", "maa_cluster_crash"):
+        for s, trace in enumerate(_event_runs(case, record=True)):
+            kinds.update(e[0] for e in trace.events)
+            got = trace.to_jsonl().split("\n")
+            want = _reference_jsonl(trace).split("\n")
+            assert len(got) == len(want), (case, s)
+            for i, (a, b) in enumerate(zip(got, want)):
+                assert a == b, (case, s, i)
+    # together the two cases log every kind, so every kind's line is compared
+    assert kinds == _kinds_sim_run_logs()
 
 
 def test_crash_and_partition_case_takes_both_fault_paths():

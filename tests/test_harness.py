@@ -1,6 +1,11 @@
 """Tests for the measurement harness: stats, fits, reports, exports."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,3 +200,18 @@ def test_write_summary_sorted_keys(tmp_path):
     text = path.read_text()
     assert text.index('"alpha"') < text.index('"zeta"')
     assert text.endswith("\n")
+
+
+def test_exports_are_utf8_with_lf_under_an_ascii_locale(tmp_path):
+    # under this locale open() without an encoding cannot write the row
+    csv, summary = tmp_path / "metrics.csv", tmp_path / "summary.json"
+    code = (f"from asgd import harness\n"
+            f"harness.write_csv({str(csv)!r}, ['caf\\u00e9,x'])\n"
+            f"harness.write_summary({str(summary)!r}, {{'k': 'caf\\u00e9'}})\n")
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+    assert csv.read_bytes() == f"{harness.CSV_HEADER}\ncaf\u00e9,x\n".encode("utf-8")
+    assert summary.read_bytes() == (
+        json.dumps({"k": "caf\u00e9"}, sort_keys=True, indent=2) + "\n").encode("ascii")

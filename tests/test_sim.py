@@ -1,6 +1,7 @@
 """Event kernel: registers, scheduling, faults, liveness, audits."""
 
 import hashlib
+import json
 import random
 
 import numpy as np
@@ -468,6 +469,99 @@ def test_trace_jsonl_shape():
     lines = trace.to_jsonl().strip().split("\n")
     assert lines[0].startswith('{"config"') or "asgd-trace" in lines[0]
     assert len(lines) == len(trace.events) + 2
+
+
+ENCODED_VALUES = [
+    0, -7, 2 ** 70, True, False, None,
+    float("nan"), float("inf"), float("-inf"), -0.0, 1e-320, 0.1,
+    np.float64(0.1), np.float64("-inf"),
+    'say "hi" \\ there', "tab\t nl\n cr\r nul\x00 us\x1f del\x7f",
+    "h\u00e9llo \u2603 \U0001d11e",
+    [1, [2.5, [None, "x", []]], [True]],
+    {3: "c", 1: {"b": [1, 2], "a": None}, 2: 1.5},
+    {"k": "deliver", "t": 3, "p": 1, "tag": ["grad", 2], "h": "0123456789ab"},
+]
+
+
+# the module's line encoder, and the JSONEncoder.encode it replaces (and
+# falls back to without the _json accelerator)
+LINE_ENCODERS = pytest.mark.parametrize(
+    "encode", [sim._encode_trace_line, sim._TRACE_JSON.encode], ids=["line", "encode"])
+
+
+@LINE_ENCODERS
+@pytest.mark.parametrize("value", ENCODED_VALUES, ids=repr)
+def test_trace_line_encoder_writes_json_dumps_bytes(encode, value):
+    assert encode(value) == json.dumps(value, sort_keys=True)
+
+
+@LINE_ENCODERS
+def test_trace_line_encoder_rejects_what_json_dumps_rejects(encode):
+    with pytest.raises(TypeError) as want:
+        json.dumps({"v": np.int64(1)}, sort_keys=True)
+    with pytest.raises(TypeError) as got:
+        encode({"v": np.int64(1)})
+    assert str(got.value) == str(want.value)
+    circular = {"tag": []}
+    circular["tag"].append(circular)
+    with pytest.raises(RecursionError):
+        encode(circular)
+
+
+def _trace_of(events, outputs=None):
+    return sim.RunTrace(
+        config_digest="c0ffee", n=3, events=events, outputs=outputs or {},
+        snapshots={}, round_values={}, witness=sim.WitnessRecorder(),
+        output_witness={}, counters={"events": len(events)},
+        liveness={"ok": True}, warnings=[])
+
+
+def _sha12(value):
+    return hashlib.sha256(value.tobytes()).hexdigest()[:12]
+
+
+def test_export_digests_each_payload_object_by_its_bytes():
+    a = np.array([1.0, 2.0])
+    twin = a.copy()  # equal bytes, another object
+    other = np.array([1.0, -2.0])
+    events = [("send", 0, 0, {"tag": ["g", 1], "payload": a})]
+    events += [("deliver", t, p, {"sender": 0, "tag": ["g", 1], "payload": a})
+               for t, p in ((1, 1), (2, 2), (3, 0))]
+    events += [("send", 4, 1, {"tag": ["g", 1], "payload": twin}),
+               ("send", 5, 2, {"tag": ["g", 1], "payload": other}),
+               ("deliver", 6, 0, {"sender": 2, "tag": ["g", 1], "payload": other}),
+               ("iter", 7, 2, {"iteration": 1, "value": other}),
+               ("note", 8, 2, {"kind": "probe", "point": a, "size": 2})]
+    lines = [json.loads(line) for line in _trace_of(events).to_jsonl().splitlines()]
+    recs = lines[1:-1]
+    assert [r.get("h") for r in recs] == [_sha12(a)] * 5 + [_sha12(other)] * 3 + [None]
+    assert _sha12(a) != _sha12(other)
+    assert recs[-1] == {"k": "note", "t": 8, "p": 2, "kind": "probe",
+                        "point": _sha12(a), "size": 2}
+
+
+def test_export_digests_a_tuple_payload_member_by_member():
+    a, b = np.array([0.5]), np.array([-0.25])
+    pair = (a, b)
+    events = [("send", 0, 0, {"tag": ["m", 0], "payload": pair}),
+              ("deliver", 1, 1, {"sender": 0, "tag": ["m", 0], "payload": pair}),
+              ("send", 2, 1, {"tag": ["m", 0], "payload": a}),
+              ("output", 3, 1, {"value": (b,)})]
+    lines = _trace_of(events, outputs={1: b}).to_jsonl().splitlines()
+    recs = [json.loads(line) for line in lines]
+    want = f"{_sha12(a)}+{_sha12(b)}"
+    assert [r.get("h") for r in recs[1:-1]] == [want, want, _sha12(a), _sha12(b)]
+    assert recs[-1]["outputs"] == {"1": _sha12(b)}
+
+
+def test_export_failure_leaves_the_next_export_unaffected():
+    # a C encoder kept between exports with circular-reference markers would
+    # keep the list's marker from the first failure and call it circular
+    shared = [np.int64(1)]
+    trace = _trace_of([("note", 0, 0, {"kind": "bad", "held": shared})])
+    for _ in range(2):
+        with pytest.raises(TypeError, match="int64 is not JSON serializable"):
+            trace.to_jsonl()
 
 
 # ---------------------------------------------------------------------------
