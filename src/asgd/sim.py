@@ -537,10 +537,10 @@ _TRACE_JSON = json.JSONEncoder(sort_keys=True, check_circular=False)
 if c_make_encoder is None:  # no _json accelerator
     _encode_trace_line = _TRACE_JSON.encode
 else:
-    # The C encoder that _TRACE_JSON.encode builds on every call, built once
-    # with the arguments encode passes: the same call writes the same bytes,
-    # and the construction was about a quarter of encode's cost on a line.
-    # With no markers it holds no state between calls.
+    # The C encoder that _TRACE_JSON.encode builds on every call (about a
+    # quarter of encode's cost on a trace line), built once with the
+    # arguments encode passes, so the same call writes the same bytes. With
+    # no markers it holds no state between calls.
     _trace_line_writer = c_make_encoder(
         None, _TRACE_JSON.default, encode_basestring_ascii, _TRACE_JSON.indent,
         _TRACE_JSON.key_separator, _TRACE_JSON.item_separator,

@@ -345,9 +345,7 @@ def test_event_cases_log_every_event_kind():
     # a kind no golden case logs is a kind whose export no pin guards
     logged = {e[0] for case in EVENT_CASES
               for trace in _event_runs(case, record=True) for e in trace.events}
-    assert _kinds_sim_run_logs() == logged == {
-        "crash", "defer", "deliver", "drop", "iter", "note", "output", "read",
-        "round", "send", "wait", "wake", "write"}
+    assert _kinds_sim_run_logs() == logged
 
 
 def _reference_jsonl(trace: sim.RunTrace) -> str:
