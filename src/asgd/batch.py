@@ -28,8 +28,10 @@ schedules:
   probability (2/3)^53 < 5e-10 per map: once both members average, the two
   weights are equal and stay equal;
 - cluster members receive identical message sets during the exchange
-  rounds, and a partition is applied at iteration granularity
-  (PartitionSpec.from_event is read as the first affected iteration).
+  rounds, and a partition is applied at iteration granularity:
+  PartitionSpec.from_event is read as the first cut iteration, and from
+  then on each process, and each cluster by its members' side, hears only
+  its own side.
 
 Per-seed noise and tau come from sim.seed_streams(seed_root, children,
 range(seeds)), the bulk derivation the event kernel's sim.derive_streams
@@ -108,7 +110,6 @@ class BatchResult:
     finals: np.ndarray   # (S, n, d): x_{T+1} always
     taus: np.ndarray | None
     series: dict[str, np.ndarray]
-    config_digest: str
     warnings: list[str]
 
 
@@ -131,11 +132,23 @@ def _predraw_noise(n: int, dim: int, iterations: int, options: BatchOptions,
     return noise, taus
 
 
-def _side_mask(units: int, unit_side: np.ndarray | None):
-    """allowed[i, j]: may unit i use unit j's message (True off partition)."""
-    if unit_side is None:
-        return np.ones((units, units), dtype=bool)
-    return unit_side[:, None] == unit_side[None, :]
+def _partition(topology: sim.Topology, options: BatchOptions, iterations: int):
+    """(first cut iteration, process sides): PartitionSpec.from_event read as
+    an iteration, side 1 for side_b. Without a partition every process is on
+    side 0 and the cut starts after the last iteration."""
+    side = np.zeros(topology.n, dtype=np.int64)
+    if options.partition is None:
+        return iterations + 1, side
+    side[list(options.partition.side_b)] = 1
+    return max(1, options.partition.from_event), side
+
+
+def _side_masks(unit_side: np.ndarray):
+    """(open, cut) masks, indexed by whether the cut is on; allowed[i, j]:
+    may unit i use unit j's message."""
+    units = unit_side.size
+    return (np.ones((units, units), dtype=bool),
+            unit_side[:, None] == unit_side[None, :])
 
 
 def _require_reachable(allowed: np.ndarray, count: int, key: str, units: str) -> None:
@@ -185,16 +198,14 @@ def _sample_quorums(rng: np.random.Generator, seeds: int, allowed: np.ndarray,
     return _lowest(_quorum_keys(rng, (seeds,), allowed), count)
 
 
-def _split_quorums(n: int, count: int, proc_side: np.ndarray | None) -> np.ndarray:
+def _split_quorums(n: int, count: int, proc_side: np.ndarray) -> np.ndarray:
     if n % count:
         raise ConfigError("run.quorum_policy",
                           f"split policy needs quorum {count} to divide n = {n}")
+    blocks = proc_side.reshape(n // count, count)
+    if (blocks != blocks[:, :1]).any():
+        raise ConfigError("run.quorum_policy", "split block straddles the partition")
     groups = np.arange(n) // count
-    if proc_side is not None:
-        for g in range(n // count):
-            if len(set(proc_side[groups == g])) > 1:
-                raise ConfigError("run.quorum_policy",
-                                  "split block straddles the partition")
     idx = (groups[:, None] * count) + np.arange(count)[None, :]
     return idx  # (n, count), already ascending
 
@@ -235,17 +246,6 @@ def _compose_sm_maps(rng: np.random.Generator, seeds: int, clusters: int,
     return np.stack([w0, w1], axis=-1)
 
 
-def _proc_sides(topology: sim.Topology, options: BatchOptions):
-    if options.partition is None:
-        return None, None, None
-    side = np.zeros(topology.n, dtype=np.int64)
-    side[list(options.partition.side_b)] = 1
-    cluster_side = np.array([side[members[0]] for members in
-                             [sorted(c) for c in topology.clusters]])
-    start = max(1, options.partition.from_event)
-    return side, cluster_side, start
-
-
 def run_ensemble(topology: sim.Topology, algorithm: SgdConfig,
                  oracle_spec: OracleSpec, options: BatchOptions) -> BatchResult:
     if not isinstance(algorithm, SgdConfig):
@@ -253,21 +253,11 @@ def run_ensemble(topology: sim.Topology, algorithm: SgdConfig,
     warnings = validate_config(algorithm, topology,
                                sim.FaultPlan(partition=options.partition),
                                oracle_spec)
-
-    digest = sim.config_digest_of({"driver": "batch", "topology": topology,
-                                   "algorithm": algorithm, "oracle": oracle_spec,
-                                   "options": options})
     sched_rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence([options.seed_root, BATCH_SCHEDULE_TAG])))
-
-    if algorithm.variant is Variant.STRONGLY_CONVEX:
-        result = _run_strongly_convex(topology, algorithm, oracle_spec, options,
-                                      sched_rng, digest)
-    else:
-        result = _run_non_convex(topology, algorithm, oracle_spec, options,
-                                 sched_rng, digest)
-    result.warnings.extend(warnings)
-    return result
+    run = (_run_strongly_convex if algorithm.variant is Variant.STRONGLY_CONVEX
+           else _run_non_convex)
+    return run(topology, algorithm, oracle_spec, options, sched_rng, warnings)
 
 
 def _series_store(record: bool, iterations: int, seeds: int):
@@ -289,17 +279,16 @@ def _record_head(series, t, X, g):
         series["grad_norm_sq"][t - 1] = np.einsum("spd,spd->sp", g, g).mean(axis=1)
 
 
-def _run_strongly_convex(topology, conf, spec, options, sched_rng, digest):
+def _run_strongly_convex(topology, conf, spec, options, sched_rng, warnings):
     S, n, d, T = options.seeds, topology.n, spec.dim, conf.iterations
-    proc_side, _, part_start = _proc_sides(topology, options)
+    start, proc_side = _partition(topology, options, T)
 
     split_idx = None
     if options.quorum_policy == "split":
         split_idx = _split_quorums(n, conf.quorum, proc_side)
-    open_allowed = _side_mask(n, None)
-    cut_allowed = _side_mask(n, proc_side)
-    if split_idx is None and part_start is not None and part_start <= T:
-        _require_reachable(cut_allowed, conf.quorum, "algorithm.quorum",
+    allowed = _side_masks(proc_side)
+    if split_idx is None and start <= T:
+        _require_reachable(allowed[True], conf.quorum, "algorithm.quorum",
                            "units for some receiver")
     noise, _ = _predraw_noise(n, d, T, options, want_tau=False)
 
@@ -314,19 +303,15 @@ def _run_strongly_convex(topology, conf, spec, options, sched_rng, digest):
         if split_idx is not None:
             idx = split_idx
         else:
-            allowed = open_allowed
-            if part_start is not None and t >= part_start:
-                allowed = cut_allowed
-            idx = _sample_quorums(sched_rng, S, allowed, conf.quorum)
+            idx = _sample_quorums(sched_rng, S, allowed[t >= start], conf.quorum)
         X = _sequential_mean(y.reshape(S * n, d).take(idx + seed_base, axis=0))
-    if series:
-        _record_head(series, T + 1, X, None)
+    _record_head(series, T + 1, X, None)
     return BatchResult(outputs=X, finals=X, taus=None, series=series,
-                       config_digest=digest, warnings=[])
+                       warnings=warnings)
 
 
 def _cluster_table(topology: sim.Topology):
-    members = [tuple(sorted(c)) for c in topology.clusters]
+    members = [topology.members_of(c[0]) for c in topology.clusters]  # sorted
     sizes = {len(c) for c in members}
     if len(sizes) > 1 or max(sizes) > 2:
         raise ConfigError(
@@ -336,35 +321,29 @@ def _cluster_table(topology: sim.Topology):
     return np.array(members), sizes.pop()  # (m, k) pids, k
 
 
-def _run_non_convex(topology, conf, spec, options, sched_rng, digest):
+def _run_non_convex(topology, conf, spec, options, sched_rng, warnings):
     S, n, d, T = options.seeds, topology.n, spec.dim, conf.iterations
     m = topology.m
     members, k = _cluster_table(topology)
-    quorum_clusters = conf.cluster_quorum
-    if quorum_clusters is None:
-        quorum_clusters = topology.majority_quorum()
+    quorum_clusters = topology.cluster_quorum(conf.cluster_quorum)
     if options.quorum_policy == "split" and conf.quorum != n:
         raise ConfigError("run.quorum_policy",
                           "split policy is defined for the strongly convex variant")
 
-    proc_side, cluster_side, part_start = _proc_sides(topology, options)
-    open_proc = _side_mask(n, None)
-    cut_proc = _side_mask(n, proc_side)
-    open_cluster = _side_mask(m, None)
-    cut_cluster = _side_mask(m, cluster_side)
-    if part_start is not None and part_start <= T:
-        _require_reachable(cut_proc, conf.quorum, "algorithm.quorum",
+    start, proc_side = _partition(topology, options, T)
+    allowed_p = _side_masks(proc_side)
+    allowed_c = _side_masks(proc_side[members[:, 0]])
+    if start <= T:
+        _require_reachable(allowed_p[True], conf.quorum, "algorithm.quorum",
                            "units for some receiver")
         if any(required_rounds(conf.q_at(t), conf.maa_rule, "cluster")
-               for t in range(part_start, T + 1)):  # an exchange runs cut
-            _require_reachable(cut_cluster, quorum_clusters,
+               for t in range(start, T + 1)):  # an exchange runs cut
+            _require_reachable(allowed_c[True], quorum_clusters,
                                "algorithm.cluster_quorum", "clusters")
 
+    noise, taus = _predraw_noise(n, d, T, options, want_tau=conf.tau is None)
     if conf.tau is not None:
-        noise, _ = _predraw_noise(n, d, T, options, want_tau=False)
         taus = np.full(S, conf.tau, dtype=np.int64)
-    else:
-        noise, taus = _predraw_noise(n, d, T, options, want_tau=True)
 
     sm_rounds = required_rounds(STAGE_TARGET[conf.maa_rule], conf.maa_rule, "shared")
 
@@ -381,12 +360,10 @@ def _run_non_convex(topology, conf, spec, options, sched_rng, digest):
         if captured.any():
             outputs[captured] = X[captured]
 
-        cut = part_start is not None and t >= part_start
-        allowed_p = cut_proc if cut else open_proc
-        allowed_c = cut_cluster if cut else open_cluster
+        cut = t >= start
 
         G = G + noise[t - 1] * spec.noise_scale
-        idx = _sample_quorums(sched_rng, S, allowed_p, conf.quorum)
+        idx = _sample_quorums(sched_rng, S, allowed_p[cut], conf.quorum)
         g = _sequential_mean(G.reshape(S * n, d).take(idx + proc_base, axis=0))
         eta = conf.lr.eta(t)
         y = X - eta * g
@@ -399,7 +376,8 @@ def _run_non_convex(topology, conf, spec, options, sched_rng, digest):
             # each member's weights on member 0's and member 1's value
             on0 = _compose_sm_maps(sched_rng, S, m, rounds, sm_rounds)[..., None]
             on1 = 1.0 - on0
-        ex_idx = _lowest(_quorum_keys(sched_rng, (S, rounds), allowed_c), quorum_clusters)
+        ex_idx = _lowest(_quorum_keys(sched_rng, (S, rounds), allowed_c[cut]),
+                        quorum_clusters)
         ex_rows = (ex_idx.transpose(1, 0, 2, 3) + seed_base).reshape(rounds, -1)
 
         V = y[:, members]  # (S, m, k, d); after mid_extremes (S, m, 1, d)
@@ -417,4 +395,4 @@ def _run_non_convex(topology, conf, spec, options, sched_rng, digest):
         X = clamp(spec, X)
     _record_head(series, T + 1, X, None)
     return BatchResult(outputs=outputs, finals=X, taus=taus, series=series,
-                       config_digest=digest, warnings=[])
+                       warnings=warnings)

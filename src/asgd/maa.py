@@ -215,9 +215,7 @@ def build_maa_only_programs(conf: MaaOnlyConfig, contexts) -> list:
             x, node = yield from smmaa_subroutine(
                 ctx, 1, 1, rounds, x, node, conf.rule, mark=conf.mark_rounds)
         else:
-            quorum = conf.cluster_quorum
-            if quorum is None:
-                quorum = ctx.topology.majority_quorum()
+            quorum = ctx.topology.cluster_quorum(conf.cluster_quorum)
             x, node = yield from cluster_maa_subroutine(
                 ctx, 1, x, node, conf.rule, conf.q, quorum,
                 mark=conf.mark_rounds)

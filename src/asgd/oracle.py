@@ -20,13 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
 from .sim import ConfigError
-
-LearningRate = Union[float, Callable[[int], float]]
 
 
 @dataclass(frozen=True)
@@ -152,17 +150,11 @@ def stochastic_grad(spec: OracleSpec, x: np.ndarray, rng: np.random.Generator) -
     return grad(spec, x) + noise(spec, rng)
 
 
-def _rate_at(learning_rate: LearningRate, t: int) -> float:
-    if callable(learning_rate):
-        return float(learning_rate(t))
-    return float(learning_rate)
-
-
 def sequential_sgd(
     spec: OracleSpec,
     x1: np.ndarray,
     iterations: int,
-    learning_rate: LearningRate,
+    learning_rate: Callable[[int], float],
     batch_size: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
@@ -179,6 +171,6 @@ def sequential_sgd(
         acc = np.zeros(spec.dim)
         for _ in range(batch_size):
             acc = acc + stochastic_grad(spec, x, rng)
-        x = x - _rate_at(learning_rate, t) * (acc / batch_size)
+        x = x - learning_rate(t) * (acc / batch_size)
         x = clamp(spec, x)
     return x

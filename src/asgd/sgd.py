@@ -206,9 +206,7 @@ def _strongly_convex_program(conf: SgdConfig, ctx: sim.ProcessContext):
 
 def _non_convex_program(conf: SgdConfig, ctx: sim.ProcessContext, tau: int):
     spec = ctx.oracle_spec
-    quorum_clusters = conf.cluster_quorum
-    if quorum_clusters is None:
-        quorum_clusters = ctx.topology.majority_quorum()
+    quorum_clusters = ctx.topology.cluster_quorum(conf.cluster_quorum)
     x = np.asarray(conf.x1, dtype=np.float64)
     result = x
     for t in range(1, conf.iterations + 1):

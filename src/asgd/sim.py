@@ -113,6 +113,11 @@ class Topology:
     def majority_quorum(self) -> int:
         return self.m // 2 + 1
 
+    def cluster_quorum(self, requested: int | None) -> int:
+        """The cluster quorum a run uses: `requested`, or a majority of
+        clusters when none is set."""
+        return self.majority_quorum() if requested is None else requested
+
 
 @dataclass(frozen=True)
 class CrashSpec:
@@ -819,18 +824,11 @@ def run(
             return False
         return side_of[sender] != side_of[receiver]
 
+    # only a partition defers a message, so its caller tests `deferred` first
     def both_sides_done() -> bool:
-        if partition is None:
-            return False
-        for p in range(topology.n):
-            if procs[p].status in (READY, BLOCKED) and p not in crash_applied:
-                return False
-        return True
-
-    crash_applied: set[int] = set()
+        return all(st.status not in (READY, BLOCKED) for st in procs)
 
     def apply_crash(pid: int, why: str):
-        crash_applied.add(pid)
         procs[pid].status = CRASHED
         if pid in runnable:
             runnable.remove(pid)
@@ -869,8 +867,8 @@ def run(
         # event-count crash triggers
         if crash_by_events:
             for pid, threshold in list(crash_by_events.items()):
-                if pid not in crash_applied and counters["events"] >= threshold \
-                        and procs[pid].status not in (DONE,):
+                if counters["events"] >= threshold \
+                        and procs[pid].status not in (DONE, CRASHED):
                     apply_crash(pid, f"after_events={threshold}")
 
         if tick in buckets:
@@ -884,10 +882,6 @@ def run(
                 break  # everyone done or crashed
             if buckets:
                 tick = min(buckets)  # fast-forward to the next delivery
-                continue
-            if deferred and both_sides_done():
-                ready_msgs.extend(deferred)
-                deferred.clear()
                 continue
             liveness = {
                 "ok": False, "kind": "blocked",
@@ -1005,7 +999,7 @@ def run(
     # A run is only complete if every non-crashed process produced output.
     if liveness["ok"]:
         missing = [i for i, st in enumerate(procs)
-                   if st.status != DONE and i not in crash_applied]
+                   if st.status != CRASHED and i not in outputs]
         if missing:
             liveness = {"ok": False, "kind": "incomplete", "blocked": missing}
 

@@ -27,13 +27,12 @@ the diagonal entry (i, i) NaN while (0, i) is only inf, so the full matrix
 picked (i, i) and the scan picks (0, i). A run whose values stay finite never
 meets it.
 
-One- and two-point sets, the event kernel's common case, are answered
-without the scan, with the scan's pair. One point lists only (0, 0). Two
-points list (0, 0) and (0, 1), and ``picks_both`` is the one rule for them,
-used by ``extreme_pair`` and by the event kernel's aggregation step
-(``maa._aggregate``), which applies it to its payload vectors directly. The
-scan picks (0, 1) exactly when s00 is not NaN and s01 is either NaN or above
-s00:
+One- and two-point sets, the event kernel's common case, are answered by
+its aggregation step (``maa._aggregate``) without the scan, with the scan's
+pair. One point lists only (0, 0). Two points list (0, 0) and (0, 1), and
+``picks_both`` is the one rule for them, applied to the payload vectors
+directly. The scan picks (0, 1) exactly when s00 is not NaN and s01 is
+either NaN or above s00:
 
 - s00 is NaN when point 0 has a NaN or infinite coordinate (x - x), and +0
   otherwise, so a non-finite point 0 gives (0, 0);
@@ -117,12 +116,7 @@ def picks_both(p0: list, p1: list) -> bool:
 def extreme_pair(points: np.ndarray) -> tuple[int, int]:
     """Indices (i, j) of the set's first maximum in the pair list; a
     singleton or all-equal set returns (0, 0)."""
-    count = points.shape[0]
-    if count == 1:
-        return 0, 0
-    if count == 2:
-        return (0, 1) if picks_both(*points.tolist()) else (0, 0)
-    first, second = pair_list(count)
+    first, second = pair_list(points.shape[0])
     best = int(_scan(points)[2].argmax())
     return int(first[best]), int(second[best])
 

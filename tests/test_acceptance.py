@@ -422,13 +422,14 @@ def _c12_execute(name, kind, topo, plan, sched, algo, oracle, tmp_path, rep):
                                           from_event=10)
         if name == "batch-nc-partition":
             partition = sim.PartitionSpec(side_a=(0, 1), side_b=(2, 3))
-        result = batch.run_ensemble(
-            topo, algo, oracle,
-            batch.BatchOptions(seeds=4, seed_root=1200, quorum_policy=policy,
-                               partition=partition))
+        options = batch.BatchOptions(seeds=4, seed_root=1200, quorum_policy=policy,
+                                     partition=partition)
+        result = batch.run_ensemble(topo, algo, oracle, options)
         blob = result.outputs.tobytes() + result.finals.tobytes()
         finals = result.outputs
-        digest = result.config_digest
+        digest = sim.config_digest_of({"driver": "batch", "topology": topo,
+                                       "algorithm": algo, "oracle": oracle,
+                                       "options": options})
     est, _ = harness.internal_err(finals)
     rows = [harness.csv_row(digest, {"scenario": name}, "internal_err", est)]
     if oracle.kind == "quadratic":

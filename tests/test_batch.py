@@ -1,5 +1,7 @@
 """Vectorized driver: stream alignment, cross-driver equivalence, policies."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -110,7 +112,7 @@ def test_strongly_convex_single_pair_tracks_sequential_sgd():
     conf = SgdConfig(variant=Variant.STRONGLY_CONVEX, iterations=6, quorum=2,
                      x1=(2.0, 1.0), lr=LrSchedule(kind="constant", value=0.2))
     result = batch.run_ensemble(PAIR, conf, quiet, BatchOptions(seeds=1, seed_root=3))
-    expect = sequential_sgd(quiet, np.array([2.0, 1.0]), 6, 0.2, 1,
+    expect = sequential_sgd(quiet, np.array([2.0, 1.0]), 6, lambda t: 0.2, 1,
                             np.random.default_rng(0))
     assert result.outputs[0, 0].tobytes() == expect.tobytes()
 
@@ -350,6 +352,21 @@ def test_taus_reproduce_the_event_stream_draw():
     for s in range(8):
         streams = sim.derive_streams([44, s], 2)
         assert result.taus[s] == streams.tau.integers(1, 17)
+
+
+def test_fixed_tau_leaves_the_trajectory_of_a_drawn_tau():
+    # noise never reads the tau child, so fixing tau only moves the outputs
+    topo = sim.Topology(n=6, clusters=((0, 1), (2, 3), (4, 5)))
+    spec = OracleSpec(kind="double_well", dim=2, sigma=0.3, radius=1.25)
+    conf = SgdConfig(variant=Variant.NON_CONVEX, iterations=12, quorum=2,
+                     x1=(0.25, 0.25), lr=LrSchedule(kind="constant", value=0.0625),
+                     lr_check="warn")
+    options = BatchOptions(seeds=6, seed_root=31)
+    drawn = batch.run_ensemble(topo, conf, spec, options)
+    fixed = batch.run_ensemble(topo, dataclasses.replace(conf, tau=5), spec, options)
+    assert fixed.finals.tobytes() == drawn.finals.tobytes()
+    assert fixed.taus.dtype == np.int64 and (fixed.taus == 5).all()
+    assert not (drawn.taus == 5).all()
 
 
 def test_batch_options_validation():

@@ -258,6 +258,15 @@ CONFIG_ERRORS = [
     ("nc_doublewell_batch", [(("faults",), {"partition": {"side_a": [0, 1],
                                                           "side_b": [2, 3, 4, 5]}})],
      "algorithm.cluster_quorum: fewer than 2 reachable clusters"),
+    ("sc_quadratic_batch", [(("run", "quorum_policy"), "split"),
+                            (("faults",), {"partition": {"side_a": [0, 1, 2],
+                                                         "side_b": [3, 4, 5, 6, 7]}})],
+     "run.quorum_policy: split block straddles the partition"),
+    ("nc_doublewell_batch", [(("run", "quorum_policy"), "split")],
+     "run.quorum_policy: split policy is defined for the strongly convex variant"),
+    ("nc_doublewell_batch", [(("topology", "clusters"), [[0, 1, 2], [3, 4, 5]])],
+     "topology.clusters: the batch driver supports the agreement stage for uniform "
+     "cluster sizes of 1 or 2; use the event driver otherwise"),
 ]
 
 

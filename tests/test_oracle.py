@@ -135,9 +135,9 @@ def test_sequential_sgd_batch_mean_reduces_variance():
     spec = OracleSpec(kind="quadratic", dim=1, sigma=1.0, mu=1.0, lipschitz=1.0)
     finals_b1, finals_b16 = [], []
     for s in range(300):
-        finals_b1.append(sequential_sgd(spec, np.zeros(1), 30, 0.1, 1,
+        finals_b1.append(sequential_sgd(spec, np.zeros(1), 30, lambda t: 0.1, 1,
                                         np.random.default_rng((1, s))))
-        finals_b16.append(sequential_sgd(spec, np.zeros(1), 30, 0.1, 16,
+        finals_b16.append(sequential_sgd(spec, np.zeros(1), 30, lambda t: 0.1, 16,
                                          np.random.default_rng((2, s))))
     v1 = np.var(np.array(finals_b1))
     v16 = np.var(np.array(finals_b16))
@@ -147,7 +147,8 @@ def test_sequential_sgd_batch_mean_reduces_variance():
 def test_sequential_sgd_double_well_lands_both_sides():
     spec = OracleSpec(kind="double_well", dim=1, sigma=0.3, radius=1.5)
     finals = np.array([
-        sequential_sgd(spec, np.zeros(1), 400, 0.01, 1, np.random.default_rng((9, s)))[0]
+        sequential_sgd(spec, np.zeros(1), 400, lambda t: 0.01, 1,
+                       np.random.default_rng((9, s)))[0]
         for s in range(300)
     ])
     near_plus = np.mean(np.abs(finals - 1.0) < 0.3)

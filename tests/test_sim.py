@@ -52,6 +52,8 @@ def test_topology_validation():
     topo = sim.Topology(n=4, clusters=((0, 1), (2,), (3,)))
     assert topo.m == 3
     assert topo.majority_quorum() == 2
+    assert topo.cluster_quorum(None) == 2
+    assert topo.cluster_quorum(1) == 1 and topo.cluster_quorum(3) == 3
     assert topo.cluster_of(2) == 1
     assert topo.members_of(1) == (0, 1)
 
@@ -414,7 +416,7 @@ def test_strongly_convex_noiseless_matches_sequential_bitwise():
     trace = sim.run(topo, NO_FAULTS, FAST, conf, QUAD2, [8, 0])
     assert trace.liveness["ok"]
     rng = np.random.default_rng(0)  # unused at sigma = 0
-    expect = sequential_sgd(QUAD2, np.array([1.0, -2.0]), 3, 0.1, 1, rng)
+    expect = sequential_sgd(QUAD2, np.array([1.0, -2.0]), 3, lambda t: 0.1, 1, rng)
     for pid in range(2):
         assert trace.outputs[pid].tobytes() == expect.tobytes()
     assert sim.audit(trace, ["equal_outputs"])["equal_outputs"]["ok"]
@@ -617,3 +619,24 @@ def test_wait_clusters_already_held_when_blocking_is_runnable(monkeypatch):
         wakes = [(e[3]["tag"], e[3]["held"]) for e in trace.events
                  if e[0] == "wake" and e[2] == 0]
         assert wakes == [(list(tag), 2), (list(tag), 2)]
+
+
+def test_a_program_that_returns_without_output_is_incomplete(monkeypatch):
+    # pid 1 broadcasts and returns: it is done but never output, so the run
+    # must not report success
+    tag = ("t", 1)
+    x = np.zeros(1)
+
+    def outputs():
+        yield sim.Broadcast(tag, x)
+        yield sim.Output(x + 1)
+
+    def returns():
+        yield sim.Broadcast(tag, x)
+
+    monkeypatch.setattr(sgd, "build_programs",
+                        lambda algorithm, contexts, tau_rng: ([outputs(), returns()], None))
+    trace = sim.run(singletons(2), NO_FAULTS, FAST, cluster_agreement([0.0, 1.0]),
+                    QUAD2, [15, 0])
+    assert trace.liveness == {"ok": False, "kind": "incomplete", "blocked": [1]}
+    assert list(trace.outputs) == [0]
