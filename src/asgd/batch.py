@@ -63,8 +63,9 @@ keys is numpy's and need not be stable. The members' values are gathered
 by flat row of a (seeds * units, dim) view, as the exchange rounds gather
 whole clusters.
 
-Restrictions, enforced at entry: no crash plans (use the event driver), and
-the non-convex agreement stage supports uniform cluster sizes of 1 or 2.
+Of a fault plan the driver takes only a partition (crash plans need the
+event kernel). Restriction, enforced at entry: the non-convex agreement
+stage supports uniform cluster sizes of 1 or 2.
 """
 
 from __future__ import annotations
@@ -86,10 +87,12 @@ BATCH_SCHEDULE_TAG = 2 ** 31 - 7
 
 @dataclass(frozen=True)
 class BatchOptions:
-    seeds: int
-    seed_root: int
+    """A scenario's `run` section less run.driver. Both drivers read seeds
+    and seed_root; quorum_policy and record_series are the batch driver's."""
+
+    seeds: int = 1
+    seed_root: int = 0
     quorum_policy: str = "random"  # "random" | "split"
-    partition: sim.PartitionSpec | None = None
     record_series: bool = True
 
     def __post_init__(self):
@@ -132,15 +135,16 @@ def _predraw_noise(n: int, dim: int, iterations: int, options: BatchOptions,
     return noise, taus
 
 
-def _partition(topology: sim.Topology, options: BatchOptions, iterations: int):
+def _partition(topology: sim.Topology, partition: sim.PartitionSpec | None,
+               iterations: int):
     """(first cut iteration, process sides): PartitionSpec.from_event read as
     an iteration, side 1 for side_b. Without a partition every process is on
     side 0 and the cut starts after the last iteration."""
     side = np.zeros(topology.n, dtype=np.int64)
-    if options.partition is None:
+    if partition is None:
         return iterations + 1, side
-    side[list(options.partition.side_b)] = 1
-    return max(1, options.partition.from_event), side
+    side[list(partition.side_b)] = 1
+    return max(1, partition.from_event), side
 
 
 def _side_masks(unit_side: np.ndarray):
@@ -247,17 +251,17 @@ def _compose_sm_maps(rng: np.random.Generator, seeds: int, clusters: int,
 
 
 def run_ensemble(topology: sim.Topology, algorithm: SgdConfig,
-                 oracle_spec: OracleSpec, options: BatchOptions) -> BatchResult:
+                 oracle_spec: OracleSpec, options: BatchOptions,
+                 partition: sim.PartitionSpec | None = None) -> BatchResult:
     if not isinstance(algorithm, SgdConfig):
         raise ConfigError("run.driver", "the batch driver only runs sgd algorithms")
-    warnings = validate_config(algorithm, topology,
-                               sim.FaultPlan(partition=options.partition),
+    warnings = validate_config(algorithm, topology, sim.FaultPlan(partition=partition),
                                oracle_spec)
     sched_rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence([options.seed_root, BATCH_SCHEDULE_TAG])))
     run = (_run_strongly_convex if algorithm.variant is Variant.STRONGLY_CONVEX
            else _run_non_convex)
-    return run(topology, algorithm, oracle_spec, options, sched_rng, warnings)
+    return run(topology, algorithm, oracle_spec, options, partition, sched_rng, warnings)
 
 
 def _series_store(record: bool, iterations: int, seeds: int):
@@ -279,9 +283,9 @@ def _record_head(series, t, X, g):
         series["grad_norm_sq"][t - 1] = np.einsum("spd,spd->sp", g, g).mean(axis=1)
 
 
-def _run_strongly_convex(topology, conf, spec, options, sched_rng, warnings):
+def _run_strongly_convex(topology, conf, spec, options, partition, sched_rng, warnings):
     S, n, d, T = options.seeds, topology.n, spec.dim, conf.iterations
-    start, proc_side = _partition(topology, options, T)
+    start, proc_side = _partition(topology, partition, T)
 
     split_idx = None
     if options.quorum_policy == "split":
@@ -321,7 +325,7 @@ def _cluster_table(topology: sim.Topology):
     return np.array(members), sizes.pop()  # (m, k) pids, k
 
 
-def _run_non_convex(topology, conf, spec, options, sched_rng, warnings):
+def _run_non_convex(topology, conf, spec, options, partition, sched_rng, warnings):
     S, n, d, T = options.seeds, topology.n, spec.dim, conf.iterations
     m = topology.m
     members, k = _cluster_table(topology)
@@ -330,7 +334,7 @@ def _run_non_convex(topology, conf, spec, options, sched_rng, warnings):
         raise ConfigError("run.quorum_policy",
                           "split policy is defined for the strongly convex variant")
 
-    start, proc_side = _partition(topology, options, T)
+    start, proc_side = _partition(topology, partition, T)
     allowed_p = _side_masks(proc_side)
     allowed_c = _side_masks(proc_side[members[:, 0]])
     if start <= T:

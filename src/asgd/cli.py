@@ -8,9 +8,10 @@ Two commands:
 `run` executes a scenario file (JSON, format "asgd-scenario" version 1) and
 writes summary.json plus metrics.csv into the output directory; --trace also
 writes one JSONL event trace per seed (event driver only) and audits every
-seed's trace. run.quorum_policy and run.record_series apply to the batch
-driver only; under the event driver, a value other than the default is a
-configuration error.
+seed's trace. run.driver picks the driver, and the rest of the `run` section
+is a batch.BatchOptions. Its quorum_policy and record_series apply to the
+batch driver only: under the event driver, a value other than the default is
+a configuration error. Crash plans need the event driver.
 
 Exit codes: 0 on success; 2 for a configuration or usage error and nothing
 else (a ConfigError, whose message names the exact scenario key, an
@@ -83,30 +84,6 @@ def _section(raw: dict, name: str, required: bool = False) -> dict:
     if not isinstance(value, dict):
         _fail(name, "must be an object")
     return value
-
-
-@dataclasses.dataclass(frozen=True)
-class RunOptions:
-    """The scenario's `run` section: which driver runs it and on which seeds."""
-
-    driver: str = "event"  # "event" | "batch"
-    seeds: int = 1
-    seed_root: int = 0
-    quorum_policy: str = "random"  # batch driver only
-    record_series: bool = True  # batch driver only
-
-    def __post_init__(self):
-        from .batch import BatchOptions
-
-        if self.driver not in ("event", "batch"):
-            _fail("driver", f"unknown driver {self.driver!r}")
-        # the checks of the fields the two share live in BatchOptions
-        BatchOptions(seeds=self.seeds, seed_root=self.seed_root,
-                     quorum_policy=self.quorum_policy, record_series=self.record_series)
-        if self.driver == "event":
-            for name in ("quorum_policy", "record_series"):
-                if getattr(self, name) != getattr(RunOptions, name):
-                    _fail(name, "batch driver only; run.driver is 'event'")
 
 
 def _unknown(where: str, value: str):
@@ -186,12 +163,15 @@ def _read(cls, raw, where: str):
 
 
 def load_scenario(raw: dict):
-    """Build (topology, fault_plan, schedule, algorithm, oracle, run_opts).
+    """Build (topology, fault_plan, schedule, algorithm, oracle, driver, options).
 
-    Each section is read into its config class (see `_read`); the one key
-    that is not a field, algorithm.kind, picks the algorithm's class.
+    Each section is read into its config class (see `_read`); the two keys
+    that are not fields pick what runs: algorithm.kind the algorithm's
+    class, run.driver the driver. The rest of `run` is a
+    batch.BatchOptions, whose seeds and seed_root both drivers read.
     """
     from . import sim
+    from .batch import BatchOptions
     from .maa import MaaOnlyConfig
     from .oracle import OracleSpec
     from .sgd import SgdConfig
@@ -221,8 +201,19 @@ def load_scenario(raw: dict):
               f"dimension {len(algorithm.inputs[0])} != oracle dimension {oracle.dim}")
     fault_plan = _read(sim.FaultPlan, _section(raw, "faults"), "faults")
     schedule = _read(sim.Schedule, _section(raw, "schedule"), "schedule")
-    run = _read(RunOptions, _section(raw, "run"), "run")
-    return topology, fault_plan, schedule, algorithm, oracle, dataclasses.asdict(run)
+    run_raw = dict(_section(raw, "run"))
+    driver = _value(str, run_raw.pop("driver", "event"), "run.driver")
+    if driver not in ("event", "batch"):
+        _unknown("run.driver", driver)
+    options = _read(BatchOptions, run_raw, "run")
+    # the driver rules: what one driver takes and the other does not
+    if driver == "event":
+        for name in ("quorum_policy", "record_series"):
+            if getattr(options, name) != getattr(BatchOptions, name):
+                _fail(f"run.{name}", "batch driver only; run.driver is 'event'")
+    elif fault_plan.crashes:
+        _fail("faults.crashes", "crash plans require run.driver == 'event'")
+    return topology, fault_plan, schedule, algorithm, oracle, driver, options
 
 
 def apply_override(raw: dict, assignment: str) -> None:
@@ -297,24 +288,21 @@ def _cmd_run(args) -> int:
     if args.seeds is not None:
         raw.setdefault("run", {})["seeds"] = args.seeds
 
-    topology, fault_plan, schedule, algorithm, oracle, run_opts = load_scenario(raw)
+    topology, fault_plan, schedule, algorithm, oracle, driver, options = load_scenario(raw)
     digest = sim.config_digest_of(raw)
-    seeds = run_opts["seeds"]
-    seed_root = run_opts["seed_root"]
     summary = {
         "format": "asgd-summary",
         "digest": digest,
-        "driver": run_opts["driver"],
-        "seeds": seeds,
-        "seed_root": seed_root,
+        "driver": driver,
+        "seeds": options.seeds,
+        "seed_root": options.seed_root,
         "scenario": raw,
     }
 
-    if run_opts["driver"] == "event":
+    if driver == "event":
         ensemble = harness.run_event_ensemble(
             topology, fault_plan, schedule, algorithm, oracle,
-            seed_root=seed_root, seeds=seeds,
-            record_events=args.trace, record_witness=args.trace)
+            seed_root=options.seed_root, seeds=options.seeds, record=args.trace)
         outdir = _start_output(args.out, summary, ensemble.traces[0].warnings)
         if args.trace:
             for s, trace in enumerate(ensemble.traces):
@@ -345,29 +333,21 @@ def _cmd_run(args) -> int:
     else:
         if args.trace:
             _fail("--trace", "event traces require run.driver == 'event'")
-        if fault_plan.crashes:
-            _fail("faults.crashes", "crash plans require run.driver == 'event'")
-        options = batch.BatchOptions(
-            seeds=seeds, seed_root=seed_root,
-            quorum_policy=run_opts["quorum_policy"],
-            partition=fault_plan.partition,
-            record_series=run_opts["record_series"])
-        result = batch.run_ensemble(topology, algorithm, oracle, options)
+        result = batch.run_ensemble(topology, algorithm, oracle, options,
+                                    fault_plan.partition)
         outdir = _start_output(args.out, summary, result.warnings)
         finals = result.outputs
         summary["liveness"] = {"ok": True}
-        if run_opts["record_series"] and result.series:
+        if options.record_series and result.series:
             summary["series_len"] = {k: len(v) for k, v in result.series.items()}
 
     internal, pair = harness.internal_err(finals)
     stats = {"internal_err": vars(internal) | {"pair": list(pair)}}
-    rows = [harness.csv_row(digest, {"driver": run_opts["driver"]},
-                            "internal_err", internal)]
+    rows = [harness.csv_row(digest, {"driver": driver}, "internal_err", internal)]
     if oracle.kind == "quadratic":
         external = harness.estimate(harness.per_seed_external_sq(finals, oracle))
         stats["external_err"] = vars(external)
-        rows.append(harness.csv_row(digest, {"driver": run_opts["driver"]},
-                                    "external_err", external))
+        rows.append(harness.csv_row(digest, {"driver": driver}, "external_err", external))
     summary["stats"] = stats
     summary["outputs_sha256"] = hashlib.sha256(
         np.ascontiguousarray(finals).tobytes()).hexdigest()
@@ -379,7 +359,7 @@ def _cmd_run(args) -> int:
     if failed:
         print("trace audit failed: " + "; ".join(failed), file=sys.stderr)
         return EXIT_AUDIT
-    print(f"ok: {seeds} seed(s), results in {outdir}")
+    print(f"ok: {options.seeds} seed(s), results in {outdir}")
     return EXIT_OK
 
 

@@ -207,15 +207,13 @@ class EventEnsemble:
 
 
 def run_event_ensemble(topology, fault_plan, schedule, algorithm, oracle_spec,
-                       seed_root: int, seeds: int,
-                       record_events: bool = False,
-                       record_witness: bool = False) -> EventEnsemble:
+                       seed_root: int, seeds: int, record: bool = False) -> EventEnsemble:
+    """One sim.run per seed; `record` turns on both event and witness recording."""
     traces = []
     counts: dict[str, int] = {}
     for s in range(seeds):
         trace = sim.run(topology, fault_plan, schedule, algorithm, oracle_spec,
-                        [seed_root, s], record_events=record_events,
-                        record_witness=record_witness)
+                        [seed_root, s], record_events=record, record_witness=record)
         traces.append(trace)
         kind = trace.liveness["kind"]
         counts[kind] = counts.get(kind, 0) + 1
@@ -236,11 +234,9 @@ def divergence_demo(topology, conf, spec: OracleSpec, partition: sim.PartitionSp
     arm keeps everyone together; the per-seed sequential baseline shows the
     two wells are genuinely both reachable.
     """
-    healthy = batch.run_ensemble(topology, conf, spec,
-                                 batch.BatchOptions(seeds=seeds, seed_root=seed_root))
-    parted = batch.run_ensemble(topology, conf, spec,
-                                batch.BatchOptions(seeds=seeds, seed_root=seed_root,
-                                                   partition=partition))
+    options = batch.BatchOptions(seeds=seeds, seed_root=seed_root)
+    healthy = batch.run_ensemble(topology, conf, spec, options)
+    parted = batch.run_ensemble(topology, conf, spec, options, partition)
     healthy_internal, _ = internal_err(healthy.finals)
     parted_cross = cross_err(parted.finals, partition.side_a, partition.side_b)
     side_internals = [

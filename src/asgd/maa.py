@@ -229,12 +229,6 @@ def build_maa_only_programs(conf: MaaOnlyConfig, contexts) -> list:
 # ---------------------------------------------------------------------------
 
 
-def replay_output(trace: sim.RunTrace, pid: int) -> np.ndarray:
-    """Recompute a process's output from its witness DAG, same op order."""
-    node = trace.output_witness[pid]
-    return trace.witness.replay(node)
-
-
 def witness_coefficients(witness: sim.WitnessRecorder, node: int) -> dict[int, Fraction]:
     """Exact dyadic weights of the input nodes reachable from `node`.
 

@@ -1001,7 +1001,7 @@ def run(
         missing = [i for i, st in enumerate(procs)
                    if st.status != CRASHED and i not in outputs]
         if missing:
-            liveness = {"ok": False, "kind": "incomplete", "blocked": missing}
+            liveness = {"ok": False, "kind": "incomplete", "missing": missing}
 
     return RunTrace(
         config_digest=digest,

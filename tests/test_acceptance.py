@@ -114,7 +114,8 @@ def test_c05_witness_replay():
                         [550 + i, 0], record_events=False)
         runs += 1
         for pid, out in trace.outputs.items():
-            assert maa.replay_output(trace, pid).tobytes() == out.tobytes()
+            replayed = trace.witness.replay(trace.output_witness[pid])
+            assert replayed.tobytes() == out.tobytes()
             coeffs = maa.witness_coefficients(trace.witness,
                                               trace.output_witness[pid])
             assert sum(coeffs.values()) == 1
@@ -142,7 +143,8 @@ def test_c05_witness_replay():
                         [570 + i, 0], record_events=False)
         runs += 1
         for pid, out in trace.outputs.items():
-            assert maa.replay_output(trace, pid).tobytes() == out.tobytes()
+            replayed = trace.witness.replay(trace.output_witness[pid])
+            assert replayed.tobytes() == out.tobytes()
             coeffs = maa.witness_coefficients(trace.witness,
                                               trace.output_witness[pid])
             assert sum(coeffs.values()) == 1
@@ -422,14 +424,13 @@ def _c12_execute(name, kind, topo, plan, sched, algo, oracle, tmp_path, rep):
                                           from_event=10)
         if name == "batch-nc-partition":
             partition = sim.PartitionSpec(side_a=(0, 1), side_b=(2, 3))
-        options = batch.BatchOptions(seeds=4, seed_root=1200, quorum_policy=policy,
-                                     partition=partition)
-        result = batch.run_ensemble(topo, algo, oracle, options)
+        options = batch.BatchOptions(seeds=4, seed_root=1200, quorum_policy=policy)
+        result = batch.run_ensemble(topo, algo, oracle, options, partition)
         blob = result.outputs.tobytes() + result.finals.tobytes()
         finals = result.outputs
         digest = sim.config_digest_of({"driver": "batch", "topology": topo,
                                        "algorithm": algo, "oracle": oracle,
-                                       "options": options})
+                                       "options": options, "partition": partition})
     est, _ = harness.internal_err(finals)
     rows = [harness.csv_row(digest, {"scenario": name}, "internal_err", est)]
     if oracle.kind == "quadratic":

@@ -243,8 +243,7 @@ def _cut_run(q, from_event):
                      x1=(0.0,), lr=LrSchedule(kind="constant", value=0.01),
                      agreement_q=q, cluster_quorum=2)
     cut = sim.PartitionSpec(side_a=(0, 1), side_b=(2, 3, 4, 5), from_event=from_event)
-    return batch.run_ensemble(topo, conf, spec,
-                              BatchOptions(seeds=2, seed_root=3, partition=cut))
+    return batch.run_ensemble(topo, conf, spec, BatchOptions(seeds=2, seed_root=3), cut)
 
 
 def test_unreachable_cluster_quorum_raises_before_any_draw(monkeypatch):
@@ -261,8 +260,7 @@ def test_unreachable_quorum_raises_before_any_draw(monkeypatch):
                      x1=(0.5, 0.5), lr=LrSchedule(kind="constant", value=0.1))
     cut = sim.PartitionSpec(side_a=(0, 1), side_b=(2, 3), from_event=3)
     with pytest.raises(ConfigError, match="fewer than 3 reachable units"):
-        batch.run_ensemble(topo, conf, QUAD,
-                           BatchOptions(seeds=2, seed_root=3, partition=cut))
+        batch.run_ensemble(topo, conf, QUAD, BatchOptions(seeds=2, seed_root=3), cut)
 
 
 def test_cut_masks_that_are_never_used_do_not_raise():
@@ -334,10 +332,9 @@ def test_partitioned_sides_diverge_more_than_healthy():
                      x1=(0.0,), lr=LrSchedule(kind="constant", value=0.01),
                      agreement_q=0.5, cluster_quorum=1)
     cut = sim.PartitionSpec(side_a=(0, 1), side_b=(2, 3), from_event=0)
-    healthy = batch.run_ensemble(topo, conf, spec,
-                                 BatchOptions(seeds=40, seed_root=6))
-    parted = batch.run_ensemble(topo, conf, spec,
-                                BatchOptions(seeds=40, seed_root=6, partition=cut))
+    options = BatchOptions(seeds=40, seed_root=6)
+    healthy = batch.run_ensemble(topo, conf, spec, options)
+    parted = batch.run_ensemble(topo, conf, spec, options, cut)
     gap_part = np.abs(parted.finals[:, 0, 0] - parted.finals[:, 2, 0]).mean()
     gap_heal = np.abs(healthy.finals[:, 0, 0] - healthy.finals[:, 2, 0]).mean()
     assert gap_part > 5 * gap_heal

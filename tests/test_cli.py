@@ -267,6 +267,8 @@ CONFIG_ERRORS = [
     ("nc_doublewell_batch", [(("topology", "clusters"), [[0, 1, 2], [3, 4, 5]])],
      "topology.clusters: the batch driver supports the agreement stage for uniform "
      "cluster sizes of 1 or 2; use the event driver otherwise"),
+    ("sc_quadratic_batch", [(("faults",), {"crashes": [{"pid": 0, "after_events": 10}]})],
+     "faults.crashes: crash plans require run.driver == 'event'"),
 ]
 
 
@@ -299,13 +301,14 @@ def test_absent_keys_take_the_dataclass_defaults(tmp_path):
              (("algorithm", "lr_check"), "warn")]
     scenario = _edited_scenario("sc_quadratic_event", edits, tmp_path / "scenario.json")
     assert _run(["run", scenario, "--out", tmp_path / "out"]) == 0
-    _, plan, schedule, algorithm, _, run_opts = cli.load_scenario(
+    _, plan, schedule, algorithm, _, driver, options = cli.load_scenario(
         json.loads(scenario.read_text()))
     assert algorithm.lr.gamma == 0.0 and algorithm.tau is None
     assert algorithm.maa_rule is AggregationRule.MID_EXTREMES
     assert plan == sim.FaultPlan() and schedule == sim.Schedule()
-    assert run_opts == {"driver": "event", "seeds": 3, "seed_root": 7,
-                        "quorum_policy": "random", "record_series": True}
+    assert driver == "event"
+    assert options == batch.BatchOptions(seeds=3, seed_root=7, quorum_policy="random",
+                                         record_series=True)
     raw = json.loads((SCENARIOS / "maa_shared.json").read_text())
     del raw["algorithm"]["rule"]
     assert cli.load_scenario(raw)[3].rule is AggregationRule.MID_EXTREMES
@@ -317,7 +320,7 @@ def test_values_are_converted_by_annotation():
     raw["algorithm"].update(x1=[0, 1], agreement_q=1, tau=3)
     raw["faults"] = {"crashes": [{"pid": 1, "at_iteration": 2}],
                      "partition": {"side_a": [0, 1], "side_b": [2, 3]}}
-    topology, plan, _, algorithm, oracle, _ = cli.load_scenario(raw)
+    topology, plan, _, algorithm, oracle, _, _ = cli.load_scenario(raw)
     assert topology.clusters == ((0, 1), (2, 3))
     for value in (oracle.mu, oracle.lipschitz, *oracle.x_star, *algorithm.x1,
                   algorithm.agreement_q):
@@ -392,10 +395,13 @@ def test_exit_2_is_only_for_config_errors(tmp_path, monkeypatch):
         _run(["run", SCENARIOS / "sc_quadratic_event.json", "--out", tmp_path])
 
 
-def test_trace_with_batch_driver_exits_2(tmp_path):
+def test_trace_with_batch_driver_exits_2(tmp_path, capsys):
     code = _run(["run", SCENARIOS / "sc_quadratic_batch.json",
-                 "--out", tmp_path, "--trace"])
+                 "--out", tmp_path / "out", "--trace"])
     assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --trace: event traces require run.driver == 'event'"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_liveness_violation_exits_3(tmp_path):

@@ -63,7 +63,7 @@ def _case_divergence_partition():
                      x1=(0.0,), lr=LrSchedule(kind="constant", value=0.01),
                      agreement_q=0.5, cluster_quorum=1)
     cut = sim.PartitionSpec(side_a=(0, 1), side_b=(2, 3), from_event=0)
-    return topo, conf, spec, batch.BatchOptions(seeds=25, seed_root=31, partition=cut)
+    return topo, conf, spec, batch.BatchOptions(seeds=25, seed_root=31), cut
 
 
 CASES = {
@@ -119,8 +119,7 @@ def _case_sc_random_d2():
     conf = SgdConfig(variant=Variant.STRONGLY_CONVEX, iterations=12, quorum=3,
                      x1=(0.3, -0.2), lr=DECREASING)
     cut = sim.PartitionSpec(side_a=(0, 1, 2), side_b=(3, 4, 5), from_event=6)
-    return _singletons(6), conf, QUAD_2D, batch.BatchOptions(seeds=24, seed_root=711,
-                                                             partition=cut)
+    return _singletons(6), conf, QUAD_2D, batch.BatchOptions(seeds=24, seed_root=711), cut
 
 
 def _case_sc_random_d3():
@@ -227,9 +226,9 @@ def _scenario(name):
     """(topology, faults, schedule, algorithm, oracle, seed_root, seeds) of
     an event-driver file in scenarios/, run as `asgd run` runs it."""
     raw = json.loads((SCENARIOS / f"{name}.json").read_text())
-    topo, plan, schedule, algo, oracle, opts = cli.load_scenario(raw)
-    assert opts["driver"] == "event"
-    return topo, plan, schedule, algo, oracle, opts["seed_root"], opts["seeds"]
+    topo, plan, schedule, algo, oracle, driver, options = cli.load_scenario(raw)
+    assert driver == "event"
+    return topo, plan, schedule, algo, oracle, options.seed_root, options.seeds
 
 
 def _case_crash_at_iteration_and_partition():

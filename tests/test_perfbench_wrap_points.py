@@ -1,15 +1,22 @@
-"""The benchmark's tracer finds every function its per-layer metrics need.
+"""The benchmark's tracer finds every function its per-layer metrics need,
+and the benchmark's scenarios load.
 
 perfbench/tracer.py wraps asgd functions by dotted name, and a name that no
 longer resolves only drops the metrics that need it from the report. This
 test loads the tracer as it is and fails on such a rename, so the tier-1
-suite catches it; perfbench/test_tracing.py covers traced runs.
+suite catches it; perfbench/test_tracing.py covers traced runs. The
+workloads of perfbench/run.py are checked the same way: a scenario key the
+loader no longer accepts fails here, not only in a benchmark run.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+from asgd import cli
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _load_tracer():
@@ -26,3 +33,16 @@ def test_every_metric_wrap_point_resolves():
                  if tracer.resolve(point) is not None}
     assert sorted(needed - installed) == []
     assert [p for p in tracer.EXTRA_POINTS + tracer.DRIVERS if tracer.resolve(p) is None] == []
+
+
+def test_every_workload_scenario_loads_with_its_driver(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports reference
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    # the module's dataclass looks itself up in sys.modules while it is built
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    assert module.WORKLOADS
+    for name, workload in module.WORKLOADS.items():
+        driver = cli.load_scenario(workload.scenario(0))[5]
+        assert driver == workload.driver, name

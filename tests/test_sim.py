@@ -638,5 +638,5 @@ def test_a_program_that_returns_without_output_is_incomplete(monkeypatch):
                         lambda algorithm, contexts, tau_rng: ([outputs(), returns()], None))
     trace = sim.run(singletons(2), NO_FAULTS, FAST, cluster_agreement([0.0, 1.0]),
                     QUAD2, [15, 0])
-    assert trace.liveness == {"ok": False, "kind": "incomplete", "blocked": [1]}
+    assert trace.liveness == {"ok": False, "kind": "incomplete", "missing": [1]}
     assert list(trace.outputs) == [0]

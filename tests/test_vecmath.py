@@ -221,8 +221,7 @@ def test_infinite_coordinate_is_where_the_scan_and_matrix_differ():
 
 
 def scan_extreme_pair(points):
-    """Copy of the pair-list scan, which extreme_pair skips on one and two
-    points."""
+    """Copy of the pair-list scan that extreme_pair runs on every point set."""
     first, second = pair_list(points.shape[0])
     diff = points[first] - points[second]
     best = int(np.einsum("pd,pd->p", diff, diff).argmax())
