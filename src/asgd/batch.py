@@ -20,13 +20,16 @@ schedules:
   at least one member, so a stage keeps one member's value and averages
   the other's, or averages both. The composed map of a whole stage sequence
   is therefore a pair of weights (w0, w1): member i's new value is
-  w_i * v0 + (1 - w_i) * v1. Each stage halves at most once, so after j
-  stages every weight is a multiple of 2^-j in [0, 1]; up to 53 stages the
-  weights and their complements are exact floats (the midpoint-of-extremes
-  stage has 14). With approach-extreme's 73 stages this still holds unless
-  the first 53 stages of a map all skip the both-see-both outcome, which has
-  probability (2/3)^53 < 5e-10 per map: once both members average, the two
-  weights are equal and stay equal;
+  w_i * v0 + (1 - w_i) * v1. Until the first stage where both members
+  average, each stage moves one end of the interval [w1, w0] to its
+  midpoint; that stage sets both weights to the midpoint, and they stay
+  equal. So the pair follows in closed form from where that stage falls and
+  which ends the stages before it moved (_compose_picks), with no stage
+  loop. Every weight is a multiple of 2^-53 in [0, 1], an exact float with
+  an exact complement, unless a map's first 53 stages all skip the
+  both-average outcome. Only approach-extreme's 73 stages allow that (the
+  midpoint-of-extremes stage has 14), with probability (2/3)^53 < 5e-10 per
+  map, and then the call composes stage by stage;
 - cluster members receive identical message sets during the exchange
   rounds, and a partition is applied at iteration granularity:
   PartitionSpec.from_event is read as the first cut iteration, and from
@@ -235,14 +238,68 @@ def _compose_sm_maps(rng: np.random.Generator, seeds: int, clusters: int,
     weight on member 1 is one minus that. A stage picks one of three
     outcomes: 0, both members collected both cells and take the average;
     1 or 2, member 0 or member 1 collected only its own cell and keeps its
-    value while the other takes the average. So one stage is the average
-    of the two weights and a choice per member.
+    value while the other takes the average. The picks are one int8 draw
+    of (seeds, clusters, rounds_outer, rounds_sm). _compose_picks reads each
+    map in closed form from where its first pick 0 falls, and composes the
+    whole call stage by stage only if some map has none in its first 53
+    stages, which needs rounds_sm > 53.
     """
     picks = rng.integers(0, 3, size=(seeds, clusters, rounds_outer, rounds_sm),
                          dtype=np.int8)
     picks = np.ascontiguousarray(picks.transpose(3, 2, 0, 1))  # stage first
-    w0 = np.ones((rounds_outer, seeds, clusters))
-    w1 = np.zeros((rounds_outer, seeds, clusters))
+    return _compose_picks(picks)
+
+
+# After this many halvings a weight in [0, 1] is a multiple of 2^-53, the
+# finest that is still an exact float.
+_EXACT_STAGES = 53
+
+
+def _compose_picks(picks: np.ndarray) -> np.ndarray:
+    """(...) + (2,) weight pairs of stage-first picks (stages, ...), bitwise
+    those of _compose_stage_loop.
+
+    With z stages before the first pick 0, picks 1 and 2 each halve the
+    interval [w1, w0] = [0, 1] from below or from above, so w1 is
+    lo = sum of 2^-(s+1) over the stages s < z that pick 1 and w0 is
+    lo + 2^-z. Pick 0 then sets both to lo + 2^-(z+1), and later stages
+    average equal weights, which is exact. Each of these values is exact
+    when z <= 52, or when no stage picks 0 and there are at most 53
+    stages, and then so is every value of the stage loop. Otherwise, which
+    needs more than 53 stages, the whole call falls back to the loop.
+    """
+    stages, shape = picks.shape[0], picks.shape[1:]
+    exact = min(stages, _EXACT_STAGES)
+    alive = np.ones(shape, dtype=bool)  # no pick 0 yet
+    z = np.zeros(shape, dtype=np.int8)
+    low = np.zeros(shape)  # lo * 2^exact, an integer below 2^53
+    lower = np.empty(shape, dtype=bool)
+    for pick in picks[:exact]:
+        np.logical_and(alive, pick, out=alive)
+        z += alive
+        np.equal(pick, 1, out=lower)
+        lower &= alive
+        low += low
+        low += lower
+    if stages > _EXACT_STAGES and (z == _EXACT_STAGES).any():
+        return _compose_stage_loop(picks)
+    averaged = z < exact  # some stage picked 0; else z == stages
+    up = -1 - z  # both weights end at lo + 2^up
+    maps = np.empty(shape + (2,))
+    np.ldexp(1.0, up + ~averaged, out=maps[..., 0])  # else w0 = lo + 2^-z
+    np.ldexp(1.0, up, out=maps[..., 1])
+    maps[..., 1] *= averaged  # else w1 = lo
+    low *= 2.0 ** -exact
+    maps[..., 0] += low
+    maps[..., 1] += low
+    return maps
+
+
+def _compose_stage_loop(picks: np.ndarray) -> np.ndarray:
+    """_compose_picks one stage at a time: a stage averages the two weights
+    and each member keeps its own or takes the average."""
+    w0 = np.ones(picks.shape[1:])
+    w1 = np.zeros(picks.shape[1:])
     for pick in picks:
         avg = (w0 + w1) * 0.5
         w0 = np.where(pick == 1, w0, avg)

@@ -1,6 +1,8 @@
 """Vectorized driver: stream alignment, cross-driver equivalence, policies."""
 
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,7 +291,7 @@ def _reference_sm_maps(rng, seeds, clusters, rounds_outer, rounds_sm):
     return total
 
 
-@pytest.mark.parametrize("rounds_sm", [1, 2, 14, 53])
+@pytest.mark.parametrize("rounds_sm", [1, 2, 14, 53, 54, 73])
 def test_sm_weight_pairs_match_composed_matrices(rounds_sm):
     shape = (30, 3, 7, rounds_sm)
     maps = _compose_sm_maps(np.random.default_rng(rounds_sm), *shape)
@@ -297,6 +299,74 @@ def test_sm_weight_pairs_match_composed_matrices(rounds_sm):
     ref = ref.transpose(2, 0, 1, 3, 4)  # exchange round first, like the maps
     assert maps.tobytes() == np.ascontiguousarray(ref[..., 0]).tobytes()
     assert (1.0 - maps).tobytes() == np.ascontiguousarray(ref[..., 1]).tobytes()
+
+
+def _stage_loop_maps(picks):
+    """The weight pairs of stage-first picks composed one stage at a time."""
+    w0 = np.ones(picks.shape[1:])
+    w1 = np.zeros(picks.shape[1:])
+    for pick in picks:
+        avg = (w0 + w1) * 0.5
+        w0 = np.where(pick == 1, w0, avg)
+        w1 = np.where(pick == 2, w1, avg)
+    return np.stack([w0, w1], axis=-1)
+
+
+def _nonzero_prefix_picks(stages, prefix, rows=40, seed=3):
+    """(stages, rows) picks whose rows 0-2 pick 1 or 2 at their first `prefix`
+    stages and then 0: at random, always 1 (w0 stays 1) and always 2 (the
+    weights shrink to 2^-prefix). The other rows are random."""
+    rng = np.random.default_rng(seed)
+    picks = rng.integers(0, 3, size=(stages, rows), dtype=np.int8)
+    picks[:prefix, 0] = rng.integers(1, 3, size=prefix)
+    picks[:prefix, 1] = 1
+    picks[:prefix, 2] = 2
+    if prefix < stages:
+        picks[prefix, :3] = 0
+    return picks
+
+
+def _compose_counting_fallbacks(monkeypatch, picks):
+    calls = []
+    loop = batch._compose_stage_loop
+    monkeypatch.setattr(batch, "_compose_stage_loop",
+                        lambda p: calls.append(p.shape) or loop(p))
+    return batch._compose_picks(picks), len(calls)
+
+
+@pytest.mark.parametrize("prefix, fallbacks", [(52, 0), (53, 1)])
+def test_sm_maps_fall_back_only_past_52_stages_before_both_average(
+        monkeypatch, prefix, fallbacks):
+    picks = _nonzero_prefix_picks(73, prefix)  # approach-extreme's stage count
+    maps, calls = _compose_counting_fallbacks(monkeypatch, picks)
+    assert calls == fallbacks
+    assert maps.tobytes() == _stage_loop_maps(picks).tobytes()
+
+
+def test_sm_maps_without_both_average_stay_exact_at_53_stages(monkeypatch):
+    picks = _nonzero_prefix_picks(53, 53)
+    maps, calls = _compose_counting_fallbacks(monkeypatch, picks)
+    assert calls == 0
+    assert maps.tobytes() == _stage_loop_maps(picks).tobytes()
+    assert maps[1].tolist() == [1.0, 1.0 - 2.0 ** -53]
+    assert maps[2].tolist() == [2.0 ** -53, 0.0]
+
+
+def test_sm_maps_allocate_less_than_a_float_copy_of_their_picks():
+    shape = (100, 3, 98, 14)  # batch-agree: seeds, clusters, rounds, stages
+    rng = np.random.default_rng(0)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        _compose_sm_maps(rng, *shape)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < math.prod(shape) * 8
 
 
 def test_sm_pattern_matrices_implement_the_three_outcomes():

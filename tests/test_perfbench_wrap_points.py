@@ -10,10 +10,11 @@ loader no longer accepts fails here, not only in a benchmark run.
 """
 
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
-from asgd import cli
+from asgd import batch, cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -33,6 +34,15 @@ def test_every_metric_wrap_point_resolves():
                  if tracer.resolve(point) is not None}
     assert sorted(needed - installed) == []
     assert [p for p in tracer.EXTRA_POINTS + tracer.DRIVERS if tracer.resolve(p) is None] == []
+
+
+def test_the_stage_counter_reads_the_composers_clusters_and_rounds_by_position():
+    # the batch driver passes them positionally, so a reorder of the
+    # parameters would miscount batch.sm_stages without a missing name
+    tracer = _load_tracer()
+    assert tracer.AFTER["asgd.batch._compose_sm_maps"] is tracer._after_compose_sm_maps
+    params = list(inspect.signature(batch._compose_sm_maps).parameters)
+    assert params[2:4] == ["clusters", "rounds_outer"]
 
 
 def test_every_workload_scenario_loads_with_its_driver(monkeypatch):
