@@ -48,8 +48,8 @@ stream (SeedSequence([seed_root, BATCH_SCHEDULE_TAG])).
 
 The agreement rounds of one iteration run in cluster layout: values are
 held as (seeds, clusters, members, dim) from the first round to the last,
-a round's exchange gathers whole clusters by flat row index, and the result
-is scattered back to process order once per iteration. After a
+a round's exchange gathers whole clusters by np.take of flat rows, and the
+result is scattered back to process order once per iteration. After a
 midpoint-of-extremes round every member holds its cluster's aggregate, so
 the member axis collapses to 1 until the next stage map expands it.
 
@@ -57,14 +57,18 @@ Both quorum levels, a process's N senders each iteration and a cluster's
 exchange partners each round, are the `count` lowest of one uniform key
 per (receiver, sender), drawn by _quorum_keys (the receiver's own key is
 -1, a sender it may not hear is inf) and picked by _lowest. _lowest marks
-the keys not above each row's count-th lowest (a sort of the values, not
-of indices) and reads the marked positions with np.flatnonzero, which
-lists them row-major, so each quorum comes out ascending with no index
-sort. A tie at the cut marks more than `count` keys in some row; only then
-does the call fall back to the argsort expression, whose order among equal
-keys is numpy's and need not be stable. The members' values are gathered
-by flat row of a (seeds * units, dim) view, as the exchange rounds gather
-whole clusters.
+the keys not above each row's count-th lowest and reads the marked
+positions with np.flatnonzero, which lists them row-major, so each quorum
+comes out ascending with no index sort. A row of at most six keys marks
+the keys with fewer than `count` keys strictly below them, by one
+comparison pass per key; a longer row sorts its values (not indices) for
+the cut. The marks are the same: a NaN key is below none and has none
+below it, and a row with fewer than `count` keys that are not NaN is
+marked whole. A tie at the cut marks more than `count` keys in some row;
+only then does the call fall back to the argsort expression, whose order
+among equal keys is numpy's and need not be stable. The members' values
+are gathered by np.take of flat rows of a (seeds * units, dim) view, as
+the exchange rounds gather whole clusters.
 
 Of a fault plan the driver takes only a partition (crash plans need the
 event kernel). Restriction, enforced at entry: the non-convex agreement
@@ -164,6 +168,16 @@ def _require_reachable(allowed: np.ndarray, count: int, key: str, units: str) ->
         raise ConfigError(key, f"fewer than {count} reachable {units}")
 
 
+def _count_marks(keys: np.ndarray, count: int) -> np.ndarray:
+    """Keys with fewer than `count` keys of their row strictly below them."""
+    below = np.zeros(keys.shape, dtype=np.uint8)
+    less = np.empty(keys.shape, dtype=bool)
+    for j in range(keys.shape[-1]):
+        np.less(keys[..., j:j + 1], keys, out=less)
+        below += less
+    return below < count
+
+
 def _lowest(keys: np.ndarray, count: int) -> np.ndarray:
     """Ascending positions of the `count` lowest keys of each last-axis row:
     np.sort(np.argsort(keys, axis=-1)[..., :count], axis=-1), bitwise.
@@ -175,9 +189,12 @@ def _lowest(keys: np.ndarray, count: int) -> np.ndarray:
     """
     units = keys.shape[-1]
     rows = keys.size // units
-    cut = np.sort(keys, axis=-1)[..., count - 1:count]
-    marked = keys > cut
-    np.logical_not(marked, out=marked)
+    if units <= 6:  # counting pays up to six keys a row (BENCH_16.json)
+        marked = _count_marks(keys, count)
+    else:  # cut keeps the sort alive to the end; freeing it early tripled page faults
+        cut = np.sort(keys, axis=-1)[..., count - 1:count]
+        marked = keys > cut
+        np.logical_not(marked, out=marked)
     pos = np.flatnonzero(marked)
     if pos.size != rows * count:  # a tie at the cut
         return np.sort(np.argsort(keys, axis=-1)[..., :count], axis=-1)
@@ -445,7 +462,7 @@ def _run_non_convex(topology, conf, spec, options, partition, sched_rng, warning
         for r in range(rounds):
             if k == 2:
                 V = on0[r] * V[:, :, :1] + on1[r] * V[:, :, -1:]
-            held = V.reshape(S * m, k * d)[ex_rows[r]].reshape(S * m, -1, d)
+            held = V.reshape(S * m, k * d).take(ex_rows[r], axis=0).reshape(S * m, -1, d)
             if conf.maa_rule is AggregationRule.MID_EXTREMES:
                 V = batched_mid_extremes(held).reshape(S, m, 1, d)
             else:

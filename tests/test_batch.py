@@ -172,7 +172,9 @@ def _count_argsorts(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("shape", [(40, 7, 7), (6, 5, 4, 4)])
+# row widths 2 to 6 take _lowest's counting marks, 7 and 8 its sort marks
+@pytest.mark.parametrize("shape", [(40, 7, 7), (6, 5, 4, 4), (50, 2, 2), (40, 3, 3),
+                                   (20, 8, 8)])
 def test_lowest_matches_argsort_on_distinct_keys_without_argsort(shape, monkeypatch):
     rng = np.random.default_rng(11)
     units = shape[-1]
@@ -193,29 +195,53 @@ def test_lowest_matches_argsort_on_distinct_keys_without_argsort(shape, monkeypa
     assert calls == []
 
 
-@pytest.mark.parametrize("shape", [(30, 6, 6), (4, 3, 5, 5)])
+@pytest.mark.parametrize("shape", [(30, 6, 6), (4, 3, 5, 5), (60, 2, 2), (40, 3, 3),
+                                   (30, 4, 4), (20, 8, 8)])
 def test_lowest_falls_back_to_argsort_on_ties(shape, monkeypatch):
     rng = np.random.default_rng(12)
     units = shape[-1]
     ties = rng.integers(0, 3, size=shape).astype(np.float64)
     cut = rng.random(shape)
-    cut[..., :2, units - 3:] = np.inf  # receivers 0 and 1 hear units - 3 senders
+    cut[..., :2, units - 2:] = np.inf  # receivers 0 and 1 hear units - 2 senders
     wants = [(keys, count, _argsort_lowest(keys, count))
-             for keys in (ties, cut) for count in (1, 2, units - 2, units)]
+             for keys in (ties, cut) for count in range(1, units + 1)]
     calls = _count_argsorts(monkeypatch)
     for keys, count, want in wants:
         assert _lowest(keys, count).tobytes() == want.tobytes()
     # integer keys tie at the cut for every count below units; the inf keys
-    # only at units - 2, above the units - 3 senders receivers 0 and 1 hear
-    assert len(calls) == 3 + 1
+    # only at units - 1, above the units - 2 senders receivers 0 and 1 hear
+    assert len(calls) == (units - 1) + 1
+
+
+def _edge_keys(rng, shape):
+    """Keys with ties, NaN, +-inf, signed zeros and a -1 diagonal."""
+    pool = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, 0.5, 0.25])
+    keys = np.where(rng.random(shape) < 0.4, pool[rng.integers(len(pool), size=shape)],
+                    rng.random(shape))
+    diag = np.arange(shape[-1])
+    keys[..., diag, diag] = -1.0
+    return keys
 
 
 def test_lowest_matches_argsort_with_nan_keys():
-    keys = np.random.default_rng(13).random((20, 5))
-    keys[3, 1] = keys[7, 0] = keys[7, 4] = np.nan
-    for count in range(1, 6):
-        got, want = _lowest(keys, count), _argsort_lowest(keys, count)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    rng = np.random.default_rng(13)
+    for units in (2, 3, 4, 5, 8):  # counting marks up to 6 keys, sort marks at 8
+        keys = rng.random((20, units))
+        keys[3, 1] = keys[7, 0] = keys[7, units - 1] = np.nan
+        for k in (keys, _edge_keys(rng, (30, units, units))):
+            for count in range(1, units + 1):
+                got, want = _lowest(k, count), _argsort_lowest(k, count)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (units, count)
+
+
+@pytest.mark.parametrize("units", range(1, 7))
+def test_count_marks_equal_the_sort_cut_marks(units):
+    rng = np.random.default_rng(15)
+    for keys in (_edge_keys(rng, (200, units, units)),
+                 rng.integers(0, 3, size=(200, units)).astype(np.float64)):
+        for count in range(1, units + 1):
+            want = ~(keys > np.sort(keys, axis=-1)[..., count - 1:count])
+            assert np.array_equal(batch._count_marks(keys, count), want)
 
 
 def test_sample_quorums_draw_one_key_array_from_the_stream():

@@ -22,6 +22,7 @@ from asgd.vecmath import (
     batched_mid_extremes,
     diameter_sq,
     extreme_pair,
+    _sq,
     farthest_index,
     pair_list,
     pair_sq,
@@ -270,7 +271,7 @@ def test_extreme_pair_two_point_cases(p0, p1, pair):
     pts = as_point_set([p0, p1])
     with np.errstate(invalid="ignore", over="ignore"):
         assert scan_extreme_pair(pts) == pair
-    assert extreme_pair(pts) == pair
+        assert extreme_pair(pts) == pair
 
 
 @pytest.mark.parametrize("points", [[[1.0, 2.0], [3.0]], [[1.0], [2.0, 3.0]],
@@ -409,3 +410,74 @@ def test_batched_mid_extremes_singleton():
     pts = np.array([[[1.0, 2.0]], [[3.0, 4.0]]])
     out = batched_mid_extremes(pts)
     assert out.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+def _einsum_sq(a, b):
+    """The einsum form of the squared distance, _sq's reference."""
+    diff = a - b
+    return np.einsum("...d,...d->...", diff, diff)
+
+
+def _sq_operands(rng, d):
+    """Row pairs (a, b) of shape (..., d): every pair of EDGE_VALUES rows
+    (all of them for d <= 2), then random signs and magnitudes 1e-8..1e8."""
+    grid = np.array(EDGE_VALUES)
+    if d == 1:
+        edge = np.stack(np.meshgrid(grid, grid), axis=-1).reshape(-1, 2, 1)
+    elif d == 2:
+        edge = np.stack(np.meshgrid(grid, grid, grid, grid), axis=-1).reshape(-1, 2, 2)
+    else:
+        edge = grid[rng.integers(len(grid), size=(5000, 2, d))]
+    wide = rng.choice([-1.0, 1.0], size=(20000, 2, d)) * 10.0 ** rng.uniform(-8, 8, (20000, 2, d))
+    return [(pts[:, 0], pts[:, 1]) for pts in (edge, wide)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sq_equals_einsum_bitwise_and_takes_einsum_only_from_three_coordinates(d, monkeypatch):
+    rng = np.random.default_rng(20 + d)
+    operands = _sq_operands(rng, d)
+    with np.errstate(invalid="ignore", over="ignore"):
+        wants = [_einsum_sq(a, b) for a, b in operands]
+        calls = []
+        real = np.einsum
+        monkeypatch.setattr(np, "einsum", lambda *args: calls.append(1) or real(*args))
+        for (a, b), want in zip(operands, wants):
+            got = _sq(a, b)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert len(calls) == (len(operands) if d >= 3 else 0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sq_leaves_its_inputs_unchanged(d):
+    rng = np.random.default_rng(30 + d)
+    points = rng.normal(size=(4, 5, d))
+    anchor = rng.normal(size=(4, 1, d))  # broadcast, as farthest_index passes it
+    before = points.tobytes(), anchor.tobytes()
+    _sq(points, anchor)
+    _sq(points, points[:, ::-1])
+    assert (points.tobytes(), anchor.tobytes()) == before
+
+
+def fancy_mid_extremes(points):
+    """batched_mid_extremes with einsum distances and fancy-index gathers,
+    the reference for its elementwise distances and take gathers."""
+    s, _, d = points.shape
+    first, second = pair_list(points.shape[1])
+    a = points.take(first, axis=-2)
+    b = points.take(second, axis=-2)
+    d2 = _einsum_sq(a, b)
+    pairs = d2.shape[1]
+    best = d2.argmax(axis=1) + np.arange(0, s * pairs, pairs)
+    return (a.reshape(-1, d)[best] + b.reshape(-1, d)[best]) / 2.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("k", range(1, 7))
+def test_batched_mid_extremes_matches_the_fancy_index_einsum_form_bitwise(k, d):
+    rng = np.random.default_rng(10 * k + d)
+    pool = np.array(EDGE_VALUES + list(rng.normal(size=13)))
+    pts = np.concatenate([tie_heavy_sets(rng, k, d), pool[rng.integers(len(pool), size=(400, k, d))]])
+    with np.errstate(invalid="ignore", over="ignore"):
+        got, want = batched_mid_extremes(pts), fancy_mid_extremes(pts)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
