@@ -39,12 +39,14 @@ schedules:
 Per-seed noise and tau come from sim.seed_streams(seed_root, children,
 range(seeds)), the bulk derivation the event kernel's sim.derive_streams
 also runs on, so a replica here and an event run with master seed
-[seed_root, s] consume identical gradient noise. That is what makes the
-bit-exact cross-driver tests possible on configurations whose quorums are
-schedule-independent (n = N). Only the process children and, when wanted,
-the tau child are derived, never the schedule child, and the noise is held
-time-major, (T, S, n, d). The adversary's own draws come from one shared
-stream (SeedSequence([seed_root, BATCH_SCHEDULE_TAG])).
+[seed_root, s] consume identical gradient noise, and both drivers average
+a quorum with one shared kernel (_sequential_mean runs sgd's
+_sum_then_divide). That is what makes the bit-exact cross-driver tests
+possible on configurations whose quorums are schedule-independent (n = N).
+Only the process children and, when wanted, the tau child are derived,
+never the schedule child, and the noise is held time-major, (T, S, n, d).
+The adversary's own draws come from one shared stream
+(SeedSequence([seed_root, BATCH_SCHEDULE_TAG])).
 
 The agreement rounds of one iteration run in cluster layout: values are
 held as (seeds, clusters, members, dim) from the first round to the last,
@@ -84,7 +86,7 @@ import numpy as np
 from . import sim
 from .maa import STAGE_TARGET, AggregationRule, required_rounds
 from .oracle import OracleSpec, clamp, grad
-from .sgd import SgdConfig, Variant, validate_config
+from .sgd import SgdConfig, Variant, _sum_then_divide, validate_config
 from .sim import ConfigError
 from .vecmath import batched_approach_extreme, batched_mid_extremes, diameter_sq
 
@@ -235,16 +237,10 @@ def _split_quorums(n: int, count: int, proc_side: np.ndarray) -> np.ndarray:
 
 
 def _sequential_mean(gathered: np.ndarray) -> np.ndarray:
-    """Mean over axis -2 summed strictly left to right, one division.
-
-    Mirrors the event driver's ascending-sender accumulation so the
-    schedule-independent configurations agree bitwise.
-    """
-    count = gathered.shape[-2]
-    total = gathered[..., 0, :].copy()
-    for j in range(1, count):
-        total += gathered[..., j, :]
-    return total / count
+    """Mean over axis -2 summed strictly left to right, one division: the
+    event driver's own averaging kernel, sgd._sum_then_divide, run over that
+    axis, so the schedule-independent configurations agree bitwise."""
+    return _sum_then_divide(np.moveaxis(gathered, -2, 0))
 
 
 def _compose_sm_maps(rng: np.random.Generator, seeds: int, clusters: int,
@@ -466,8 +462,7 @@ def _run_non_convex(topology, conf, spec, options, partition, sched_rng, warning
             if conf.maa_rule is AggregationRule.MID_EXTREMES:
                 V = batched_mid_extremes(held).reshape(S, m, 1, d)
             else:
-                V = batched_approach_extreme(np.repeat(held, k, axis=0),
-                                             V.reshape(S * m * k, d)).reshape(S, m, k, d)
+                V = batched_approach_extreme(held, V.reshape(S * m, k, d)).reshape(S, m, k, d)
         X = np.empty_like(y)
         X[:, members] = V
         X = clamp(spec, X)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import batch, harness, sim, vecmath
-from .maa import SHARED_FACTOR, AggregationRule, MaaOnlyConfig
+from .maa import CLUSTER_FACTOR, SHARED_FACTOR, AggregationRule, MaaOnlyConfig
 from .oracle import OracleSpec, noise
 from .sgd import LrSchedule, SgdConfig, Variant
 
@@ -63,7 +63,7 @@ def _stage_worst_ratio(rule, trials, seed):
     first-written value and its own, then aggregates. Returns the worst
     span of the new values over factor * diam(P)."""
     rng = np.random.default_rng(seed)
-    factor = 7.0 / 8.0 if rule is MID else 31.0 / 32.0
+    factor = float(SHARED_FACTOR[rule])
     worst = 0.0
     for _ in range(trials):
         k = int(rng.integers(2, 31))
@@ -82,7 +82,7 @@ def _stage_worst_ratio(rule, trials, seed):
             if rule is MID:
                 new_pts.append(vecmath.batched_mid_extremes(view)[0])
             else:
-                new_pts.append(vecmath.batched_approach_extreme(view, pts[i][None])[0])
+                new_pts.append(vecmath.batched_approach_extreme(view, pts[i][None, None])[0, 0])
         worst = max(worst, _span(np.stack(new_pts)) / (factor * diam))
     return worst
 
@@ -195,10 +195,10 @@ def cluster_round_contraction(quick: bool = False) -> Check:
     return Check(
         "criterion-04 cluster round contraction",
         (observed >= min_observed and expanded == 0 and end_to_end_bad == 0
-         and worst[MID] <= 23 / 24 + 1e-9
-         and worst[APPROACH] <= 79 / 80 + 1e-9),
+         and all(worst[rule] <= float(CLUSTER_FACTOR[rule]) + 1e-9 for rule in worst)),
         f"{observed} exchange rounds observed: worst measured ratios "
-        f"{worst[MID]:.4f} <= 23/24 and {worst[APPROACH]:.4f} <= 79/80, "
+        f"{worst[MID]:.4f} <= {CLUSTER_FACTOR[MID]} and "
+        f"{worst[APPROACH]:.4f} <= {CLUSTER_FACTOR[APPROACH]}, "
         f"{expanded} zero-diameter rounds grew back, {end_to_end_bad} runs "
         "missed their target q within the ceil(log) round budget")
 

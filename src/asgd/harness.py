@@ -144,15 +144,10 @@ def contraction_report(trace: sim.RunTrace, rule: AggregationRule) -> dict[str, 
         "sm": float(SHARED_FACTOR[rule]),
         "cmaa": float(CLUSTER_FACTOR[rule]),
     }
-    grouped: dict[tuple, dict[int, dict[int, np.ndarray]]] = {}
-    for key, per_pid in trace.round_values.items():
-        scope, round_index = key[:-1], key[-1]
-        grouped.setdefault(scope, {})[round_index] = per_pid
-
     measured = {kind: [] for kind in bounds}
     skipped = {kind: 0 for kind in bounds}
     expanded = {kind: 0 for kind in bounds}
-    for scope, by_round in grouped.items():
+    for scope, by_round in trace.round_values.items():
         kind = scope[0]
         rounds = sorted(by_round)
         for r, r_next in zip(rounds, rounds[1:]):

@@ -21,7 +21,8 @@ Two layers:
 Round counts are computed with exact rational arithmetic so they never
 suffer from log rounding. Every aggregation also appends a node to the
 witness DAG, so any output can be replayed bit-for-bit from the original
-inputs and certified as a convex (dyadic) combination of them.
+inputs and certified as a convex (dyadic) combination of them
+(sim.WitnessRecorder.replay and .coefficients).
 """
 
 from __future__ import annotations
@@ -223,34 +224,3 @@ def build_maa_only_programs(conf: MaaOnlyConfig, contexts) -> list:
 
     return [program(ctx) for ctx in contexts]
 
-
-# ---------------------------------------------------------------------------
-# Witness inspection
-# ---------------------------------------------------------------------------
-
-
-def witness_coefficients(witness: sim.WitnessRecorder, node: int) -> dict[int, Fraction]:
-    """Exact dyadic weights of the input nodes reachable from `node`.
-
-    The weights certify the output as a convex combination of inputs: they
-    are nonnegative and sum to one. Parents always have smaller indices than
-    their children, so one descending sweep suffices. A pending weight is
-    an integer numerator over 2^D, D the node's longest path from `node`;
-    each input's weight becomes a Fraction once, at the end.
-    """
-    pending: dict[int, tuple[int, int]] = {node: (1, 0)}
-    coeffs: dict[int, Fraction] = {}
-    for idx in range(node, -1, -1):
-        weight = pending.pop(idx, None)
-        if weight is None:
-            continue
-        record = witness.nodes[idx]
-        if record[0] == "input":
-            coeffs[idx] = Fraction(weight[0], 1 << weight[1])
-            continue
-        num, depth = weight[0], weight[1] + 1  # each parent gets half
-        for parent in record[1:3]:
-            held_num, held_depth = pending.get(parent, (0, depth))
-            top = max(held_depth, depth)
-            pending[parent] = ((held_num << (top - held_depth)) + (num << (top - depth)), top)
-    return coeffs

@@ -18,7 +18,8 @@ Non-convex variant (agreement-coupled gradient steps):
 
 Averaging, in both variants, sums in ascending sender order and divides
 once, so any two processes averaging the same multiset get bit-identical
-results.
+results. That rule is _sum_then_divide, the one kernel of both drivers:
+batch._sequential_mean runs it over a stacked axis.
 """
 
 from __future__ import annotations
@@ -174,13 +175,18 @@ def _cluster_quorum_warnings(cluster_quorum: int | None, topology: sim.Topology)
     return []
 
 
+def _sum_then_divide(terms) -> np.ndarray:
+    """Mean of a sequence of arrays, summed left to right, one division."""
+    total = terms[0].copy()
+    for term in terms[1:]:
+        total += term
+    return total / len(terms)
+
+
 def _ordered_average(held: list) -> np.ndarray:
     """Average message payloads in ascending sender order, one division."""
     ordered = sorted(held, key=lambda item: item[0])
-    total = ordered[0][1].copy()
-    for _, payload in ordered[1:]:
-        total += payload
-    return total / len(ordered)
+    return _sum_then_divide([payload for _, payload in ordered])
 
 
 def _strongly_convex_program(conf: SgdConfig, ctx: sim.ProcessContext):

@@ -51,6 +51,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
+from fractions import Fraction
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Any, Iterator, Optional
 
@@ -565,18 +566,22 @@ def _digest(value) -> str:
 
 @dataclass
 class WitnessRecorder:
-    """Append-only DAG of midpoint operations behind every agreement output.
+    """Append-only DAG of midpoint operations behind every agreement output,
+    and the only reader of its nodes.
 
-    Node kinds: ("input", bytes, shape) and ("mid", parent_a, parent_b).
+    Node kinds: ("input", bytes) and ("mid", parent_a, parent_b); parents
+    always precede their children. _values holds replay's values of
+    nodes[:len(_values)].
     """
 
     nodes: list[tuple] = field(default_factory=list)
     enabled: bool = True
+    _values: list[np.ndarray] = field(default_factory=list, init=False, repr=False, compare=False)
 
     def input(self, value: np.ndarray) -> int:
         if not self.enabled:
             return -1
-        self.nodes.append(("input", value.tobytes(), value.shape[0]))
+        self.nodes.append(("input", value.tobytes()))
         return len(self.nodes) - 1
 
     def mid(self, a: int, b: int) -> int:
@@ -588,28 +593,40 @@ class WitnessRecorder:
     def replay(self, idx: int) -> np.ndarray:
         """Recompute the value at a node with the same float op order.
 
-        Parents always precede children in the node list, so evaluating the
-        reachable set in ascending index order needs no recursion (agreement
-        chains can be thousands of mids deep).
+        Nodes are evaluated in ascending index order, one float op each, and
+        kept: the DAG only grows, so a later replay starts where the last one
+        stopped. Returns a copy, never the kept array.
         """
-        needed: set[int] = set()
-        stack = [idx]
-        while stack:
-            i = stack.pop()
-            if i in needed:
-                continue
-            needed.add(i)
-            node = self.nodes[i]
-            if node[0] == "mid":
-                stack.extend(node[1:3])
-        memo: dict[int, np.ndarray] = {}
-        for i in sorted(needed):
-            node = self.nodes[i]
+        values = self._values
+        for node in self.nodes[len(values):idx + 1]:
             if node[0] == "input":
-                memo[i] = np.frombuffer(node[1], dtype=np.float64).copy()
+                values.append(np.frombuffer(node[1], dtype=np.float64).copy())
             else:
-                memo[i] = (memo[node[1]] + memo[node[2]]) / 2.0
-        return memo[idx]
+                values.append((values[node[1]] + values[node[2]]) / 2.0)
+        return values[idx].copy()
+
+    def coefficients(self, node: int) -> dict[int, Fraction]:
+        """Exact dyadic weights of the input nodes reachable from `node`:
+        nonnegative and summing to one, they certify its value as a convex
+        combination of inputs. One descending sweep; a pending weight is an
+        integer numerator over 2^D, D the longest path from `node`, and each
+        input's weight becomes a Fraction once, at the end."""
+        pending: dict[int, tuple[int, int]] = {node: (1, 0)}
+        coeffs: dict[int, Fraction] = {}
+        for idx in range(node, -1, -1):
+            weight = pending.pop(idx, None)
+            if weight is None:
+                continue
+            record = self.nodes[idx]
+            if record[0] == "input":
+                coeffs[idx] = Fraction(weight[0], 1 << weight[1])
+                continue
+            num, depth = weight[0], weight[1] + 1  # each parent gets half
+            for parent in record[1:3]:
+                held_num, held_depth = pending.get(parent, (0, depth))
+                top = max(held_depth, depth)
+                pending[parent] = ((held_num << (top - held_depth)) + (num << (top - depth)), top)
+        return coeffs
 
 
 @dataclass
@@ -621,7 +638,7 @@ class RunTrace:
     events: list[tuple]
     outputs: dict[int, np.ndarray]
     snapshots: dict[tuple[int, int], np.ndarray]
-    round_values: dict[tuple, dict[int, np.ndarray]]
+    round_values: dict[tuple, dict[int, dict[int, np.ndarray]]]  # [scope][round][pid]
     witness: WitnessRecorder
     output_witness: dict[int, int]
     counters: dict[str, int]
@@ -778,7 +795,7 @@ def run(
 
     trace_events: list[tuple] = []
     snapshots: dict[tuple[int, int], np.ndarray] = {}
-    round_values: dict[tuple, dict[int, np.ndarray]] = {}
+    round_values: dict[tuple, dict[int, dict[int, np.ndarray]]] = {}
     outputs: dict[int, np.ndarray] = {}
     output_witness: dict[int, int] = {}
     counters = {
@@ -973,8 +990,8 @@ def run(
             if crash_by_iter.get(pid) == effect.iteration:
                 apply_crash(pid, f"at_iteration={effect.iteration}")
         elif isinstance(effect, RoundMark):
-            key = effect.scope + (effect.round_index,)
-            round_values.setdefault(key, {})[pid] = effect.value
+            by_round = round_values.setdefault(effect.scope, {})
+            by_round.setdefault(effect.round_index, {})[pid] = effect.value
             if record_events:
                 log("round", pid, scope=list(effect.scope), round=effect.round_index,
                     value=effect.value)

@@ -151,6 +151,8 @@ def batched_mid_extremes(points: np.ndarray) -> np.ndarray:
 
 def batched_approach_extreme(points: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     """Midpoint of each anchor and its set's farthest point from it;
-    points (S, k, d), anchors (S, d) -> (S, d)."""
-    far = farthest_index(points, anchors)
-    return (anchors + points[np.arange(points.shape[0]), far]) / 2.0
+    points (S, k, d), anchors (S, a, d), a anchors per set -> (S, a, d)."""
+    s, k, d = points.shape
+    # flat row of each anchor's farthest point in the (s * k, d) view
+    far = farthest_index(points[:, None], anchors) + np.arange(0, s * k, k)[:, None]
+    return (anchors + points.reshape(-1, d).take(far, axis=0)) / 2.0

@@ -16,7 +16,7 @@ import time
 import numpy as np
 from schedutil import run_scripted
 
-from asgd import batch, checks, harness, maa, sim, vecmath
+from asgd import batch, checks, harness, sim, vecmath
 from asgd.checks import APPROACH, MID, QUAD_2D, _pairs, _sc_config, _singletons
 from asgd.maa import MaaOnlyConfig, required_rounds
 from asgd.oracle import OracleSpec, grad
@@ -116,8 +116,7 @@ def test_c05_witness_replay():
         for pid, out in trace.outputs.items():
             replayed = trace.witness.replay(trace.output_witness[pid])
             assert replayed.tobytes() == out.tobytes()
-            coeffs = maa.witness_coefficients(trace.witness,
-                                              trace.output_witness[pid])
+            coeffs = trace.witness.coefficients(trace.output_witness[pid])
             assert sum(coeffs.values()) == 1
             assert all(c >= 0 for c in coeffs.values())
             outputs_checked += 1
@@ -145,8 +144,7 @@ def test_c05_witness_replay():
         for pid, out in trace.outputs.items():
             replayed = trace.witness.replay(trace.output_witness[pid])
             assert replayed.tobytes() == out.tobytes()
-            coeffs = maa.witness_coefficients(trace.witness,
-                                              trace.output_witness[pid])
+            coeffs = trace.witness.coefficients(trace.output_witness[pid])
             assert sum(coeffs.values()) == 1
             outputs_checked += 1
     _line("criterion-05 witness replay", runs == 100 and outputs_checked >= 300,

@@ -21,7 +21,6 @@ from asgd.maa import (
     MaaOnlyConfig,
     STAGE_TARGET,
     required_rounds,
-    witness_coefficients,
 )
 from asgd.vecmath import as_point_set, pair_list, pair_sq
 
@@ -92,7 +91,7 @@ def test_scripted_witness_coefficients_and_replay():
     order = [1] * 8 + [0] * 8
     results, _, witness = run_scripted([0.0, 1.0], 2, MID, order)
     value, node = results[0]
-    coeffs = witness_coefficients(witness, node)
+    coeffs = witness.coefficients(node)
     # 0.75 = (1/4) * x0 + (3/4) * x1 over the two input nodes
     assert sorted(coeffs.values()) == [Fraction(1, 4), Fraction(3, 4)]
     assert sum(coeffs.values()) == 1
@@ -164,15 +163,15 @@ def test_random_schedules_witness_convexity():
         inputs = [rng.uniform(-1, 1) for _ in range(n)]
         results, _, witness = run_scripted(inputs, 3, MID, rng)
         for pid, (value, node) in results.items():
-            coeffs = witness_coefficients(witness, node)
+            coeffs = witness.coefficients(node)
             assert sum(coeffs.values()) == 1
             assert all(c >= 0 for c in coeffs.values())
             assert witness.replay(node).tobytes() == value.tobytes()
 
 
 def _fraction_coefficients(witness, node):
-    """witness_coefficients as first written, with one Fraction per pending
-    weight: the reference for the integer version."""
+    """WitnessRecorder.coefficients as first written, with one Fraction per
+    pending weight: the reference for the integer version."""
     pending = {node: Fraction(1)}
     coeffs = {}
     for idx in range(node, -1, -1):
@@ -193,7 +192,7 @@ def test_witness_coefficients_equal_the_fraction_reference():
     order = [1] * 8 + [0] * 8
     results, _, witness = run_scripted([0.0, 1.0], 2, MID, order)
     for _, node in results.values():
-        assert witness_coefficients(witness, node) == _fraction_coefficients(witness, node)
+        assert witness.coefficients(node) == _fraction_coefficients(witness, node)
 
     rng = random.Random(7)
     for _ in range(40):
@@ -208,7 +207,7 @@ def test_witness_coefficients_equal_the_fraction_reference():
             b = a if rng.random() < 0.05 else rng.randint(0, top)
             witness.mid(a, b)
         for node in (len(witness.nodes) - 1, rng.randrange(len(witness.nodes))):
-            got = witness_coefficients(witness, node)
+            got = witness.coefficients(node)
             assert got == _fraction_coefficients(witness, node)
             assert sum(got.values()) == 1
             assert all(isinstance(c, Fraction) for c in got.values())

@@ -6,7 +6,9 @@ longer resolves only drops the metrics that need it from the report. This
 test loads the tracer as it is and fails on such a rename, so the tier-1
 suite catches it; perfbench/test_tracing.py covers traced runs. The
 workloads of perfbench/run.py are checked the same way: a scenario key the
-loader no longer accepts fails here, not only in a benchmark run.
+loader no longer accepts fails here, not only in a benchmark run. So is the
+batch.iterations counter, which counts batch._sequential_mean calls: each
+batch variant must make one per iteration.
 """
 
 import importlib.util
@@ -14,7 +16,11 @@ import inspect
 import sys
 from pathlib import Path
 
-from asgd import batch, cli
+import pytest
+
+from asgd import batch, cli, sim
+from asgd.oracle import OracleSpec
+from asgd.sgd import LrSchedule, SgdConfig, Variant
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -56,3 +62,26 @@ def test_every_workload_scenario_loads_with_its_driver(monkeypatch):
     for name, workload in module.WORKLOADS.items():
         driver = cli.load_scenario(workload.scenario(0))[5]
         assert driver == workload.driver, name
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_the_iteration_counter_sees_one_mean_per_iteration(variant, monkeypatch):
+    # batch.iterations counts the calls of batch._sequential_mean through the
+    # module attribute inside run_ensemble, so each variant must make exactly
+    # one such call per iteration
+    calls = []
+    mean = batch._sequential_mean
+
+    def counted(gathered):
+        calls.append(gathered.shape)
+        return mean(gathered)
+
+    monkeypatch.setattr(batch, "_sequential_mean", counted)
+    iterations = 5
+    conf = SgdConfig(variant=variant, iterations=iterations, quorum=2, x1=(0.5, -0.5),
+                     lr=LrSchedule(kind="constant", value=0.05), agreement_q=0.5,
+                     lr_check="warn")
+    spec = OracleSpec(kind="quadratic", dim=2, sigma=1.0, mu=1.0, lipschitz=1.0)
+    batch.run_ensemble(sim.Topology(4, ((0, 1), (2, 3))), conf, spec,
+                       batch.BatchOptions(seeds=3, record_series=False))
+    assert len(calls) == iterations

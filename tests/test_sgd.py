@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from asgd import sim
+from asgd import batch, sim
 from asgd.maa import AggregationRule, MaaOnlyConfig
 from asgd.oracle import OracleSpec
 from asgd.sgd import (
@@ -126,3 +126,33 @@ def test_ordered_average_ignores_arrival_order():
     a = _ordered_average(list(msgs))
     b = _ordered_average(list(reversed(msgs)))
     assert a.tobytes() == b.tobytes()
+
+
+def _mean_as_first_written(gathered):
+    """batch._sequential_mean before both drivers shared one kernel."""
+    total = gathered[..., 0, :].copy()
+    for j in range(1, gathered.shape[-2]):
+        total += gathered[..., j, :]
+    return total / gathered.shape[-2]
+
+
+def test_one_mean_kernel_gives_both_drivers_the_same_bits():
+    # a sender-sorted message list (event driver) and a stacked axis -2
+    # (batch driver) go through one kernel; edge values make the summation
+    # order show: signed zeros, +-inf, NaN, overflow and cancellation
+    rng = np.random.default_rng(17)
+    edge = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308,
+                     5e-324, 1.0, -3.0, 0.1])
+    for count in range(1, 7):
+        for _ in range(150):
+            vecs = np.where(rng.random((count, 3)) < 0.5,
+                            rng.choice(edge, size=(count, 3)),
+                            rng.normal(size=(count, 3)))
+            before = vecs.copy()
+            msgs = [(int(p), vecs[p]) for p in rng.permutation(count)]  # arrival order
+            with np.errstate(invalid="ignore", over="ignore"):
+                event = _ordered_average(msgs)
+                stacked = batch._sequential_mean(vecs[None, None])[0, 0]
+                want = _mean_as_first_written(vecs[None, None])[0, 0]
+            assert event.tobytes() == stacked.tobytes() == want.tobytes()
+            assert vecs.tobytes() == before.tobytes()

@@ -337,11 +337,20 @@ def test_cluster_agreement_contracts_and_marks_rounds():
     outs = np.array([trace.outputs[p][0] for p in range(3)])
     assert outs.max() - outs.min() <= 0.25 * 4.0 + 1e-9
     assert outs.min() >= -1e-9 and outs.max() <= 4.0 + 1e-9
-    marks = [key for key in trace.round_values if key[0] == "cmaa"]
-    rounds = sorted(k[-1] for k in marks)
-    assert rounds[0] == 1 and rounds[-1] >= 2
+    # round_values[scope][round][pid]: one exchange scope for the one
+    # iteration, one shared-memory scope per (exchange round, cluster)
+    assert [s for s in trace.round_values if s[0] == "cmaa"] == [("cmaa", 1)]
+    by_round = trace.round_values[("cmaa", 1)]
+    rounds = sorted(by_round)
+    assert rounds == list(range(1, len(rounds) + 1)) and len(rounds) >= 2
+    assert all(sorted(by_round[r]) == [0, 1, 2] for r in rounds)
+    sm_scopes = [s for s in trace.round_values if s[0] == "sm"]
+    assert sorted(sm_scopes) == [("sm", 1, r, c) for r in rounds[:-1] for c in range(3)]
+    for scope in sm_scopes:
+        for per_pid in trace.round_values[scope].values():
+            assert list(per_pid) == [scope[3]]
+            assert per_pid[scope[3]].shape == (1,)
     # measured per-round contraction never beats the 23/24 bound
-    by_round = {k[-1]: trace.round_values[k] for k in marks}
     for r in range(1, rounds[-1]):
         cur = np.array([v[0] for v in by_round[r].values()])
         nxt = np.array([v[0] for v in by_round[r + 1].values()])
@@ -403,6 +412,36 @@ def test_witness_audit_replays_agreement_outputs():
     # tampering with an output must break the replay
     trace.outputs[0] = trace.outputs[0] + 1.0
     assert not sim.audit(trace, ["witness_replay"])["witness_replay"]["ok"]
+
+
+def test_witness_replay_after_growth_equals_a_fresh_replay():
+    # replay keeps the values it computed; a recorder that grew between
+    # replays must give the bits of one that replays the final DAG once
+    rng = random.Random(11)
+    grown = sim.WitnessRecorder()
+    for _ in range(3):
+        grown.input(np.array([rng.uniform(-1, 1), rng.uniform(-1e-3, 1e3)]))
+    for step in range(300):
+        top = len(grown.nodes) - 1
+        grown.mid(rng.randint(max(0, top - 5), top), rng.randint(0, top))
+        if step % 7 == 0:
+            grown.replay(rng.randrange(len(grown.nodes)))
+    for node in (len(grown.nodes) - 1, 0, rng.randrange(len(grown.nodes))):
+        fresh = sim.WitnessRecorder(nodes=list(grown.nodes))
+        assert grown.replay(node).tobytes() == fresh.replay(node).tobytes()
+
+
+def test_witness_replay_returns_a_copy():
+    witness = sim.WitnessRecorder()
+    a = witness.input(np.array([1.0, -2.0]))
+    b = witness.input(np.array([3.0, 0.5]))
+    node = witness.mid(a, b)
+    witness.replay(node)[:] = 100.0
+    witness.replay(a)[:] = 0.0
+    assert witness.replay(node).tolist() == [2.0, -0.75]
+    assert witness.replay(a).tolist() == [1.0, -2.0]
+    later = witness.mid(node, a)
+    assert witness.replay(later).tolist() == [1.5, -1.375]
 
 
 # ---------------------------------------------------------------------------

@@ -142,8 +142,8 @@ def test_mid_extremes_singleton_maps_to_itself():
 
 
 def test_approach_extreme_known_value():
-    out = batched_approach_extreme(np.array([[[1.0, 0.0], [4.0, 0.0]]]), np.zeros((1, 2)))
-    assert out.tolist() == [[2.0, 0.0]]
+    out = batched_approach_extreme(np.array([[[1.0, 0.0], [4.0, 0.0]]]), np.zeros((1, 1, 2)))
+    assert out.tolist() == [[[2.0, 0.0]]]
 
 
 def test_approach_extreme_dimension_mismatch():
@@ -152,7 +152,7 @@ def test_approach_extreme_dimension_mismatch():
         with pytest.raises(ValueError):
             farthest_index(pts, anchor)
         with pytest.raises(ValueError):
-            batched_approach_extreme(pts[None], anchor[None])
+            batched_approach_extreme(pts[None], anchor[None, None])
 
 
 def test_empty_set_rejected():
@@ -201,7 +201,7 @@ def test_scan_matches_full_matrix_bitwise(k, d):
     pts = tie_heavy_sets(rng, k, d)
     anchors = tie_heavy_sets(rng, 1, d)[:, 0]
     mids = batched_mid_extremes(pts)
-    approach = batched_approach_extreme(pts, anchors)
+    approach = batched_approach_extreme(pts, anchors[:, None])[:, 0]
     diam = diameter_sq(pts)
     far = farthest_index(pts, anchors)
     for s in range(pts.shape[0]):
@@ -311,7 +311,7 @@ def test_contraction_report_matches_full_matrix_bitwise(monkeypatch):
         sets[1:] *= rng.choice([0.0, 0.5, 1.0, 2.0], size=(3, 1, 1))
         for r, values in enumerate(sets):
             kind = ("sm", "cmaa")[scope % 2]
-            round_values[(kind, scope, r)] = dict(enumerate(values))
+            round_values.setdefault((kind, scope), {})[r] = dict(enumerate(values))
     trace = SimpleNamespace(round_values=round_values)
     new = [harness.contraction_report(trace, rule) for rule in AggregationRule]
     monkeypatch.setattr(harness.vecmath, "diameter_sq", full_diameter_sq)
@@ -368,8 +368,8 @@ def test_anchored_contraction_with_shared_point_smoke():
         ya = a[int(rng.integers(len(a)))]
         yb = b[int(rng.integers(len(b)))]
         union = np.vstack([a, b])
-        gap = (batched_approach_extreme(a[None], ya[None])[0]
-               - batched_approach_extreme(b[None], yb[None])[0])
+        gap = (batched_approach_extreme(a[None], ya[None, None])[0, 0]
+               - batched_approach_extreme(b[None], yb[None, None])[0, 0])
         assert float(gap @ gap) <= (31.0 / 32.0) * diameter_sq(union) + 1e-12
 
 
@@ -400,10 +400,31 @@ def test_batched_mid_extremes_matches_scalar_on_ties():
 def test_batched_approach_extreme_matches_scalar_bitwise():
     rng = np.random.default_rng(100)
     pts = rng.normal(size=(40, 4, 2))
-    anchors = rng.normal(size=(40, 2))
+    anchors = rng.normal(size=(40, 3, 2))
     out = batched_approach_extreme(pts, anchors)
+    assert out.shape == (40, 3, 2)
     for s in range(pts.shape[0]):
-        assert out[s].tobytes() == full_approach_extreme(pts[s], anchors[s]).tobytes()
+        for a in range(3):
+            assert (out[s, a].tobytes()
+                    == full_approach_extreme(pts[s], anchors[s, a]).tobytes())
+
+
+def test_batched_approach_extreme_anchors_per_set_equal_the_repeated_sets():
+    # the batch driver's round passes each cluster's held set once with its
+    # members as anchors; the earlier form repeated the set once per member
+    rng = np.random.default_rng(101)
+    for k in range(1, 7):
+        for d in (1, 2, 3, 5):
+            for a in (1, 2, 3):
+                pts = tie_heavy_sets(rng, k, d)
+                s = pts.shape[0]
+                anchors = tie_heavy_sets(rng, a, d)[rng.integers(240, size=s)]
+                with np.errstate(invalid="ignore", over="ignore"):
+                    got = batched_approach_extreme(pts, anchors)
+                    flat = anchors.reshape(s * a, d)
+                    far = farthest_index(np.repeat(pts, a, axis=0), flat)
+                    want = (flat + np.repeat(pts, a, axis=0)[np.arange(s * a), far]) / 2.0
+                assert got.tobytes() == want.reshape(s, a, d).tobytes(), (k, d, a)
 
 
 def test_batched_mid_extremes_singleton():
