@@ -105,8 +105,8 @@ def approach_extreme_stage(quick: bool = False) -> Check:
 
 def shared_level_contraction(quick: bool = False) -> Check:
     """On the event kernel, every shared-memory round of an agreement run
-    contracts by the stage factor, and the run ends within q = 1/6 of the
-    input span."""
+    contracts by the stage factor (a zero-diameter round stays at zero), and
+    the run ends within q = 1/6 of the input span."""
     spec = OracleSpec(kind="quadratic", dim=2, sigma=0.0, mu=1.0, lipschitz=4.0)
     runs = 10 if quick else 40
     rng = np.random.default_rng(2024)
@@ -115,6 +115,7 @@ def shared_level_contraction(quick: bool = False) -> Check:
     for rule in AggregationRule:
         worst_sm = 0.0
         worst_end = 0.0
+        expanded = 0
         for r in range(runs):
             n = int(rng.integers(2, 6))
             inputs = tuple(tuple(row) for row in rng.normal(0, 1, (n, 2)))
@@ -124,16 +125,19 @@ def shared_level_contraction(quick: bool = False) -> Check:
             trace = sim.run(topo, sim.FaultPlan(), sim.Schedule(), conf, spec,
                             [900 + r, 0], record_events=False)
             rep = harness.contraction_report(trace, rule).get("sm")
-            if rep is not None and rep.worst_ratio is not None:
-                worst_sm = max(worst_sm, rep.worst_ratio)
+            if rep is not None:
+                expanded += rep.expanded_zero_rounds
+                if rep.worst_ratio is not None:
+                    worst_sm = max(worst_sm, rep.worst_ratio)
             span_in = _span(inputs)
             if span_in > 0:
                 worst_end = max(worst_end, _span(_outputs(trace)) / span_in)
         bound = float(SHARED_FACTOR[rule])
-        ok &= worst_sm <= bound + 1e-9 and worst_end <= 1.0 / 6.0 + 1e-9
+        ok &= (worst_sm <= bound + 1e-9 and expanded == 0
+               and worst_end <= 1.0 / 6.0 + 1e-9)
         details.append(f"{rule.value}: worst per-round ratio {worst_sm:.4f} "
-                       f"<= {bound:.4f}, worst output/input span ratio "
-                       f"{worst_end:.4f} <= 1/6")
+                       f"<= {bound:.4f}, {expanded} zero-diameter rounds grew "
+                       f"back, worst output/input span ratio {worst_end:.4f} <= 1/6")
     return Check("shared-level contraction", ok,
                  f"{runs} runs per rule; " + "; ".join(details))
 

@@ -338,7 +338,7 @@ def _cmd_run(args) -> int:
         outdir = _start_output(args.out, summary, result.warnings)
         finals = result.outputs
         summary["liveness"] = {"ok": True}
-        if options.record_series and result.series:
+        if result.series:
             summary["series_len"] = {k: len(v) for k, v in result.series.items()}
 
     internal, pair = harness.internal_err(finals)

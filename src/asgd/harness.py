@@ -118,7 +118,6 @@ def fit_rate(xs, ys) -> RateFit:
 
 @dataclass(frozen=True)
 class ContractionReport:
-    scope_kind: str
     bound: float
     rounds_measured: int
     rounds_skipped: int  # zero-diameter rounds carry no ratio
@@ -169,7 +168,6 @@ def contraction_report(trace: sim.RunTrace, rule: AggregationRule) -> dict[str, 
             measured[kind].append(span_nxt / span_cur)
     return {
         kind: ContractionReport(
-            scope_kind=kind,
             bound=bounds[kind],
             rounds_measured=len(measured[kind]),
             rounds_skipped=skipped[kind],
@@ -234,10 +232,6 @@ def divergence_demo(topology, conf, spec: OracleSpec, partition: sim.PartitionSp
     parted = batch.run_ensemble(topology, conf, spec, options, partition)
     healthy_internal, _ = internal_err(healthy.finals)
     parted_cross = cross_err(parted.finals, partition.side_a, partition.side_b)
-    side_internals = [
-        internal_err(parted.finals[:, list(side)])[0].mean
-        for side in (partition.side_a, partition.side_b)
-    ]
 
     landings = []
     for s in range(seeds):
@@ -251,12 +245,9 @@ def divergence_demo(topology, conf, spec: OracleSpec, partition: sim.PartitionSp
     return {
         "healthy_internal_err": healthy_internal.mean,
         "partition_cross_err": parted_cross.mean,
-        "partition_side_internal_err": side_internals,
         "separation_ratio": (parted_cross.mean / healthy_internal.mean
                              if healthy_internal.mean > 0 else math.inf),
         "sequential_plus_rate": plus_rate,
-        "sequential_minus_rate": 1.0 - plus_rate,
-        "seeds": seeds,
     }
 
 

@@ -79,10 +79,7 @@ class OracleSpec:
         (every quadratic gradient reads it) and read-only."""
         if self.kind != "quadratic":
             raise ValueError("curvatures only defined for the quadratic oracle")
-        if self.dim == 1:
-            curv = np.array([self.mu])
-        else:
-            curv = np.linspace(self.mu, self.lipschitz, self.dim)
+        curv = np.linspace(self.mu, self.lipschitz, self.dim)
         curv.flags.writeable = False
         return curv
 

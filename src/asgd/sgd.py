@@ -245,13 +245,11 @@ def build_programs(algorithm, contexts, tau_rng) -> tuple[list, int | None]:
 
     tau is drawn here (once, shared by every process) from the dedicated
     stream so both execution drivers consume the stream identically; an
-    explicit tau skips the draw entirely. The caller, sim.run, has
-    already run validate_config.
+    explicit tau skips the draw entirely. `algorithm` is an SgdConfig or a
+    MaaOnlyConfig: the caller, sim.run, has already run validate_config.
     """
     if isinstance(algorithm, maa.MaaOnlyConfig):
         return maa.build_maa_only_programs(algorithm, contexts), None
-    if not isinstance(algorithm, SgdConfig):
-        raise TypeError(f"unknown algorithm config {type(algorithm).__name__}")
     if algorithm.variant is Variant.STRONGLY_CONVEX:
         return [_strongly_convex_program(algorithm, ctx) for ctx in contexts], None
     if algorithm.tau is not None:

@@ -9,8 +9,8 @@ interleaving of the fine-grained steps is reachable.
 Model notes:
 
 - Within a cluster, processes communicate through single-writer multi-reader
-  register banks; writing someone else's cell or writing a cell twice is a
-  hard failure (``RegisterViolation``).
+  register banks. A ``Write`` names no owner, so a process writes only its
+  own cell; a double write or a non-member's write is a ``RegisterViolation``.
 - Across the whole system, processes communicate by broadcast messages with
   per-receiver delivery delays drawn uniformly from [1, max_delay] scheduler
   ticks. A process's broadcast is delivered to itself synchronously at send
@@ -464,7 +464,7 @@ class WaitClusters:
 
 @dataclass(slots=True)
 class IterMark:
-    """Start of an iteration; carries the entering iterate for snapshots."""
+    """Start of an iteration; carries the entering iterate for the event log."""
 
     iteration: int
     value: np.ndarray
@@ -499,7 +499,7 @@ class Output:
 
 
 class RegisterViolation(RuntimeError):
-    """Foreign-cell write or double write; always a hard failure."""
+    """Write by a non-member or double write; always a hard failure."""
 
 
 class RegisterBank:
@@ -510,12 +510,7 @@ class RegisterBank:
         self.owners = frozenset(owners)
         self.cells: dict[tuple[int, int], Any] = {}
 
-    def write(self, round_index: int, owner: int, writer: int, payload) -> None:
-        if writer != owner:
-            raise RegisterViolation(
-                f"process {writer} attempted to write cell ({round_index}, {owner}) "
-                f"of bank {self.instance}"
-            )
+    def write(self, round_index: int, owner: int, payload) -> None:
         if owner not in self.owners:
             raise RegisterViolation(
                 f"process {owner} does not own a cell in bank {self.instance}"
@@ -637,7 +632,7 @@ class RunTrace:
     n: int
     events: list[tuple]
     outputs: dict[int, np.ndarray]
-    snapshots: dict[tuple[int, int], np.ndarray]
+    participants: dict[int, set[int]]  # [iteration] -> pids that reached it
     round_values: dict[tuple, dict[int, dict[int, np.ndarray]]]  # [scope][round][pid]
     witness: WitnessRecorder
     output_witness: dict[int, int]
@@ -794,7 +789,7 @@ def run(
     deferred: list = []
 
     trace_events: list[tuple] = []
-    snapshots: dict[tuple[int, int], np.ndarray] = {}
+    participants: dict[int, set[int]] = {}
     round_values: dict[tuple, dict[int, dict[int, np.ndarray]]] = {}
     outputs: dict[int, np.ndarray] = {}
     output_witness: dict[int, int] = {}
@@ -900,14 +895,11 @@ def run(
             if buckets:
                 tick = min(buckets)  # fast-forward to the next delivery
                 continue
+            # a READY process is runnable, so every pending one is BLOCKED
             liveness = {
                 "ok": False, "kind": "blocked",
-                "blocked": [
-                    {"pid": i,
-                     "wait": type(procs[i].wait).__name__ if procs[i].wait else "none",
-                     "tag": list(procs[i].wait.tag) if procs[i].wait else None}
-                    for i in pending
-                ],
+                "blocked": [{"pid": i, "wait": type(procs[i].wait).__name__,
+                             "tag": list(procs[i].wait.tag)} for i in pending],
             }
             break
 
@@ -950,7 +942,7 @@ def run(
                     observed=_digest(st.feed) if st.feed is not None else None)
         elif isinstance(effect, Write):
             bank = bank_for(effect.instance, pid)
-            bank.write(effect.round_index, pid, pid, effect.payload)
+            bank.write(effect.round_index, pid, effect.payload)
             counters["register_writes"] += 1
             if record_events:
                 log("write", pid, instance=list(effect.instance),
@@ -984,7 +976,7 @@ def run(
             if not wait_satisfied(pid, effect):
                 runnable.remove(pid)
         elif isinstance(effect, IterMark):
-            snapshots[(pid, effect.iteration)] = effect.value
+            participants.setdefault(effect.iteration, set()).add(pid)
             if record_events:
                 log("iter", pid, iteration=effect.iteration, value=effect.value)
             if crash_by_iter.get(pid) == effect.iteration:
@@ -1000,7 +992,7 @@ def run(
                 log("note", pid, kind=effect.kind, **effect.data)
         elif isinstance(effect, Output):
             outputs[pid] = effect.value
-            if record_witness and effect.witness_node >= 0:
+            if effect.witness_node >= 0:  # a disabled recorder gives -1
                 output_witness[pid] = effect.witness_node
             st.status = DONE
             runnable.remove(pid)
@@ -1025,7 +1017,7 @@ def run(
         n=topology.n,
         events=trace_events,
         outputs=outputs,
-        snapshots=snapshots,
+        participants=participants,
         round_values=round_values,
         witness=witness,
         output_witness=output_witness,
@@ -1111,9 +1103,7 @@ def _audit_stale(trace: RunTrace) -> dict:
 
 
 def _audit_monotone(trace: RunTrace) -> dict:
-    reached: dict[int, set[int]] = {}
-    for (pid, t) in trace.snapshots:
-        reached.setdefault(t, set()).add(pid)
+    reached = trace.participants
     ts = sorted(reached)
     for earlier, later in zip(ts, ts[1:]):
         if later != earlier + 1:
@@ -1127,11 +1117,9 @@ def _audit_monotone(trace: RunTrace) -> dict:
 
 
 def _audit_witness(trace: RunTrace) -> dict:
-    if not trace.witness.enabled or not trace.output_witness:
+    if not trace.output_witness:
         return {"ok": True, "detail": "no witnesses recorded"}
     for pid, node in trace.output_witness.items():
-        if node < 0:
-            continue
         replayed = trace.witness.replay(node)
         if replayed.tobytes() != trace.outputs[pid].tobytes():
             return {"ok": False, "detail": f"witness replay mismatch for process {pid}"}

@@ -173,9 +173,6 @@ def test_divergence_demo_partition_separates_sides():
     part = sim.PartitionSpec(side_a=(0, 1), side_b=(2, 3))
     demo = harness.divergence_demo(topo, conf, spec, part, seeds=16,
                                    seed_root=31)
-    assert demo["seeds"] == 16
-    assert len(demo["partition_side_internal_err"]) == 2
-    assert abs(demo["sequential_plus_rate"] + demo["sequential_minus_rate"] - 1.0) < 1e-12
     assert 0.0 < demo["sequential_plus_rate"] < 1.0
     assert demo["separation_ratio"] > 1.5
 

@@ -127,6 +127,27 @@ def test_shared_level_contraction_on_event_kernel():
     assert check.ok, check.detail
 
 
+def test_shared_level_contraction_fails_when_a_zero_round_grows_back(monkeypatch):
+    # doctor one run's report: a zero-diameter round grew back, while every
+    # measured ratio and every output span still passes
+    real_report = harness.contraction_report
+    doctored = {"report": False}
+
+    def report(trace, rule):
+        reps = real_report(trace, rule)
+        if not doctored["report"] and "sm" in reps:
+            doctored["report"] = True
+            reps["sm"] = dataclasses.replace(reps["sm"], expanded_zero_rounds=1)
+        return reps
+
+    monkeypatch.setattr(harness, "contraction_report", report)
+    check = checks.shared_level_contraction(quick=True)
+    assert doctored["report"]
+    assert not check.ok
+    assert "mid_extremes: worst per-round ratio" in check.detail, check.detail
+    assert "1 zero-diameter rounds grew back" in check.detail, check.detail
+
+
 def test_cluster_round_contraction_detail_states_its_counts(monkeypatch):
     # doctor one run's report (two zero-diameter rounds grew back) and one
     # run's outputs (target q missed): the detail must print both counts

@@ -123,15 +123,13 @@ def test_fault_plan_warns_when_crashes_take_cluster_majority():
 
 def test_register_bank_semantics():
     bank = sim.RegisterBank(("sm", 1, 1, 0), owners=(0, 1))
-    bank.write(1, 0, 0, "payload")
+    bank.write(1, 0, "payload")
     assert bank.read(1, 0) == "payload"
     assert bank.read(1, 1) is None
     with pytest.raises(sim.RegisterViolation):
-        bank.write(1, 0, 0, "again")  # double write
+        bank.write(1, 0, "again")  # double write
     with pytest.raises(sim.RegisterViolation):
-        bank.write(1, 1, 0, "foreign")  # writer != owner
-    with pytest.raises(sim.RegisterViolation):
-        bank.write(1, 5, 5, "outsider")  # not a member
+        bank.write(1, 5, "outsider")  # not a member
 
 
 def test_derive_streams_reproducible_and_distinct():
@@ -390,6 +388,10 @@ def test_partition_without_majority_blocks_and_is_reported():
     assert trace.liveness["kind"] == "blocked"
     blocked = {entry["pid"] for entry in trace.liveness["blocked"]}
     assert blocked == {0, 1}
+    # nothing is enabled, so each pending process is blocked on its wait
+    for entry in trace.liveness["blocked"]:
+        assert entry["wait"] == "WaitClusters", entry
+        assert entry["tag"][0] == "agree", entry
     assert trace.outputs == {}
 
 
@@ -495,6 +497,46 @@ def test_quorum_and_stale_audits_pass_and_catch_doctored_notes():
     assert not sim.audit(trace, ["stale_filtering"])["stale_filtering"]["ok"]
 
 
+def test_participant_audit_reads_participants_without_an_event_log():
+    topo = one_cluster(3)
+    conf = SgdConfig(variant=Variant.STRONGLY_CONVEX, iterations=4, quorum=2,
+                     x1=(0.5, 0.5), lr=LrSchedule(kind="constant", value=0.1))
+    trace = sim.run(topo, NO_FAULTS, FAST, conf, QUAD2, [31, 5],
+                    record_events=False, record_witness=False)
+    assert trace.events == []
+    assert trace.participants == {t: {0, 1, 2} for t in range(1, 6)}
+    assert sim.audit(trace, ["participant_monotone"])["participant_monotone"]["ok"]
+    # doctor the participants: pid 1 reaches iteration 3 without iteration 2
+    trace.participants[2].discard(1)
+    report = sim.audit(trace, ["participant_monotone"])["participant_monotone"]
+    assert not report["ok"]
+    assert report["detail"] == "processes {1} reached iteration 3 without completing 2"
+
+
+def test_a_wait_feeds_only_its_own_tags_payloads(monkeypatch):
+    # each process broadcasts under two tags and waits on one: the feed must
+    # hold that tag's payloads and nothing sent under the other
+    wanted, other = ("it", 1), ("it", 2)
+    feeds = {}
+
+    def program(pid):
+        yield sim.Broadcast(other, np.full(1, -1.0 - pid))
+        yield sim.Broadcast(wanted, np.full(1, 1.0 + pid))
+        feeds[pid] = yield sim.WaitCount(wanted, 3)
+        yield sim.Output(np.zeros(1))
+
+    monkeypatch.setattr(sgd, "build_programs",
+                        lambda algorithm, contexts, tau_rng: ([program(p) for p in range(3)], None))
+    for seed in range(10):
+        feeds.clear()
+        trace = sim.run(singletons(3), NO_FAULTS, FAST, cluster_agreement([0.0, 1.0, 2.0]),
+                        QUAD2, [16, seed])
+        assert trace.liveness["ok"], (seed, trace.liveness)
+        assert sorted(feeds) == [0, 1, 2]
+        for pid, held in feeds.items():
+            assert sorted((s, float(v[0])) for s, v in held) == [(0, 1.0), (1, 2.0), (2, 3.0)]
+
+
 def test_asynchrony_coverage_with_small_quorum():
     topo = one_cluster(2)
     conf = SgdConfig(variant=Variant.STRONGLY_CONVEX, iterations=6, quorum=1,
@@ -552,7 +594,7 @@ def test_trace_line_encoder_rejects_what_json_dumps_rejects(encode):
 def _trace_of(events, outputs=None):
     return sim.RunTrace(
         config_digest="c0ffee", n=3, events=events, outputs=outputs or {},
-        snapshots={}, round_values={}, witness=sim.WitnessRecorder(),
+        participants={}, round_values={}, witness=sim.WitnessRecorder(),
         output_witness={}, counters={"events": len(events)},
         liveness={"ok": True}, warnings=[])
 
