@@ -41,12 +41,26 @@ a delivery on a blocked receiver's wait tag satisfies the wait;
 ``WaitClusters`` reads a per-(receiver, tag) set of sender clusters kept up
 to date by each delivery. With ``record_events=False`` no event record is
 built at all (no payload digests, no tag copies).
+
+``run`` keeps the cyclic garbage collector off for the length of a run and
+leaves it as the caller had it. A run makes no reference cycles, so
+reference counting frees everything it discards, and the collector would
+only scan the growing event log again and again: each logged event holds
+three tracked objects (its tuple, its data dict and a tag copy).
+tests/test_sim.py checks, on the benchmark's event workloads and on every
+event scenario, that a collection right after a run finds nothing.
+
+``RunTrace.to_jsonl`` writes the bytes of ``json.dumps(record,
+sort_keys=True)``, but it sorts only what may need it. The record of a log
+site other than ``note`` has the key set the site fixes and holds no other
+dict, so it is built in sorted key order and written without the sort.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import gc
 import hashlib
 import json
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -532,23 +546,37 @@ TRACE_FORMAT_VERSION = 1
 # The trace's JSON dialect: the bytes of json.dumps(..., sort_keys=True).
 # A trace record is a tree of the kernel's own log data, so the
 # circular-reference check is off; a circular record still fails, with
-# RecursionError instead of ValueError.
+# RecursionError instead of ValueError. _PLANNED_JSON is the same dialect
+# without the key sort: on a record built in sorted key order that holds no
+# other dict, it writes the same bytes (see RunTrace.to_jsonl).
 _TRACE_JSON = json.JSONEncoder(sort_keys=True, check_circular=False)
+_PLANNED_JSON = json.JSONEncoder(sort_keys=False, check_circular=False)
 
-if c_make_encoder is None:  # no _json accelerator
-    _encode_trace_line = _TRACE_JSON.encode
-else:
-    # The C encoder that _TRACE_JSON.encode builds on every call (about a
-    # quarter of encode's cost on a trace line), built once with the
-    # arguments encode passes, so the same call writes the same bytes. With
-    # no markers it holds no state between calls.
-    _trace_line_writer = c_make_encoder(
-        None, _TRACE_JSON.default, encode_basestring_ascii, _TRACE_JSON.indent,
-        _TRACE_JSON.key_separator, _TRACE_JSON.item_separator,
-        _TRACE_JSON.sort_keys, _TRACE_JSON.skipkeys, _TRACE_JSON.allow_nan)
 
-    def _encode_trace_line(rec) -> str:
-        return "".join(_trace_line_writer(rec, 0))
+def _line_encoder(spec: json.JSONEncoder):
+    """A function that writes spec.encode(rec)'s bytes for a trace line.
+
+    With the _json accelerator, it calls the C encoder that spec.encode
+    builds on every call (about a quarter of encode's cost on a trace line),
+    built once with the arguments encode passes, so the same call writes
+    the same bytes. With no markers it holds no state between calls.
+    Without the accelerator it is spec.encode.
+    """
+    if c_make_encoder is None:
+        return spec.encode
+    writer = c_make_encoder(
+        None, spec.default, encode_basestring_ascii, spec.indent,
+        spec.key_separator, spec.item_separator,
+        spec.sort_keys, spec.skipkeys, spec.allow_nan)
+
+    def encode(rec) -> str:
+        return "".join(writer(rec, 0))
+
+    return encode
+
+
+_encode_trace_line = _line_encoder(_TRACE_JSON)
+_encode_planned_line = _line_encoder(_PLANNED_JSON)
 
 
 def _digest(value) -> str:
@@ -642,8 +670,20 @@ class RunTrace:
     tau: int | None = None
 
     def to_jsonl(self) -> str:
-        """Line-delimited export; deterministic bytes for a deterministic run."""
+        """Line-delimited export; deterministic bytes for a deterministic run.
+
+        Every line is json.dumps(record, sort_keys=True). An event's record
+        holds k, t, p and its data, each array digested, a payload or value
+        array (or tuple of arrays) as h. A log site other than `note` fixes
+        its data keys and writes no dict and no array outside the payload
+        or value, so its record is built in sorted key order from a plan
+        kept per kind and written without the sort. A `note`, a payload or
+        value that is neither an array nor a tuple (program data passed
+        through), and an event whose keys differ from the first of its kind
+        are written with the sort.
+        """
         encode = _encode_trace_line
+        encode_planned = _encode_planned_line
         # one digest per payload object, not per event: a broadcast payload
         # is logged at its send and at every delivery. self.events holds
         # every payload for the whole call, so no id is reused meanwhile.
@@ -662,8 +702,22 @@ class RunTrace:
             "n": self.n,
             "tau": self.tau,
         })]
-        for ev in self.events:
-            kind, tick, pid, data = ev
+        plans: dict[str, tuple | None] = {}
+        for kind, tick, pid, data in self.events:
+            plan = plans.get(kind, False)
+            if plan is False:
+                plan = plans[kind] = _export_plan(kind, frozenset(data))
+            if plan is not None:
+                template, keys, hashed = plan
+                if data.keys() == keys and (
+                        hashed is None or isinstance(data[hashed], (np.ndarray, tuple))):
+                    rec = template.copy()
+                    rec.update(data)  # keys already in the template keep its order
+                    rec["k"], rec["t"], rec["p"] = kind, tick, pid
+                    if hashed is not None:
+                        rec["h"] = digest(rec.pop(hashed))
+                    lines.append(encode_planned(rec))
+                    continue
             rec = {"k": kind, "t": tick, "p": pid}
             for key, val in data.items():
                 if isinstance(val, (np.ndarray, tuple)) and key in ("payload", "value"):
@@ -680,6 +734,21 @@ class RunTrace:
         }
         lines.append(encode(trailer))
         return "\n".join(lines) + "\n"
+
+
+def _export_plan(kind: str, keys: frozenset) -> tuple | None:
+    """How RunTrace.to_jsonl writes an event of `kind` whose data has the
+    keys `keys` without a key sort: (the record's keys in sorted order, as a
+    dict to copy, `keys`, and the payload or value key written as h, or
+    None). None when such a record takes the sorted path: a `note`, or keys
+    that would overwrite one another."""
+    if kind == "note":
+        return None
+    hashed = keys & {"payload", "value"}
+    record_keys = {"k", "t", "p"} | (keys - hashed) | ({"h"} if hashed else set())
+    if len(record_keys) != 3 + len(keys):
+        return None
+    return dict.fromkeys(sorted(record_keys)), keys, next(iter(hashed), None)
 
 
 def _config_value(value):
@@ -737,6 +806,23 @@ class _ProcState:
         self.feed = None
 
 
+def _collector_paused(fn):
+    """`fn` run with the cyclic garbage collector off; the collector is left
+    on again only if it was on when the call began, on every exit path."""
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
+
+
+@_collector_paused
 def run(
     topology: Topology,
     fault_plan: FaultPlan,

@@ -24,6 +24,7 @@ from asgd import batch, cli, sim
 from asgd.maa import AggregationRule
 from asgd.oracle import OracleSpec
 from asgd.sgd import LrSchedule, SgdConfig, Variant
+from test_sim import _trace_of
 
 PINNED_NUMPY = "2.4.6"
 
@@ -390,6 +391,40 @@ def test_event_export_equals_reference_line_by_line():
                 assert a == b, (case, s, i)
     # together the two cases log every kind, so every kind's line is compared
     assert kinds == _kinds_sim_run_logs()
+
+
+def test_export_of_program_data_equals_reference_line_by_line():
+    # a note, and a payload or value that is neither an array nor a tuple,
+    # is program data: the export must sort the keys of every dict in it,
+    # as it must in an event whose keys differ from the kernel's
+    a, b = np.array([1.0, -0.5]), np.array([0.25])
+    nested = {"zeta": {"b": 1, "a": {"d": 2, "c": None}}, "alpha": [{"y": 1, "x": 2}, []]}
+    events = [
+        ("note", 0, 0, {"kind": "probe", **nested}),
+        ("send", 1, 0, {"tag": ["g", 1], "payload": {"z": [1, {"b": 2, "a": 1}], "a": 0}}),
+        ("deliver", 2, 1, {"sender": 0, "tag": ["g", 1], "payload": {"z": 1, "a": 0}}),
+        ("send", 3, 1, {"tag": ["g", 1], "payload": 7}),
+        ("send", 4, 2, {"tag": ["g", 1], "payload": [3, {"b": 1, "a": 2}]}),
+        ("output", 5, 2, {"value": [{"b": 1, "a": 2}, {"d": {"f": 1, "e": 0}}]}),
+        ("send", 6, 0, {"tag": ["g", 1.5, True, None, False], "payload": a}),
+        ("deliver", 7, 2, {"sender": 0, "tag": ["g", 1.5, True, None, False], "payload": a}),
+        ("wait", 8, 1, {"tag": [-0.0, None, True], "count": 2, "wait_kind": "WaitCount"}),
+        ("write", 9, 0, {"instance": ["mid", 0], "round": 1, "payload": (a, b)}),
+        ("read", 10, 1, {"instance": ["mid", 0], "round": 1, "owner": 0, "observed": None}),
+        ("round", 11, 1, {"scope": ["mid", 0.5, None], "round": 1, "value": b}),
+        ("iter", 12, 1, {"iteration": 1, "value": b}),
+        ("output", 13, 1, {"value": b}),
+        # keys unlike the first of their kind, and keys that collide with k
+        ("wake", 14, 0, {"tag": ["g", 1], "held": 2}),
+        ("wake", 15, 1, {"tag": ["g", 1], "held": {"b": 1, "a": 0}, "why": {"z": 0, "y": 1}}),
+        ("defer", 16, 2, {"receiver": 0, "tag": ["g"], "k": {"b": 1, "a": 2}}),
+    ]
+    trace = _trace_of(events, outputs={1: b, 2: a})
+    got = trace.to_jsonl().split("\n")
+    want = _reference_jsonl(trace).split("\n")
+    assert len(got) == len(want) == len(events) + 3
+    for i, (line, ref) in enumerate(zip(got, want)):
+        assert line == ref, (i, events[i - 1] if 0 < i <= len(events) else None)
 
 
 def test_crash_and_partition_case_takes_both_fault_paths():

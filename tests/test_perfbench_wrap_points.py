@@ -13,7 +13,6 @@ batch variant must make one per iteration.
 
 import importlib.util
 import inspect
-import sys
 from pathlib import Path
 
 import pytest
@@ -51,15 +50,9 @@ def test_the_stage_counter_reads_the_composers_clusters_and_rounds_by_position()
     assert params[2:4] == ["clusters", "rounds_outer"]
 
 
-def test_every_workload_scenario_loads_with_its_driver(monkeypatch):
-    monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports reference
-    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
-    module = importlib.util.module_from_spec(spec)
-    # the module's dataclass looks itself up in sys.modules while it is built
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    assert module.WORKLOADS
-    for name, workload in module.WORKLOADS.items():
+def test_every_workload_scenario_loads_with_its_driver(perfbench_run):
+    assert perfbench_run.WORKLOADS
+    for name, workload in perfbench_run.WORKLOADS.items():
         driver = cli.load_scenario(workload.scenario(0))[5]
         assert driver == workload.driver, name
 

@@ -1,13 +1,15 @@
 """Event kernel: registers, scheduling, faults, liveness, audits."""
 
+import gc
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from asgd import sgd, sim
+from asgd import cli, sgd, sim
 from asgd.maa import AggregationRule, MaaOnlyConfig
 from asgd.oracle import OracleSpec, grad, sequential_sgd
 from asgd.sgd import LrSchedule, SgdConfig, Variant
@@ -17,6 +19,7 @@ MID = AggregationRule.MID_EXTREMES
 QUAD2 = OracleSpec(kind="quadratic", dim=2, sigma=0.0, mu=1.0, lipschitz=4.0)
 NO_FAULTS = sim.FaultPlan()
 FAST = sim.Schedule(max_delay=3)
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def one_cluster(n):
@@ -566,20 +569,36 @@ ENCODED_VALUES = [
 ]
 
 
-# the module's line encoder, and the JSONEncoder.encode it replaces (and
-# falls back to without the _json accelerator)
-LINE_ENCODERS = pytest.mark.parametrize(
-    "encode", [sim._encode_trace_line, sim._TRACE_JSON.encode], ids=["line", "encode"])
+# the module's line encoders, and the JSONEncoder.encode each replaces (and
+# falls back to without the _json accelerator); the planned ones skip the
+# key sort, so they are given each value with its dicts in sorted key order
+LINE_ENCODERS = {
+    "line": sim._encode_trace_line,
+    "encode": sim._TRACE_JSON.encode,
+    "planned-line": sim._encode_planned_line,
+    "planned-encode": sim._PLANNED_JSON.encode,
+}
+ALL_LINE_ENCODERS = pytest.mark.parametrize("name", list(LINE_ENCODERS))
 
 
-@LINE_ENCODERS
+def _key_sorted(value):
+    if isinstance(value, dict):
+        return {k: _key_sorted(v) for k, v in sorted(value.items())}
+    if isinstance(value, list):
+        return [_key_sorted(v) for v in value]
+    return value
+
+
+@ALL_LINE_ENCODERS
 @pytest.mark.parametrize("value", ENCODED_VALUES, ids=repr)
-def test_trace_line_encoder_writes_json_dumps_bytes(encode, value):
-    assert encode(value) == json.dumps(value, sort_keys=True)
+def test_trace_line_encoder_writes_json_dumps_bytes(name, value):
+    given = _key_sorted(value) if name.startswith("planned") else value
+    assert LINE_ENCODERS[name](given) == json.dumps(value, sort_keys=True)
 
 
-@LINE_ENCODERS
-def test_trace_line_encoder_rejects_what_json_dumps_rejects(encode):
+@ALL_LINE_ENCODERS
+def test_trace_line_encoder_rejects_what_json_dumps_rejects(name):
+    encode = LINE_ENCODERS[name]
     with pytest.raises(TypeError) as want:
         json.dumps({"v": np.int64(1)}, sort_keys=True)
     with pytest.raises(TypeError) as got:
@@ -671,6 +690,71 @@ def test_run_without_recording_builds_no_read_digests(monkeypatch):
     assert quiet.liveness["ok"] and quiet.events == []
     assert quiet.counters == recorded.counters
     assert _outputs_sha(quiet) == _outputs_sha(recorded)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_run_leaves_the_collector_as_it_found_it(enabled, monkeypatch):
+    # sim.run turns the cyclic collector off; on every exit it must restore
+    # the caller's state, not turn the collector on unasked
+    topo = singletons(2)
+    during = []
+
+    def faulty():
+        yield sim.Broadcast(("t", 1), np.zeros(1))
+        during.append(gc.isenabled())
+        raise RuntimeError("program fault")
+
+    def completes():
+        trace = sim.run(topo, NO_FAULTS, FAST, cluster_agreement([0.0, 1.0]), QUAD2, 3)
+        assert trace.liveness["ok"]
+
+    def config_error():
+        with pytest.raises(sim.ConfigError, match="3 rows for 2 processes"):
+            sim.run(topo, NO_FAULTS, FAST, cluster_agreement([0.0, 1.0, 2.0]), QUAD2, 3)
+
+    def program_error():
+        with monkeypatch.context() as patch:
+            patch.setattr(sgd, "build_programs",
+                          lambda algorithm, contexts, tau_rng: ([faulty(), faulty()], None))
+            with pytest.raises(RuntimeError, match="program fault"):
+                sim.run(topo, NO_FAULTS, FAST, cluster_agreement([0.0, 1.0]), QUAD2, 3)
+
+    for call in (completes, config_error, program_error):
+        (gc.enable if enabled else gc.disable)()
+        try:
+            call()
+            after = gc.isenabled()
+        finally:
+            gc.enable()
+        assert after is enabled, call.__name__
+    assert during == [False]
+
+
+def test_runs_leave_no_cyclic_garbage(perfbench_run):
+    # sim.run keeps the cyclic collector off, so reference counting alone
+    # must free all a run discards: on the benchmark's event workloads and
+    # every event scenario, a collection right after the run finds nothing
+    cases = {name: work.scenario(0) for name, work in perfbench_run.WORKLOADS.items()
+             if work.driver == "event"}
+    cases.update((path.stem, json.loads(path.read_text()))
+                 for path in sorted(SCENARIOS.glob("*.json")))
+    ran = []
+    for name, raw in cases.items():
+        topology, faults, schedule, algorithm, oracle, driver, options = cli.load_scenario(raw)
+        if driver != "event":
+            continue
+        gc.collect()
+        gc.disable()
+        try:
+            trace = sim.run(topology, faults, schedule, algorithm, oracle,
+                            [options.seed_root, 0])
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert found == 0, name
+        assert trace.events, name
+        ran.append(name)
+    assert {"event-agree", "event-quorum-trace", "sc_quadratic_event"} <= set(ran), ran
 
 
 def test_wait_clusters_already_held_when_blocking_is_runnable(monkeypatch):
