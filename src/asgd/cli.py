@@ -244,11 +244,16 @@ def apply_override(raw: dict, assignment: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _audit_seeds(traces, props: list[str]) -> dict:
-    """Audit every seed's trace. Per property: ok over all seeds; the detail
-    is seed 0's when all pass, else the first failing seed's, named."""
+def _audit_seeds(traces, algorithm, topology) -> dict:
+    """Audit every seed's trace on each property in sim.AUDITS, asynchrony
+    only where two processes and two iterations can show it. Per property:
+    ok over all seeds; the detail is seed 0's when all pass, else the first
+    failing seed's, named."""
     from . import sim
+    from .sgd import SgdConfig
 
+    shows = isinstance(algorithm, SgdConfig) and algorithm.iterations >= 2 and topology.n >= 2
+    props = [p for p in sim.AUDITS if p != "asynchrony_coverage" or shows]
     reports = [sim.audit(trace, props) for trace in traces]
     audit = {}
     for prop in props:
@@ -278,7 +283,6 @@ def _cmd_run(args) -> int:
     import numpy as np
 
     from . import batch, harness, sim
-    from .sgd import SgdConfig
 
     raw = json.loads(Path(args.scenario).read_text())
     if not isinstance(raw, dict):
@@ -308,14 +312,7 @@ def _cmd_run(args) -> int:
             for s, trace in enumerate(ensemble.traces):
                 path = outdir / f"trace_{s:04d}.jsonl"
                 path.write_bytes(trace.to_jsonl().encode("ascii"))
-            props = ["register_semantics", "quorum_composition",
-                     "stale_filtering", "participant_monotone",
-                     "witness_replay"]
-            # asynchrony needs two processes and two iterations to show
-            if (isinstance(algorithm, SgdConfig) and algorithm.iterations >= 2
-                    and topology.n >= 2):
-                props.append("asynchrony_coverage")
-            summary["audit"] = _audit_seeds(ensemble.traces, props)
+            summary["audit"] = _audit_seeds(ensemble.traces, algorithm, topology)
         summary["liveness"] = {"ok": ensemble.ok, "counts": ensemble.liveness}
         if not ensemble.ok:
             summary["stats"] = None

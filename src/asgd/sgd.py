@@ -1,15 +1,17 @@
 """The two cluster-based asynchronous SGD algorithms as simulator programs.
 
+Both variants share one quorum step, _quorum_average: broadcast the
+round-t value <t, v>, wait for N round-t messages (the process's own
+broadcast is delivered to itself synchronously, so it always counts), and
+average the first N by arrival (exact) or every one held (at least).
+
 Strongly convex variant (quorum-averaged iterates):
     each iteration t: draw one stochastic gradient at x, step to
-    y = x - eta_t * g, broadcast <t, y>, wait for exactly N round-t
-    messages (first N by arrival; the process's own broadcast is delivered
-    to itself synchronously, so it always counts), and set x_{t+1} to their
-    average. Output x_{T+1}. Tolerates up to n - N crashes.
+    y = x - eta_t * g, and set x_{t+1} to the exact quorum average of the
+    y's. Output x_{T+1}. Tolerates up to n - N crashes.
 
 Non-convex variant (agreement-coupled gradient steps):
-    each iteration t: broadcast the local stochastic gradient <t, g>,
-    wait for at least N round-t gradients, average everything held,
+    each iteration t: average at least N round-t stochastic gradients,
     step to y = x - eta_t * g_avg, then run the cluster agreement loop
     to contract the y's to relative diameter q_t (eta_t / 4 by default)
     and clamp to the oracle's domain box. Output x_tau for a shared tau
@@ -64,9 +66,6 @@ class LrSchedule:
         if self.kind == "decreasing":
             return self.beta / (self.gamma + t)
         return self.value
-
-    def max_eta(self) -> float:
-        return self.eta(1)
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,7 @@ def validate_config(config, topology: sim.Topology, fault_plan: sim.FaultPlan,
     info = smoothness_constants(oracle_spec)
     lipschitz, mu = info.lipschitz, info.strong_convexity
     issues = []
-    eta_max = config.lr.max_eta()
+    eta_max = config.lr.eta(1)
     if config.variant is Variant.STRONGLY_CONVEX:
         if eta_max > 1.0 / lipschitz:
             issues.append(f"lr: eta_1 = {eta_max:.6g} exceeds 1/L = {1.0 / lipschitz:.6g}")
@@ -189,6 +188,22 @@ def _ordered_average(held: list) -> np.ndarray:
     return _sum_then_divide([payload for _, payload in ordered])
 
 
+def _quorum_average(tag: tuple, payload, quorum: int, exact: bool):
+    """The quorum step of both programs, run with `yield from`: broadcast
+    the round's value, wait for `quorum` messages under its tag (iteration
+    tag[1]), note the quorum and return the average of the first `quorum`
+    by arrival (exact) or of every message held (at least)."""
+    yield sim.Broadcast(tag, payload)
+    held = yield sim.WaitCount(tag, quorum)
+    used = held[:quorum] if exact else held
+    yield sim.Note("quorum", {
+        "mode": "exact" if exact else "at_least", "required": quorum, "used": len(used),
+        "iteration": tag[1], "sender_tags": [tag[1] for _ in used],
+        "senders": [s for s, _ in used],
+    })
+    return _ordered_average(used)
+
+
 def _strongly_convex_program(conf: SgdConfig, ctx: sim.ProcessContext):
     spec = ctx.oracle_spec
     x = np.asarray(conf.x1, dtype=np.float64)
@@ -196,16 +211,7 @@ def _strongly_convex_program(conf: SgdConfig, ctx: sim.ProcessContext):
         yield sim.IterMark(t, x)
         g = stochastic_grad(spec, x, ctx.rng)
         y = x - conf.lr.eta(t) * g
-        tag = ("it", t)
-        yield sim.Broadcast(tag, y)
-        held = yield sim.WaitCount(tag, conf.quorum)
-        used = held[:conf.quorum]  # first N by arrival, later ones ignored
-        yield sim.Note("quorum", {
-            "mode": "exact", "required": conf.quorum, "used": len(used),
-            "iteration": t, "sender_tags": [tag[1] for _ in used],
-            "senders": [s for s, _ in used],
-        })
-        x = _ordered_average(used)
+        x = yield from _quorum_average(("it", t), y, conf.quorum, exact=True)
     yield sim.IterMark(conf.iterations + 1, x)
     yield sim.Output(x)
 
@@ -220,15 +226,7 @@ def _non_convex_program(conf: SgdConfig, ctx: sim.ProcessContext, tau: int):
         if t == tau:
             result = x
         g_local = stochastic_grad(spec, x, ctx.rng)
-        tag = ("grad", t)
-        yield sim.Broadcast(tag, g_local)
-        held = yield sim.WaitCount(tag, conf.quorum)
-        yield sim.Note("quorum", {
-            "mode": "at_least", "required": conf.quorum, "used": len(held),
-            "iteration": t, "sender_tags": [tag[1] for _ in held],
-            "senders": [s for s, _ in held],
-        })
-        g = _ordered_average(held)  # every held round-t gradient
+        g = yield from _quorum_average(("grad", t), g_local, conf.quorum, exact=False)
         eta = conf.lr.eta(t)
         y = x - eta * g
         node = ctx.witness.input(y)

@@ -1122,25 +1122,14 @@ def run(
 def audit(trace: RunTrace, properties: list[str] | None = None) -> dict[str, dict]:
     """Check structural invariants against the recorded event log.
 
-    Available properties: register_semantics, quorum_composition,
-    stale_filtering, participant_monotone, witness_replay, equal_outputs,
-    asynchrony_coverage.
+    Available properties: the keys of AUDITS, all of them by default.
     """
-    all_checks = {
-        "register_semantics": _audit_registers,
-        "quorum_composition": _audit_quorums,
-        "stale_filtering": _audit_stale,
-        "participant_monotone": _audit_monotone,
-        "witness_replay": _audit_witness,
-        "equal_outputs": _audit_equal_outputs,
-        "asynchrony_coverage": _audit_asynchrony,
-    }
-    names = properties if properties is not None else list(all_checks)
+    names = properties if properties is not None else list(AUDITS)
     report = {}
     for name in names:
-        if name not in all_checks:
+        if name not in AUDITS:
             raise KeyError(f"unknown audit property {name!r}")
-        report[name] = all_checks[name](trace)
+        report[name] = AUDITS[name](trace)
     return report
 
 
@@ -1162,29 +1151,40 @@ def _audit_registers(trace: RunTrace) -> dict:
     return {"ok": True, "detail": "single-writer cells consistent with event order"}
 
 
+def _quorum_wakes(trace: RunTrace):
+    """(pid, note, wake) for each quorum note: the wake record of the wait
+    the kernel last resumed its process from, None when no wake has come
+    since that process's previous quorum note."""
+    woken: dict[int, dict] = {}
+    for kind, tick, pid, data in trace.events:
+        if kind == "wake":
+            woken[pid] = data
+        elif kind == "note" and data["kind"] == "quorum":
+            yield pid, data, woken.pop(pid, None)
+
+
 def _audit_quorums(trace: RunTrace) -> dict:
     bad = []
-    for kind, tick, pid, data in trace.events:
-        if kind == "note" and data.get("kind") == "quorum":
-            if data["mode"] == "exact" and data["used"] != data["required"]:
-                bad.append((pid, data))
-            if data["mode"] == "at_least" and data["used"] < data["required"]:
-                bad.append((pid, data))
+    for pid, note, wake in _quorum_wakes(trace):
+        used, required = note["used"], note["required"]
+        if wake is None:
+            ok = False
+        elif note["mode"] == "exact":  # the first N of those held
+            ok = used == required <= wake["held"]
+        else:  # every one held
+            ok = required <= used == wake["held"]
+        if not ok:
+            bad.append((pid, note, wake))
     if bad:
         return {"ok": False, "detail": f"{len(bad)} bad quorum records: {bad[:3]}"}
     return {"ok": True, "detail": "quorum sizes match their modes"}
 
 
 def _audit_stale(trace: RunTrace) -> dict:
-    for kind, tick, pid, data in trace.events:
-        if kind == "note" and data.get("kind") == "quorum":
-            tags = data.get("sender_tags", [])
-            want = data.get("iteration")
-            for tag_iter in tags:
-                if tag_iter != want:
-                    return {"ok": False,
-                            "detail": f"pid {pid} consumed a round-{tag_iter} message "
-                                      f"in iteration {want}"}
+    for pid, note, wake in _quorum_wakes(trace):
+        if wake is None or wake["tag"][1] != note["iteration"]:
+            return {"ok": False, "detail": f"pid {pid}'s iteration-{note['iteration']} "
+                                           f"quorum resumed from wake {wake}"}
     return {"ok": True, "detail": "no cross-iteration message consumption"}
 
 
@@ -1212,13 +1212,6 @@ def _audit_witness(trace: RunTrace) -> dict:
     return {"ok": True, "detail": "all output witnesses replay bit-exactly"}
 
 
-def _audit_equal_outputs(trace: RunTrace) -> dict:
-    blobs = {v.tobytes() for v in trace.outputs.values()}
-    if len(blobs) > 1:
-        return {"ok": False, "detail": f"{len(blobs)} distinct outputs"}
-    return {"ok": True, "detail": "all outputs bit-identical"}
-
-
 def _audit_asynchrony(trace: RunTrace) -> dict:
     current: dict[int, int] = {}
     for kind, tick, pid, data in trace.events:
@@ -1228,3 +1221,14 @@ def _audit_asynchrony(trace: RunTrace) -> dict:
                 return {"ok": True,
                         "detail": f"processes at different iterations at tick {tick}"}
     return {"ok": False, "detail": "no two processes were ever at different iterations"}
+
+
+# the trace audits by property name, in report order
+AUDITS = {
+    "register_semantics": _audit_registers,
+    "quorum_composition": _audit_quorums,
+    "stale_filtering": _audit_stale,
+    "participant_monotone": _audit_monotone,
+    "witness_replay": _audit_witness,
+    "asynchrony_coverage": _audit_asynchrony,
+}

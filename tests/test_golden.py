@@ -337,6 +337,25 @@ def test_event_digests_match_pins(case):
         f"running numpy {np.__version__})")
 
 
+# maa-only runs, which the asynchrony audit skips
+MAA_ONLY_CASES = {"maa_cluster_crash", "maa_shared"}
+# liveness_blocked's runs block in iteration 1, so no two processes are ever
+# at different iterations. `asgd run --trace` reports that and exits 3:
+# liveness takes precedence over a failed audit
+EXPECTED_AUDIT_FAILURES = {"liveness_blocked": {"asynchrony_coverage"}}
+
+
+@pytest.mark.parametrize("case", sorted(EVENT_CASES))
+def test_event_cases_pass_the_audits_of_a_traced_run(case):
+    # the audits `asgd run --trace` runs, on the traces the pins guard
+    topo, _, _, algo, *_ = EVENT_CASES[case]()
+    report = cli._audit_seeds(_event_runs(case, record=True), algo, topo)
+    assert list(report) == [p for p in sim.AUDITS
+                            if p != "asynchrony_coverage" or case not in MAA_ONLY_CASES]
+    failed = {name for name, entry in report.items() if not entry["ok"]}
+    assert failed == EXPECTED_AUDIT_FAILURES.get(case, set()), (case, report)
+
+
 def _kinds_sim_run_logs() -> set[str]:
     return set(re.findall(r'\blog\("(\w+)"', inspect.getsource(sim.run)))
 

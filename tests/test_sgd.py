@@ -31,7 +31,6 @@ def test_lr_schedule_values():
     lr = LrSchedule(kind="decreasing", beta=2.0, gamma=8.0)
     assert lr.eta(1) == 2.0 / 9.0
     assert lr.eta(10) == 2.0 / 18.0
-    assert lr.max_eta() == lr.eta(1)
     const = LrSchedule(kind="constant", value=0.05)
     assert const.eta(1) == const.eta(100) == 0.05
 

@@ -463,7 +463,7 @@ def test_strongly_convex_noiseless_matches_sequential_bitwise():
     expect = sequential_sgd(QUAD2, np.array([1.0, -2.0]), 3, lambda t: 0.1, 1, rng)
     for pid in range(2):
         assert trace.outputs[pid].tobytes() == expect.tobytes()
-    assert sim.audit(trace, ["equal_outputs"])["equal_outputs"]["ok"]
+    assert len({v.tobytes() for v in trace.outputs.values()}) == 1
 
 
 def test_non_convex_noiseless_matches_plain_descent_at_tau():
@@ -480,24 +480,69 @@ def test_non_convex_noiseless_matches_plain_descent_at_tau():
         iterates[t + 1] = x.copy()
     for pid in range(2):
         assert trace.outputs[pid].tobytes() == iterates[trace.tau].tobytes()
-    assert sim.audit(trace, ["equal_outputs"])["equal_outputs"]["ok"]
+    assert len({v.tobytes() for v in trace.outputs.values()}) == 1
 
 
-def test_quorum_and_stale_audits_pass_and_catch_doctored_notes():
+QUORUM_AUDITS = ["quorum_composition", "stale_filtering"]
+
+
+def _quorum_audit_run():
     topo = one_cluster(3)
     conf = SgdConfig(variant=Variant.STRONGLY_CONVEX, iterations=4, quorum=2,
                      x1=(0.5, 0.5), lr=LrSchedule(kind="constant", value=0.1))
     trace = sim.run(topo, NO_FAULTS, FAST, conf, QUAD2, [31, 5])
     report = sim.audit(trace)
-    for name in ("register_semantics", "quorum_composition", "stale_filtering",
-                  "participant_monotone"):
+    for name in ("register_semantics", "participant_monotone", *QUORUM_AUDITS):
         assert report[name]["ok"], (name, report[name])
-    # doctor one quorum note: claim a stale sender tag
-    for ev in trace.events:
-        if ev[0] == "note":
-            ev[3]["sender_tags"] = [0] + ev[3]["sender_tags"][1:]
-            break
-    assert not sim.audit(trace, ["stale_filtering"])["stale_filtering"]["ok"]
+    # the index of the wake that the first quorum note pairs with
+    woken = {}
+    for i, (kind, _, pid, data) in enumerate(trace.events):
+        if kind == "wake":
+            woken[pid] = i
+        elif kind == "note" and data["kind"] == "quorum":
+            return trace, woken[pid]
+    raise AssertionError("no quorum note")
+
+
+def test_stale_audit_catches_a_program_that_waits_on_the_previous_round(monkeypatch):
+    # iteration t waits on round max(t - 1, 1)'s tag, the messages it has
+    # held since iteration t - 1, while its note claims round t
+    def program(pid):
+        for t in range(1, 4):
+            yield sim.Broadcast(("it", t), np.full(1, float(t)))
+            held = yield sim.WaitCount(("it", max(t - 1, 1)), 3)
+            yield sim.Note("quorum", {
+                "mode": "exact", "required": 3, "used": 3, "iteration": t,
+                "sender_tags": [t] * 3, "senders": [s for s, _ in held[:3]],
+            })
+        yield sim.Output(np.zeros(1))
+
+    monkeypatch.setattr(sgd, "build_programs",
+                        lambda algorithm, contexts, tau_rng: ([program(p) for p in range(3)], None))
+    trace = sim.run(singletons(3), NO_FAULTS, FAST, cluster_agreement([0.0, 1.0, 2.0]),
+                    QUAD2, [16, 0])
+    assert trace.liveness["ok"], trace.liveness
+    report = sim.audit(trace, QUORUM_AUDITS)
+    assert report["quorum_composition"]["ok"], report
+    assert not report["stale_filtering"]["ok"]
+    assert ("iteration-2 quorum resumed from wake {'tag': ['it', 1]"
+            in report["stale_filtering"]["detail"])
+
+
+def test_quorum_audit_catches_a_wake_that_held_too_few_messages():
+    trace, wake = _quorum_audit_run()
+    trace.events[wake][3]["held"] = 1  # below the quorum of 2
+    report = sim.audit(trace, QUORUM_AUDITS)
+    assert not report["quorum_composition"]["ok"]
+    assert report["stale_filtering"]["ok"]
+
+
+def test_quorum_audits_catch_a_note_with_no_wake_before_it():
+    trace, wake = _quorum_audit_run()
+    del trace.events[wake]
+    report = sim.audit(trace, QUORUM_AUDITS)
+    assert not report["quorum_composition"]["ok"]
+    assert not report["stale_filtering"]["ok"]
 
 
 def test_participant_audit_reads_participants_without_an_event_log():
