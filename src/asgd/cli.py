@@ -246,13 +246,15 @@ def apply_override(raw: dict, assignment: str) -> None:
 
 def _audit_seeds(traces, algorithm, topology) -> dict:
     """Audit every seed's trace on each property in sim.AUDITS, asynchrony
-    only where two processes and two iterations can show it. Per property:
-    ok over all seeds; the detail is seed 0's when all pass, else the first
-    failing seed's, named."""
+    only where two processes and two iterations can show it and every seed's
+    run completed (a blocked run's failure would restate its liveness
+    failure). Per property: ok over all seeds; the detail is seed 0's when
+    all pass, else the first failing seed's, named."""
     from . import sim
     from .sgd import SgdConfig
 
-    shows = isinstance(algorithm, SgdConfig) and algorithm.iterations >= 2 and topology.n >= 2
+    shows = (isinstance(algorithm, SgdConfig) and algorithm.iterations >= 2
+             and topology.n >= 2 and all(trace.liveness["ok"] for trace in traces))
     props = [p for p in sim.AUDITS if p != "asynchrony_coverage" or shows]
     reports = [sim.audit(trace, props) for trace in traces]
     audit = {}

@@ -198,8 +198,7 @@ def _quorum_average(tag: tuple, payload, quorum: int, exact: bool):
     used = held[:quorum] if exact else held
     yield sim.Note("quorum", {
         "mode": "exact" if exact else "at_least", "required": quorum, "used": len(used),
-        "iteration": tag[1], "sender_tags": [tag[1] for _ in used],
-        "senders": [s for s, _ in used],
+        "iteration": tag[1], "senders": [s for s, _ in used],
     })
     return _ordered_average(used)
 

@@ -42,11 +42,17 @@ a delivery on a blocked receiver's wait tag satisfies the wait;
 to date by each delivery. With ``record_events=False`` no event record is
 built at all (no payload digests, no tag copies).
 
+A message carries the index of its ``send`` record in the event log (-1
+when not recording), and its ``deliver``, ``drop`` and ``defer`` records
+log that index as ``m`` instead of repeating the send's sender, tag and
+payload.
+
 ``run`` keeps the cyclic garbage collector off for the length of a run and
 leaves it as the caller had it. A run makes no reference cycles, so
 reference counting frees everything it discards, and the collector would
-only scan the growing event log again and again: each logged event holds
-three tracked objects (its tuple, its data dict and a tag copy).
+only scan the growing event log again and again: each logged event's tuple
+is tracked, and so are the data dict and tag copy of most kinds (a
+``deliver`` or ``drop`` record's dict holds one int and is not).
 tests/test_sim.py checks, on the benchmark's event workloads and on every
 event scenario, that a collection right after a run finds nothing.
 
@@ -542,7 +548,7 @@ class RegisterBank:
 # Trace
 # ---------------------------------------------------------------------------
 
-TRACE_FORMAT_VERSION = 1
+TRACE_FORMAT_VERSION = 2
 # The trace's JSON dialect: the bytes of json.dumps(..., sort_keys=True).
 # A trace record is a tree of the kernel's own log data, so the
 # circular-reference check is off; a circular record still fails, with
@@ -672,9 +678,13 @@ class RunTrace:
     def to_jsonl(self) -> str:
         """Line-delimited export; deterministic bytes for a deterministic run.
 
-        Every line is json.dumps(record, sort_keys=True). An event's record
-        holds k, t, p and its data, each array digested, a payload or value
-        array (or tuple of arrays) as h. A log site other than `note` fixes
+        Every line is json.dumps(record, sort_keys=True): a header, one line
+        per event, and a trailer. An event's record holds k, t, p and its
+        data, each array digested, a payload or value array (or tuple of
+        arrays) as h. A deliver, drop or defer record's m is the 0-based
+        index of its send among the event lines (line m + 2 of the export),
+        whose p, tag and h are the message's sender, tag and payload digest;
+        a defer also names its receiver. A log site other than `note` fixes
         its data keys and writes no dict and no array outside the payload
         or value, so its record is built in sorted key order from a plan
         kept per kind and written without the sort. A `note`, a payload or
@@ -684,17 +694,6 @@ class RunTrace:
         """
         encode = _encode_trace_line
         encode_planned = _encode_planned_line
-        # one digest per payload object, not per event: a broadcast payload
-        # is logged at its send and at every delivery. self.events holds
-        # every payload for the whole call, so no id is reused meanwhile.
-        digests: dict[int, str] = {}
-
-        def digest(val) -> str:
-            h = digests.get(id(val))
-            if h is None:
-                h = digests[id(val)] = _digest(val)
-            return h
-
         lines = [encode({
             "format": "asgd-trace",
             "version": TRACE_FORMAT_VERSION,
@@ -715,15 +714,15 @@ class RunTrace:
                     rec.update(data)  # keys already in the template keep its order
                     rec["k"], rec["t"], rec["p"] = kind, tick, pid
                     if hashed is not None:
-                        rec["h"] = digest(rec.pop(hashed))
+                        rec["h"] = _digest(rec.pop(hashed))
                     lines.append(encode_planned(rec))
                     continue
             rec = {"k": kind, "t": tick, "p": pid}
             for key, val in data.items():
                 if isinstance(val, (np.ndarray, tuple)) and key in ("payload", "value"):
-                    rec["h"] = digest(val)
+                    rec["h"] = _digest(val)
                 elif isinstance(val, np.ndarray):
-                    rec[key] = digest(val)
+                    rec[key] = _digest(val)
                 else:
                     rec[key] = val
             lines.append(encode(rec))
@@ -933,13 +932,15 @@ def run(
         if record_events:
             log("crash", pid, trigger=why)
 
+    # a message is (sender, receiver, tag, payload, m): m is the index of its
+    # send record in trace_events, -1 when not recording
     def deliver(msg):
-        sender, receiver, tag, payload = msg
+        sender, receiver, tag, payload, m = msg
         st = procs[receiver]
         if st.status in (DONE, CRASHED):
             counters["drops"] += 1
             if record_events:
-                log("drop", receiver, sender=sender, tag=list(tag))
+                log("drop", receiver, m=m)
             return
         held = inboxes[receiver].get(tag)
         if held is None:
@@ -949,7 +950,7 @@ def run(
         sender_clusters[receiver][tag].add(topology.cluster_of(sender))
         counters["deliveries"] += 1
         if record_events:
-            log("deliver", receiver, sender=sender, tag=list(tag), payload=payload)
+            log("deliver", receiver, m=m)
         # only a delivery on its wait tag can make a blocked process runnable
         if st.status == BLOCKED and st.wait.tag == tag and receiver not in runnable \
                 and wait_satisfied(receiver, st.wait):
@@ -1035,19 +1036,21 @@ def run(
                     round=effect.round_index, payload=effect.payload)
         elif isinstance(effect, Broadcast):
             # synchronous self-delivery, delayed delivery to everyone else
+            m = -1
             if record_events:
+                m = len(trace_events)
                 log("send", pid, tag=list(effect.tag), payload=effect.payload)
             counters["sends"] += topology.n
-            deliver((pid, pid, effect.tag, effect.payload))
+            deliver((pid, pid, effect.tag, effect.payload, m))
             for other in range(topology.n):
                 if other == pid:
                     continue
-                msg = (pid, other, effect.tag, effect.payload)
+                msg = (pid, other, effect.tag, effect.payload, m)
                 if partition_blocks(pid, other):
                     deferred.append(msg)
                     counters["deferred"] += 1
                     if record_events:
-                        log("defer", pid, receiver=other, tag=list(effect.tag))
+                        log("defer", pid, receiver=other, m=m)
                     continue
                 delay = 1 + draw(schedule.max_delay)
                 buckets.setdefault(tick + delay, []).append(msg)

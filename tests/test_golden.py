@@ -268,37 +268,52 @@ EVENT_CASES = {
     "delay_wide": functools.partial(_case_pairs_with_delay, 2 ** 40 + 3, 902),
 }
 
-# case -> sha256 of the concatenated trace exports (recording on) and of the
-# outputs (recording off), over the case's seeds in order
+# case -> sha256 of the concatenated trace exports (recording on, format
+# sim.TRACE_FORMAT_VERSION) and of the outputs (recording off), over the
+# case's seeds in order
 GOLDEN_EVENT = {
     "crash_at_iteration_and_partition": {
-        "trace": "286054ca2031533fb58e119a99af3074c741959a2b711af8ecee4c4e21b2a96b",
+        "trace": "4ce25cada77409ebbb2aeb06818320243aaeaffb040d10bf11439e0506b267a4",
         "outputs": "cf58969ef92a26fe8d4e338379e619e0890a2ff998836f9e49f07156789100f3",
     },
     "delay_one": {
-        "trace": "1dd2078ac44a1e7e514d08753a0b7522419593295a2fb694c3bcf3c7df7d1618",
+        "trace": "d6196e0287a277a3d0b009458e3daa51974fe3cf4bb0d39365ddebf2776cf03b",
         "outputs": "ab26c4a641a9a2f528a8c7044239502142bc77b66f1b9b55c7550fd061a5d1d1",
     },
     "delay_wide": {
-        "trace": "3c196ce6cd47c1db91b8a63c80c03deb2215d30be80d3b69241c0e574b4ff6d2",
+        "trace": "6a50161736a93e5f3889cb39d0d5b82a53296670822fd8b0500b241a67f853a9",
         "outputs": "5874ff5e83aee162a23dbf9594016612f2cece47f40618d8ad946b79537aa1bb",
     },
     "liveness_blocked": {
-        "trace": "a2a8cc2001df20f7fa43c5712a4ea8dec74234e77698ecc795f13af44b06e901",
+        "trace": "18263ebccf188fcca456fbdbb321008fdf75693e121e10cd2c91b519ad1113f7",
         "outputs": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     },
     "maa_cluster_crash": {
-        "trace": "2c293ebe8ae16a63a7a9e962e305b7699b2c845044608228546320f9e87c6d41",
+        "trace": "2bf40e9c2248332851a7edf0b0b473e339da147acd86908d7905239b7025b5cb",
         "outputs": "31731b4a6734648a12254f7bf216ed4150d19502ddf3f47ea5352bc68ea41e70",
     },
     "maa_shared": {
-        "trace": "b997e32625220ebe63adc4df79c0a3fc75e3b17d13d30f78a1604a1bfd123542",
+        "trace": "722e4febd7fa397de21b89d8465db088b4f986ae04a6988e1a6f260e008abe16",
         "outputs": "f4a9e77f49baa6b6252379a50f5ac7c157437313754e1a92ab49c0687f1f87e0",
     },
     "sc_quadratic_event": {
-        "trace": "5baeb8926db1aeff99719413b91907d0eca8acee38aba6d434af1e4bcad3a519",
+        "trace": "2580d18b8ce7792a1c9014c34bb0b6566b21eebdc06deea68857d21784424530",
         "outputs": "40509ef62aed64264e24e5f283895e3c6e182913f6dab3272e435b0216c3cb1a",
     },
+}
+
+
+# case -> sha256 of the same trace exports in format 1, where a deliver, drop
+# or defer line repeats its send's data; _expand_to_v1 writes them back
+GOLDEN_EVENT_V1 = {
+    "crash_at_iteration_and_partition":
+        "286054ca2031533fb58e119a99af3074c741959a2b711af8ecee4c4e21b2a96b",
+    "delay_one": "1dd2078ac44a1e7e514d08753a0b7522419593295a2fb694c3bcf3c7df7d1618",
+    "delay_wide": "3c196ce6cd47c1db91b8a63c80c03deb2215d30be80d3b69241c0e574b4ff6d2",
+    "liveness_blocked": "a2a8cc2001df20f7fa43c5712a4ea8dec74234e77698ecc795f13af44b06e901",
+    "maa_cluster_crash": "2c293ebe8ae16a63a7a9e962e305b7699b2c845044608228546320f9e87c6d41",
+    "maa_shared": "b997e32625220ebe63adc4df79c0a3fc75e3b17d13d30f78a1604a1bfd123542",
+    "sc_quadratic_event": "5baeb8926db1aeff99719413b91907d0eca8acee38aba6d434af1e4bcad3a519",
 }
 
 
@@ -337,12 +352,10 @@ def test_event_digests_match_pins(case):
         f"running numpy {np.__version__})")
 
 
-# maa-only runs, which the asynchrony audit skips
-MAA_ONLY_CASES = {"maa_cluster_crash", "maa_shared"}
-# liveness_blocked's runs block in iteration 1, so no two processes are ever
-# at different iterations. `asgd run --trace` reports that and exits 3:
-# liveness takes precedence over a failed audit
-EXPECTED_AUDIT_FAILURES = {"liveness_blocked": {"asynchrony_coverage"}}
+# the cases the asynchrony audit skips: maa-only runs, and liveness_blocked,
+# whose runs block in iteration 1, so that a failed audit would only restate
+# the liveness failure
+NO_ASYNCHRONY_AUDIT = {"liveness_blocked", "maa_cluster_crash", "maa_shared"}
 
 
 @pytest.mark.parametrize("case", sorted(EVENT_CASES))
@@ -351,9 +364,67 @@ def test_event_cases_pass_the_audits_of_a_traced_run(case):
     topo, _, _, algo, *_ = EVENT_CASES[case]()
     report = cli._audit_seeds(_event_runs(case, record=True), algo, topo)
     assert list(report) == [p for p in sim.AUDITS
-                            if p != "asynchrony_coverage" or case not in MAA_ONLY_CASES]
-    failed = {name for name, entry in report.items() if not entry["ok"]}
-    assert failed == EXPECTED_AUDIT_FAILURES.get(case, set()), (case, report)
+                            if p != "asynchrony_coverage" or case not in NO_ASYNCHRONY_AUDIT]
+    assert all(entry["ok"] for entry in report.values()), (case, report)
+
+
+def _expand_to_v1(jsonl: str) -> str:
+    """A format-2 trace export written in format 1: each deliver, drop and
+    defer line takes back from the send line its m names what format 1
+    repeated (deliver: sender, tag, h; drop: sender, tag; defer: tag), and
+    each quorum note its sender_tags."""
+    head, *events, trailer = [json.loads(line) for line in jsonl.splitlines()]
+    assert head["version"] == 2
+    head["version"] = 1
+    for rec in events:
+        if rec["k"] in ("deliver", "drop", "defer"):
+            send = events[rec.pop("m")]
+            rec["tag"] = send["tag"]
+            if rec["k"] != "defer":
+                rec["sender"] = send["p"]
+            if rec["k"] == "deliver":
+                rec["h"] = send["h"]
+        elif rec["k"] == "note" and rec["kind"] == "quorum":
+            rec["sender_tags"] = [rec["iteration"]] * rec["used"]
+    return "".join(json.dumps(rec, sort_keys=True) + "\n"
+                   for rec in (head, *events, trailer))
+
+
+@pytest.mark.parametrize("case", sorted(EVENT_CASES))
+def test_format_2_traces_expand_to_the_format_1_pins(case):
+    # format 2 drops only what format 1 repeated
+    expanded = "".join(_expand_to_v1(t.to_jsonl()) for t in _event_runs(case, record=True))
+    assert hashlib.sha256(expanded.encode()).hexdigest() == GOLDEN_EVENT_V1[case]
+
+
+def _assert_message_lines_name_their_sends(trace: sim.RunTrace):
+    sends = {i for i, e in enumerate(trace.events) if e[0] == "send"}
+    counts = {"deliver": 0, "drop": 0, "defer": 0}
+    arrived = set()  # (send, receiver) of each deliver and drop
+    for i, (kind, _, pid, data) in enumerate(trace.events):
+        if kind not in counts:
+            continue
+        counts[kind] += 1
+        assert data["m"] in sends and data["m"] < i, (i, kind, data)
+        if kind != "defer":
+            assert (data["m"], pid) not in arrived, (i, kind, data)
+            arrived.add((data["m"], pid))
+    c = trace.counters
+    assert counts == {"deliver": c["deliveries"], "drop": c["drops"], "defer": c["deferred"]}
+
+
+@pytest.mark.parametrize("case", sorted(EVENT_CASES))
+def test_message_lines_of_the_golden_cases_name_their_sends(case):
+    for trace in _event_runs(case, record=True):
+        _assert_message_lines_name_their_sends(trace)
+
+
+def test_message_lines_of_the_traced_benchmark_run_name_their_sends(perfbench_run):
+    raw = perfbench_run.WORKLOADS["event-quorum-trace"].scenario(0)
+    topology, faults, schedule, algorithm, oracle, _, options = cli.load_scenario(raw)
+    trace = sim.run(topology, faults, schedule, algorithm, oracle, [options.seed_root, 0])
+    assert trace.counters["deliveries"] > 0
+    _assert_message_lines_name_their_sends(trace)
 
 
 def _kinds_sim_run_logs() -> set[str]:
@@ -368,8 +439,9 @@ def test_event_cases_log_every_event_kind():
 
 
 def _reference_jsonl(trace: sim.RunTrace) -> str:
-    """The trace export as first written: json.dumps for every line, and
-    every array digested again at every event that logs it."""
+    """The trace export as first written, with the format-2 header:
+    json.dumps for every line, and every array digested again at every event
+    that logs it."""
     def digest(value):
         if isinstance(value, np.ndarray):
             return hashlib.sha256(value.tobytes()).hexdigest()[:12]
@@ -377,7 +449,7 @@ def _reference_jsonl(trace: sim.RunTrace) -> str:
             return "+".join(digest(v) for v in value)
         return hashlib.sha256(repr(value).encode()).hexdigest()[:12]
 
-    lines = [json.dumps({"format": "asgd-trace", "version": 1,
+    lines = [json.dumps({"format": "asgd-trace", "version": 2,
                          "config": trace.config_digest, "n": trace.n,
                          "tau": trace.tau}, sort_keys=True)]
     for kind, tick, pid, data in trace.events:
@@ -456,7 +528,7 @@ def test_crash_and_partition_case_takes_both_fault_paths():
         # each receiver has finished, so each one is dropped then
         last_output = max(i for i, e in enumerate(trace.events) if e[0] == "output")
         released = [e for e in trace.events[last_output:]
-                    if e[0] == "drop" and (e[2] < 2) != (e[3]["sender"] < 2)]
+                    if e[0] == "drop" and (e[2] < 2) != (trace.events[e[3]["m"]][2] < 2)]
         assert len(released) == trace.counters["deferred"]
 
 

@@ -513,7 +513,7 @@ def test_stale_audit_catches_a_program_that_waits_on_the_previous_round(monkeypa
             held = yield sim.WaitCount(("it", max(t - 1, 1)), 3)
             yield sim.Note("quorum", {
                 "mode": "exact", "required": 3, "used": 3, "iteration": t,
-                "sender_tags": [t] * 3, "senders": [s for s, _ in held[:3]],
+                "senders": [s for s, _ in held[:3]],
             })
         yield sim.Output(np.zeros(1))
 
