@@ -104,13 +104,19 @@ def _json_type(tp):
     return tp
 
 
+def _accepts(tp, value) -> bool:
+    # a JSON boolean is a Python bool, an int to isinstance, but only a bool
+    # field takes it
+    return isinstance(value, _json_type(tp)) and (tp is bool or not isinstance(value, bool))
+
+
 def _value(tp, value, where: str):
     """Check one JSON value against the annotation `tp`; return it converted."""
     # X | None accepts what X accepts: an absent key takes the default, and
     # an explicit null is a type error
     union = isinstance(tp, types.UnionType)
     options = [a for a in typing.get_args(tp) if a is not type(None)] if union else [tp]
-    tp = next((a for a in options if isinstance(value, _json_type(a))), None)
+    tp = next((a for a in options if _accepts(a, value)), None)
     if tp is None:
         _fail(where, f"unexpected type {type(value).__name__}")
     if typing.get_origin(tp) is tuple:
@@ -292,7 +298,8 @@ def _cmd_run(args) -> int:
     for assignment in args.set or []:
         apply_override(raw, assignment)
     if args.seeds is not None:
-        raw.setdefault("run", {})["seeds"] = args.seeds
+        # a null section is an absent one, as load_scenario reads it
+        raw["run"] = dict(_section(raw, "run"), seeds=args.seeds)
 
     topology, fault_plan, schedule, algorithm, oracle, driver, options = load_scenario(raw)
     digest = sim.config_digest_of(raw)

@@ -47,19 +47,22 @@ when not recording), and its ``deliver``, ``drop`` and ``defer`` records
 log that index as ``m`` instead of repeating the send's sender, tag and
 payload.
 
+The event log is the trace. Each event is logged as the dict that its
+trace line writes: ``k``, ``t`` and ``p`` and the log site's data, with a
+payload or value logged as its digest ``h``. So the log keeps no array
+alive; an array lives only as long as the run's own state (an inbox, a
+register bank, the round values) holds it. ``RunTrace.to_jsonl`` writes
+each record as ``json.dumps(record, sort_keys=True)`` does.
+
 ``run`` keeps the cyclic garbage collector off for the length of a run and
 leaves it as the caller had it. A run makes no reference cycles, so
 reference counting frees everything it discards, and the collector would
-only scan the growing event log again and again: each logged event's tuple
-is tracked, and so are the data dict and tag copy of most kinds (a
-``deliver`` or ``drop`` record's dict holds one int and is not).
-tests/test_sim.py checks, on the benchmark's event workloads and on every
-event scenario, that a collection right after a run finds nothing.
-
-``RunTrace.to_jsonl`` writes the bytes of ``json.dumps(record,
-sort_keys=True)``, but it sorts only what may need it. The record of a log
-site other than ``note`` has the key set the site fixes and holds no other
-dict, so it is built in sorted key order and written without the sort.
+only scan the growing event log again and again: a record that holds a
+list (a tag, an instance, a scope or a note's data) is tracked, while a
+``deliver``, ``drop``, ``defer``, ``iter``, ``output`` or ``crash`` record
+holds only ints and strings and is not. tests/test_sim.py checks, on the
+benchmark's event workloads and on every event scenario, that a collection
+right after a run finds nothing.
 """
 
 from __future__ import annotations
@@ -552,11 +555,8 @@ TRACE_FORMAT_VERSION = 2
 # The trace's JSON dialect: the bytes of json.dumps(..., sort_keys=True).
 # A trace record is a tree of the kernel's own log data, so the
 # circular-reference check is off; a circular record still fails, with
-# RecursionError instead of ValueError. _PLANNED_JSON is the same dialect
-# without the key sort: on a record built in sorted key order that holds no
-# other dict, it writes the same bytes (see RunTrace.to_jsonl).
+# RecursionError instead of ValueError.
 _TRACE_JSON = json.JSONEncoder(sort_keys=True, check_circular=False)
-_PLANNED_JSON = json.JSONEncoder(sort_keys=False, check_circular=False)
 
 
 def _line_encoder(spec: json.JSONEncoder):
@@ -582,7 +582,6 @@ def _line_encoder(spec: json.JSONEncoder):
 
 
 _encode_trace_line = _line_encoder(_TRACE_JSON)
-_encode_planned_line = _line_encoder(_PLANNED_JSON)
 
 
 def _digest(value) -> str:
@@ -664,7 +663,7 @@ class RunTrace:
 
     config_digest: str
     n: int
-    events: list[tuple]
+    events: list[dict]  # the trace line records, in event order
     outputs: dict[int, np.ndarray]
     participants: dict[int, set[int]]  # [iteration] -> pids that reached it
     round_values: dict[tuple, dict[int, dict[int, np.ndarray]]]  # [scope][round][pid]
@@ -679,21 +678,14 @@ class RunTrace:
         """Line-delimited export; deterministic bytes for a deterministic run.
 
         Every line is json.dumps(record, sort_keys=True): a header, one line
-        per event, and a trailer. An event's record holds k, t, p and its
-        data, each array digested, a payload or value array (or tuple of
-        arrays) as h. A deliver, drop or defer record's m is the 0-based
-        index of its send among the event lines (line m + 2 of the export),
-        whose p, tag and h are the message's sender, tag and payload digest;
-        a defer also names its receiver. A log site other than `note` fixes
-        its data keys and writes no dict and no array outside the payload
-        or value, so its record is built in sorted key order from a plan
-        kept per kind and written without the sort. A `note`, a payload or
-        value that is neither an array nor a tuple (program data passed
-        through), and an event whose keys differ from the first of its kind
-        are written with the sort.
+        per event record, and a trailer. A record holds k, t, p and its log
+        site's data, a payload or value as its digest h. A deliver, drop or
+        defer record's m is the 0-based index of its send among the event
+        lines (line m + 2 of the export), whose p, tag and h are the
+        message's sender, tag and payload digest; a defer also names its
+        receiver.
         """
         encode = _encode_trace_line
-        encode_planned = _encode_planned_line
         lines = [encode({
             "format": "asgd-trace",
             "version": TRACE_FORMAT_VERSION,
@@ -701,31 +693,7 @@ class RunTrace:
             "n": self.n,
             "tau": self.tau,
         })]
-        plans: dict[str, tuple | None] = {}
-        for kind, tick, pid, data in self.events:
-            plan = plans.get(kind, False)
-            if plan is False:
-                plan = plans[kind] = _export_plan(kind, frozenset(data))
-            if plan is not None:
-                template, keys, hashed = plan
-                if data.keys() == keys and (
-                        hashed is None or isinstance(data[hashed], (np.ndarray, tuple))):
-                    rec = template.copy()
-                    rec.update(data)  # keys already in the template keep its order
-                    rec["k"], rec["t"], rec["p"] = kind, tick, pid
-                    if hashed is not None:
-                        rec["h"] = _digest(rec.pop(hashed))
-                    lines.append(encode_planned(rec))
-                    continue
-            rec = {"k": kind, "t": tick, "p": pid}
-            for key, val in data.items():
-                if isinstance(val, (np.ndarray, tuple)) and key in ("payload", "value"):
-                    rec["h"] = _digest(val)
-                elif isinstance(val, np.ndarray):
-                    rec[key] = _digest(val)
-                else:
-                    rec[key] = val
-            lines.append(encode(rec))
+        lines.extend(map(encode, self.events))
         trailer = {
             "outputs": {str(p): _digest(v) for p, v in sorted(self.outputs.items())},
             "liveness": self.liveness,
@@ -733,21 +701,6 @@ class RunTrace:
         }
         lines.append(encode(trailer))
         return "\n".join(lines) + "\n"
-
-
-def _export_plan(kind: str, keys: frozenset) -> tuple | None:
-    """How RunTrace.to_jsonl writes an event of `kind` whose data has the
-    keys `keys` without a key sort: (the record's keys in sorted order, as a
-    dict to copy, `keys`, and the payload or value key written as h, or
-    None). None when such a record takes the sorted path: a `note`, or keys
-    that would overwrite one another."""
-    if kind == "note":
-        return None
-    hashed = keys & {"payload", "value"}
-    record_keys = {"k", "t", "p"} | (keys - hashed) | ({"h"} if hashed else set())
-    if len(record_keys) != 3 + len(keys):
-        return None
-    return dict.fromkeys(sorted(record_keys)), keys, next(iter(hashed), None)
 
 
 def _config_value(value):
@@ -873,7 +826,7 @@ def run(
     ready_msgs: list = []
     deferred: list = []
 
-    trace_events: list[tuple] = []
+    trace_events: list[dict] = []
     participants: dict[int, set[int]] = {}
     round_values: dict[tuple, dict[int, dict[int, np.ndarray]]] = {}
     outputs: dict[int, np.ndarray] = {}
@@ -901,9 +854,11 @@ def run(
     liveness: dict = {"ok": True, "kind": "completed"}
 
     # Every call site checks record_events first, so a run that does not
-    # record builds no event record at all.
-    def log(_kind: str, _pid: int | None, **data):
-        trace_events.append((_kind, tick, _pid, data))
+    # record builds no event record at all. The record is the trace line's:
+    # the site's data with the kind, tick and pid set on it.
+    def log(_kind: str, _pid: int | None, **rec):
+        rec["k"], rec["t"], rec["p"] = _kind, tick, _pid
+        trace_events.append(rec)
 
     def bank_for(instance: tuple, pid: int) -> RegisterBank:
         bank = banks.get(instance)
@@ -1033,13 +988,13 @@ def run(
             counters["register_writes"] += 1
             if record_events:
                 log("write", pid, instance=list(effect.instance),
-                    round=effect.round_index, payload=effect.payload)
+                    round=effect.round_index, h=_digest(effect.payload))
         elif isinstance(effect, Broadcast):
             # synchronous self-delivery, delayed delivery to everyone else
             m = -1
             if record_events:
                 m = len(trace_events)
-                log("send", pid, tag=list(effect.tag), payload=effect.payload)
+                log("send", pid, tag=list(effect.tag), h=_digest(effect.payload))
             counters["sends"] += topology.n
             deliver((pid, pid, effect.tag, effect.payload, m))
             for other in range(topology.n):
@@ -1067,7 +1022,7 @@ def run(
         elif isinstance(effect, IterMark):
             participants.setdefault(effect.iteration, set()).add(pid)
             if record_events:
-                log("iter", pid, iteration=effect.iteration, value=effect.value)
+                log("iter", pid, iteration=effect.iteration, h=_digest(effect.value))
             if crash_by_iter.get(pid) == effect.iteration:
                 apply_crash(pid, f"at_iteration={effect.iteration}")
         elif isinstance(effect, RoundMark):
@@ -1075,7 +1030,7 @@ def run(
             by_round.setdefault(effect.round_index, {})[pid] = effect.value
             if record_events:
                 log("round", pid, scope=list(effect.scope), round=effect.round_index,
-                    value=effect.value)
+                    h=_digest(effect.value))
         elif isinstance(effect, Note):
             if record_events:
                 log("note", pid, kind=effect.kind, **effect.data)
@@ -1086,7 +1041,7 @@ def run(
             st.status = DONE
             runnable.remove(pid)
             if record_events:
-                log("output", pid, value=effect.value)
+                log("output", pid, h=_digest(effect.value))
             if deferred and both_sides_done():
                 ready_msgs.extend(deferred)
                 deferred.clear()
@@ -1138,15 +1093,16 @@ def audit(trace: RunTrace, properties: list[str] | None = None) -> dict[str, dic
 
 def _audit_registers(trace: RunTrace) -> dict:
     written: dict[tuple, str] = {}
-    for kind, tick, pid, data in trace.events:
+    for rec in trace.events:
+        kind = rec["k"]
         if kind == "write":
-            key = (tuple(data["instance"]), data["round"], pid)
+            key = (tuple(rec["instance"]), rec["round"], rec["p"])
             if key in written:
                 return {"ok": False, "detail": f"double write at {key}"}
-            written[key] = _digest(data["payload"])
+            written[key] = rec["h"]
         elif kind == "read":
-            key = (tuple(data["instance"]), data["round"], data["owner"])
-            seen = data["observed"]
+            key = (tuple(rec["instance"]), rec["round"], rec["owner"])
+            seen = rec["observed"]
             expect = written.get(key)
             if seen is not None and seen != expect:
                 return {"ok": False,
@@ -1155,15 +1111,16 @@ def _audit_registers(trace: RunTrace) -> dict:
 
 
 def _quorum_wakes(trace: RunTrace):
-    """(pid, note, wake) for each quorum note: the wake record of the wait
-    the kernel last resumed its process from, None when no wake has come
-    since that process's previous quorum note."""
+    """(pid, note, wake) for each quorum note record: the wake record of the
+    wait the kernel last resumed its process from, None when no wake has
+    come since that process's previous quorum note."""
     woken: dict[int, dict] = {}
-    for kind, tick, pid, data in trace.events:
+    for rec in trace.events:
+        kind = rec["k"]
         if kind == "wake":
-            woken[pid] = data
-        elif kind == "note" and data["kind"] == "quorum":
-            yield pid, data, woken.pop(pid, None)
+            woken[rec["p"]] = rec
+        elif kind == "note" and rec["kind"] == "quorum":
+            yield rec["p"], rec, woken.pop(rec["p"], None)
 
 
 def _audit_quorums(trace: RunTrace) -> dict:
@@ -1217,12 +1174,12 @@ def _audit_witness(trace: RunTrace) -> dict:
 
 def _audit_asynchrony(trace: RunTrace) -> dict:
     current: dict[int, int] = {}
-    for kind, tick, pid, data in trace.events:
-        if kind == "iter":
-            current[pid] = data["iteration"]
+    for rec in trace.events:
+        if rec["k"] == "iter":
+            current[rec["p"]] = rec["iteration"]
             if len(set(current.values())) > 1:
                 return {"ok": True,
-                        "detail": f"processes at different iterations at tick {tick}"}
+                        "detail": f"processes at different iterations at tick {rec['t']}"}
     return {"ok": False, "detail": "no two processes were ever at different iterations"}
 
 

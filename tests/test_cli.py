@@ -113,6 +113,7 @@ CONFIG_ERRORS = [
     # oracle
     ("sc_quadratic_event", [(("oracle", "dim"), _DELETE)], "oracle.dim: missing field"),
     ("sc_quadratic_event", [(("oracle", "sigma"), "x")], "oracle.sigma: unexpected type str"),
+    ("sc_quadratic_event", [(("oracle", "sigma"), False)], "oracle.sigma: unexpected type bool"),
     ("sc_quadratic_event", [(("oracle", "mu"), None)], "oracle.mu: unexpected type NoneType"),
     ("sc_quadratic_event", [(("oracle", "x_star"), 1.0)],
      "oracle.x_star: unexpected type float"),
@@ -137,14 +138,20 @@ CONFIG_ERRORS = [
      "algorithm.variant: unknown variant 'x'"),
     ("sc_quadratic_event", [(("algorithm", "iterations"), "x")],
      "algorithm.iterations: unexpected type str"),
+    ("sc_quadratic_event", [(("algorithm", "iterations"), True)],
+     "algorithm.iterations: unexpected type bool"),
     ("sc_quadratic_event", [(("algorithm", "x1"), "x")],
      "algorithm.x1: unexpected type str"),
+    ("sc_quadratic_event", [(("algorithm", "x1"), [True, 0.3])],
+     "algorithm.x1[0]: unexpected type bool"),
     ("sc_quadratic_event", [(("algorithm", "maa_rule"), "x")],
      "algorithm.maa_rule: unknown rule 'x'"),
     ("sc_quadratic_event", [(("algorithm", "maa_rule"), 1)],
      "algorithm.maa_rule: unexpected type int"),
     ("sc_quadratic_event", [(("algorithm", "agreement_q"), [])],
      "algorithm.agreement_q: unexpected type list"),
+    ("sc_quadratic_event", [(("algorithm", "agreement_q"), True)],
+     "algorithm.agreement_q: unexpected type bool"),
     ("sc_quadratic_event", [(("algorithm", "cluster_quorum"), None)],
      "algorithm.cluster_quorum: unexpected type NoneType"),
     ("sc_quadratic_event", [(("algorithm", "lr_check"), 1)],
@@ -235,6 +242,7 @@ CONFIG_ERRORS = [
     ("sc_quadratic_event", [(("run", "driver"), "x")], "run.driver: unknown driver 'x'"),
     ("sc_quadratic_event", [(("run", "seeds"), 0)], "run.seeds: must be >= 1"),
     ("sc_quadratic_event", [(("run", "seeds"), "x")], "run.seeds: unexpected type str"),
+    ("sc_quadratic_event", [(("run", "seeds"), True)], "run.seeds: unexpected type bool"),
     ("sc_quadratic_event", [(("run", "seed_root"), -1)], "run.seed_root: must be >= 0"),
     ("sc_quadratic_event", [(("run", "record_series"), 1)],
      "run.record_series: unexpected type int"),
@@ -293,6 +301,23 @@ def test_config_error_message(base, edits, line, tmp_path, capsys):
     code = _run(["run", scenario, "--out", tmp_path / "out"])
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_seeds_flag_reads_a_null_run_section_as_absent(tmp_path):
+    scenario = _edited_scenario("sc_quadratic_event", [(("run",), None)],
+                                tmp_path / "scenario.json")
+    assert _run(["run", scenario, "--out", tmp_path / "out", "--seeds", 2,
+                 "--set", "algorithm.iterations=8"]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["seeds"] == 2 and summary["scenario"]["run"] == {"seeds": 2}
+
+
+def test_seeds_flag_rejects_a_run_section_that_is_not_an_object(tmp_path, capsys):
+    scenario = _edited_scenario("sc_quadratic_event", [(("run",), [1])],
+                                tmp_path / "scenario.json")
+    assert _run(["run", scenario, "--out", tmp_path / "out", "--seeds", 2]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: run: must be an object"]
     assert not (tmp_path / "out").exists()
 
 

@@ -398,17 +398,18 @@ def test_format_2_traces_expand_to_the_format_1_pins(case):
 
 
 def _assert_message_lines_name_their_sends(trace: sim.RunTrace):
-    sends = {i for i, e in enumerate(trace.events) if e[0] == "send"}
+    sends = {i for i, rec in enumerate(trace.events) if rec["k"] == "send"}
     counts = {"deliver": 0, "drop": 0, "defer": 0}
     arrived = set()  # (send, receiver) of each deliver and drop
-    for i, (kind, _, pid, data) in enumerate(trace.events):
+    for i, rec in enumerate(trace.events):
+        kind = rec["k"]
         if kind not in counts:
             continue
         counts[kind] += 1
-        assert data["m"] in sends and data["m"] < i, (i, kind, data)
+        assert rec["m"] in sends and rec["m"] < i, (i, rec)
         if kind != "defer":
-            assert (data["m"], pid) not in arrived, (i, kind, data)
-            arrived.add((data["m"], pid))
+            assert (rec["m"], rec["p"]) not in arrived, (i, rec)
+            arrived.add((rec["m"], rec["p"]))
     c = trace.counters
     assert counts == {"deliver": c["deliveries"], "drop": c["drops"], "defer": c["deferred"]}
 
@@ -433,35 +434,75 @@ def _kinds_sim_run_logs() -> set[str]:
 
 def test_event_cases_log_every_event_kind():
     # a kind no golden case logs is a kind whose export no pin guards
-    logged = {e[0] for case in EVENT_CASES
-              for trace in _event_runs(case, record=True) for e in trace.events}
+    logged = {rec["k"] for case in EVENT_CASES
+              for trace in _event_runs(case, record=True) for rec in trace.events}
     assert _kinds_sim_run_logs() == logged
+
+
+def _array_paths(value, path=()):
+    """The paths to every numpy array inside `value`, through the items of
+    dicts, lists and tuples."""
+    if isinstance(value, np.ndarray):
+        yield path
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _array_paths(item, (*path, key))
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            yield from _array_paths(item, (*path, i))
+
+
+@pytest.mark.parametrize("case", sorted(EVENT_CASES))
+def test_event_logs_hold_no_arrays(case):
+    # every payload and value is logged as its digest, so the log keeps no
+    # array alive after the run is done with it
+    for s, trace in enumerate(_event_runs(case, record=True)):
+        assert trace.events, (case, s)
+        found = [(i, path) for i, rec in enumerate(trace.events)
+                 for path in _array_paths(rec)]
+        assert found == [], (case, s, found[:3])
+
+
+def _readme_trace_rows() -> dict[str, set[str]]:
+    """README.md's trace table: line name -> the keys it lists besides k, t
+    and p. A parenthesised remark names no key, except in the note row,
+    where it lists the quorum note's data."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme[readme.index("| line | keys besides"):].split("\n\n", 1)[0]
+    rows = {}
+    # [1:] skips the column heads; the |---| rule has no cells to match
+    for names, keys in re.findall(r"^\s*\| (.+?) \| (.+) \|$", table, re.MULTILINE)[1:]:
+        if names != "`note`":
+            keys = re.sub(r"\(.*?\)", "", keys)
+        for name in re.findall(r"\w+", names):
+            rows[name] = set(re.findall(r"`(\w+)`", keys))
+    return rows
+
+
+def test_readme_trace_table_lists_the_keys_of_every_logged_record():
+    seen = {}
+    for case in EVENT_CASES:
+        for trace in _event_runs(case, record=True):
+            for rec in trace.events:
+                keys = set(rec) - {"k", "t", "p"}
+                if rec["k"] == "note":
+                    assert rec["kind"] == "quorum", rec
+                assert seen.setdefault(rec["k"], keys) == keys, rec
+    lines = _event_runs("maa_shared", record=True)[0].to_jsonl().splitlines()
+    seen["header"], seen["trailer"] = set(json.loads(lines[0])), set(json.loads(lines[-1]))
+    assert seen == _readme_trace_rows()
 
 
 def _reference_jsonl(trace: sim.RunTrace) -> str:
     """The trace export as first written, with the format-2 header:
-    json.dumps for every line, and every array digested again at every event
-    that logs it."""
+    json.dumps for every line."""
     def digest(value):
-        if isinstance(value, np.ndarray):
-            return hashlib.sha256(value.tobytes()).hexdigest()[:12]
-        if isinstance(value, tuple):
-            return "+".join(digest(v) for v in value)
-        return hashlib.sha256(repr(value).encode()).hexdigest()[:12]
+        return hashlib.sha256(value.tobytes()).hexdigest()[:12]
 
     lines = [json.dumps({"format": "asgd-trace", "version": 2,
                          "config": trace.config_digest, "n": trace.n,
                          "tau": trace.tau}, sort_keys=True)]
-    for kind, tick, pid, data in trace.events:
-        rec = {"k": kind, "t": tick, "p": pid}
-        for key, val in data.items():
-            if isinstance(val, (np.ndarray, tuple)) and key in ("payload", "value"):
-                rec["h"] = digest(val)
-            elif isinstance(val, np.ndarray):
-                rec[key] = digest(val)
-            else:
-                rec[key] = val
-        lines.append(json.dumps(rec, sort_keys=True))
+    lines += [json.dumps(rec, sort_keys=True) for rec in trace.events]
     lines.append(json.dumps({
         "outputs": {str(p): digest(v) for p, v in sorted(trace.outputs.items())},
         "liveness": trace.liveness,
@@ -474,7 +515,7 @@ def test_event_export_equals_reference_line_by_line():
     kinds = set()
     for case in ("crash_at_iteration_and_partition", "maa_cluster_crash"):
         for s, trace in enumerate(_event_runs(case, record=True)):
-            kinds.update(e[0] for e in trace.events)
+            kinds.update(rec["k"] for rec in trace.events)
             got = trace.to_jsonl().split("\n")
             want = _reference_jsonl(trace).split("\n")
             assert len(got) == len(want), (case, s)
@@ -485,50 +526,47 @@ def test_event_export_equals_reference_line_by_line():
 
 
 def test_export_of_program_data_equals_reference_line_by_line():
-    # a note, and a payload or value that is neither an array nor a tuple,
-    # is program data: the export must sort the keys of every dict in it,
-    # as it must in an event whose keys differ from the kernel's
-    a, b = np.array([1.0, -0.5]), np.array([0.25])
+    # a note holds program data: the export must sort the keys of every dict
+    # in it, as it must in a record whose keys differ from the kernel's, and
+    # write every JSON value of a tag as json.dumps does
+    b = np.array([0.25])
     nested = {"zeta": {"b": 1, "a": {"d": 2, "c": None}}, "alpha": [{"y": 1, "x": 2}, []]}
-    events = [
-        ("note", 0, 0, {"kind": "probe", **nested}),
-        ("send", 1, 0, {"tag": ["g", 1], "payload": {"z": [1, {"b": 2, "a": 1}], "a": 0}}),
-        ("deliver", 2, 1, {"sender": 0, "tag": ["g", 1], "payload": {"z": 1, "a": 0}}),
-        ("send", 3, 1, {"tag": ["g", 1], "payload": 7}),
-        ("send", 4, 2, {"tag": ["g", 1], "payload": [3, {"b": 1, "a": 2}]}),
-        ("output", 5, 2, {"value": [{"b": 1, "a": 2}, {"d": {"f": 1, "e": 0}}]}),
-        ("send", 6, 0, {"tag": ["g", 1.5, True, None, False], "payload": a}),
-        ("deliver", 7, 2, {"sender": 0, "tag": ["g", 1.5, True, None, False], "payload": a}),
-        ("wait", 8, 1, {"tag": [-0.0, None, True], "count": 2, "wait_kind": "WaitCount"}),
-        ("write", 9, 0, {"instance": ["mid", 0], "round": 1, "payload": (a, b)}),
-        ("read", 10, 1, {"instance": ["mid", 0], "round": 1, "owner": 0, "observed": None}),
-        ("round", 11, 1, {"scope": ["mid", 0.5, None], "round": 1, "value": b}),
-        ("iter", 12, 1, {"iteration": 1, "value": b}),
-        ("output", 13, 1, {"value": b}),
-        # keys unlike the first of their kind, and keys that collide with k
-        ("wake", 14, 0, {"tag": ["g", 1], "held": 2}),
-        ("wake", 15, 1, {"tag": ["g", 1], "held": {"b": 1, "a": 0}, "why": {"z": 0, "y": 1}}),
-        ("defer", 16, 2, {"receiver": 0, "tag": ["g"], "k": {"b": 1, "a": 2}}),
+    records = [
+        {"k": "note", "t": 0, "p": 0, "kind": "probe", **nested},
+        {"k": "send", "t": 1, "p": 0, "tag": ["g", 1.5, True, None, False],
+         "h": "0123456789ab"},
+        {"k": "deliver", "t": 2, "p": 2, "m": 1},
+        {"k": "wait", "t": 3, "p": 1, "tag": [-0.0, None, True], "count": 2,
+         "wait_kind": "WaitCount"},
+        {"k": "read", "t": 4, "p": 1, "instance": ["mid", 0], "round": 1, "owner": 0,
+         "observed": None},
+        {"k": "round", "t": 5, "p": 1, "scope": ["mid", 0.5, None], "round": 1,
+         "h": "0123456789ab+ba9876543210"},
+        # keys unlike the kernel's
+        {"k": "wake", "t": 6, "p": 1, "tag": ["g", 1], "held": {"b": 1, "a": 0},
+         "why": {"z": 0, "y": 1}},
+        {"k": "defer", "t": 7, "p": 2, "receiver": 0, "m": 1, "extra": {"b": 1, "a": 2}},
     ]
-    trace = _trace_of(events, outputs={1: b, 2: a})
+    trace = _trace_of(records, outputs={1: b})
     got = trace.to_jsonl().split("\n")
     want = _reference_jsonl(trace).split("\n")
-    assert len(got) == len(want) == len(events) + 3
+    assert len(got) == len(want) == len(records) + 3
     for i, (line, ref) in enumerate(zip(got, want)):
-        assert line == ref, (i, events[i - 1] if 0 < i <= len(events) else None)
+        assert line == ref, (i, records[i - 1] if 0 < i <= len(records) else None)
 
 
 def test_crash_and_partition_case_takes_both_fault_paths():
     for trace in _event_runs("crash_at_iteration_and_partition", record=True):
         assert trace.liveness["ok"]
-        crashes = [e for e in trace.events if e[0] == "crash"]
-        assert [(e[2], e[3]["trigger"]) for e in crashes] == [(3, "at_iteration=3")]
+        crashes = [rec for rec in trace.events if rec["k"] == "crash"]
+        assert [(rec["p"], rec["trigger"]) for rec in crashes] == [(3, "at_iteration=3")]
         assert trace.counters["deferred"] > 0
         # every deferred message is released after the last output, when
         # each receiver has finished, so each one is dropped then
-        last_output = max(i for i, e in enumerate(trace.events) if e[0] == "output")
-        released = [e for e in trace.events[last_output:]
-                    if e[0] == "drop" and (e[2] < 2) != (trace.events[e[3]["m"]][2] < 2)]
+        events = trace.events
+        last_output = max(i for i, rec in enumerate(events) if rec["k"] == "output")
+        released = [rec for rec in events[last_output:]
+                    if rec["k"] == "drop" and (rec["p"] < 2) != (events[rec["m"]]["p"] < 2)]
         assert len(released) == trace.counters["deferred"]
 
 

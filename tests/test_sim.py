@@ -378,8 +378,8 @@ def test_crashed_process_is_silent_and_others_finish():
     trace = sim.run(topo, plan, FAST, conf, QUAD2, 9)
     assert trace.liveness["ok"]
     assert set(trace.outputs) == {0, 1}
-    crash_events = [e for e in trace.events if e[0] == "crash"]
-    assert len(crash_events) == 1 and crash_events[0][2] == 2
+    crash_events = [rec for rec in trace.events if rec["k"] == "crash"]
+    assert len(crash_events) == 1 and crash_events[0]["p"] == 2
 
 
 def test_partition_without_majority_blocks_and_is_reported():
@@ -496,11 +496,11 @@ def _quorum_audit_run():
         assert report[name]["ok"], (name, report[name])
     # the index of the wake that the first quorum note pairs with
     woken = {}
-    for i, (kind, _, pid, data) in enumerate(trace.events):
-        if kind == "wake":
-            woken[pid] = i
-        elif kind == "note" and data["kind"] == "quorum":
-            return trace, woken[pid]
+    for i, rec in enumerate(trace.events):
+        if rec["k"] == "wake":
+            woken[rec["p"]] = i
+        elif rec["k"] == "note" and rec["kind"] == "quorum":
+            return trace, woken[rec["p"]]
     raise AssertionError("no quorum note")
 
 
@@ -531,7 +531,7 @@ def test_stale_audit_catches_a_program_that_waits_on_the_previous_round(monkeypa
 
 def test_quorum_audit_catches_a_wake_that_held_too_few_messages():
     trace, wake = _quorum_audit_run()
-    trace.events[wake][3]["held"] = 1  # below the quorum of 2
+    trace.events[wake]["held"] = 1  # below the quorum of 2
     report = sim.audit(trace, QUORUM_AUDITS)
     assert not report["quorum_composition"]["ok"]
     assert report["stale_filtering"]["ok"]
@@ -614,31 +614,19 @@ ENCODED_VALUES = [
 ]
 
 
-# the module's line encoders, and the JSONEncoder.encode each replaces (and
-# falls back to without the _json accelerator); the planned ones skip the
-# key sort, so they are given each value with its dicts in sorted key order
+# the module's line encoder, and the JSONEncoder.encode it replaces (and
+# falls back to without the _json accelerator)
 LINE_ENCODERS = {
     "line": sim._encode_trace_line,
     "encode": sim._TRACE_JSON.encode,
-    "planned-line": sim._encode_planned_line,
-    "planned-encode": sim._PLANNED_JSON.encode,
 }
 ALL_LINE_ENCODERS = pytest.mark.parametrize("name", list(LINE_ENCODERS))
-
-
-def _key_sorted(value):
-    if isinstance(value, dict):
-        return {k: _key_sorted(v) for k, v in sorted(value.items())}
-    if isinstance(value, list):
-        return [_key_sorted(v) for v in value]
-    return value
 
 
 @ALL_LINE_ENCODERS
 @pytest.mark.parametrize("value", ENCODED_VALUES, ids=repr)
 def test_trace_line_encoder_writes_json_dumps_bytes(name, value):
-    given = _key_sorted(value) if name.startswith("planned") else value
-    assert LINE_ENCODERS[name](given) == json.dumps(value, sort_keys=True)
+    assert LINE_ENCODERS[name](value) == json.dumps(value, sort_keys=True)
 
 
 @ALL_LINE_ENCODERS
@@ -655,57 +643,82 @@ def test_trace_line_encoder_rejects_what_json_dumps_rejects(name):
         encode(circular)
 
 
-def _trace_of(events, outputs=None):
+def _trace_of(records, outputs=None):
+    """A RunTrace around event records given as the dicts the kernel logs."""
     return sim.RunTrace(
-        config_digest="c0ffee", n=3, events=events, outputs=outputs or {},
+        config_digest="c0ffee", n=3, events=records, outputs=outputs or {},
         participants={}, round_values={}, witness=sim.WitnessRecorder(),
-        output_witness={}, counters={"events": len(events)},
+        output_witness={}, counters={"events": len(records)},
         liveness={"ok": True}, warnings=[])
 
 
 def _sha12(value):
-    return hashlib.sha256(value.tobytes()).hexdigest()[:12]
+    if isinstance(value, np.ndarray):
+        return hashlib.sha256(value.tobytes()).hexdigest()[:12]
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:12]
 
 
-def test_export_digests_each_payload_object_by_its_bytes():
+def _exported_records(monkeypatch, program, n=3):
+    """The exported event lines and trailer of a run of `program(pid)` on
+    n singleton clusters."""
+    monkeypatch.setattr(sgd, "build_programs",
+                        lambda algorithm, contexts, tau_rng: ([program(p) for p in range(n)], None))
+    trace = sim.run(singletons(n), NO_FAULTS, FAST,
+                    cluster_agreement([float(p) for p in range(n)]), QUAD2, [17, 0])
+    assert trace.liveness["ok"], trace.liveness
+    _, *recs, trailer = [json.loads(line) for line in trace.to_jsonl().splitlines()]
+    return recs, trailer
+
+
+def test_export_digests_each_payload_object_by_its_bytes(monkeypatch):
+    # every site that logs an array logs the digest of its bytes: an equal
+    # copy, another object, digests alike
     a = np.array([1.0, 2.0])
-    twin = a.copy()  # equal bytes, another object
+    twin = a.copy()
     other = np.array([1.0, -2.0])
-    events = [("send", 0, 0, {"tag": ["g", 1], "payload": a})]
-    events += [("deliver", t, p, {"sender": 0, "tag": ["g", 1], "payload": a})
-               for t, p in ((1, 1), (2, 2), (3, 0))]
-    events += [("send", 4, 1, {"tag": ["g", 1], "payload": twin}),
-               ("send", 5, 2, {"tag": ["g", 1], "payload": other}),
-               ("deliver", 6, 0, {"sender": 2, "tag": ["g", 1], "payload": other}),
-               ("iter", 7, 2, {"iteration": 1, "value": other}),
-               ("note", 8, 2, {"kind": "probe", "point": a, "size": 2})]
-    lines = [json.loads(line) for line in _trace_of(events).to_jsonl().splitlines()]
-    recs = lines[1:-1]
-    assert [r.get("h") for r in recs] == [_sha12(a)] * 5 + [_sha12(other)] * 3 + [None]
-    assert _sha12(a) != _sha12(other)
-    assert recs[-1] == {"k": "note", "t": 8, "p": 2, "kind": "probe",
-                        "point": _sha12(a), "size": 2}
+    arrays = {0: a, 1: twin, 2: other}
+
+    def program(pid):
+        x = arrays[pid]
+        yield sim.IterMark(1, x)
+        yield sim.Broadcast(("g", 1), x)
+        yield sim.Write(("bank", pid), 1, x)
+        yield sim.RoundMark(("r",), 1, x)
+        yield sim.Output(x)
+
+    recs, trailer = _exported_records(monkeypatch, program)
+    hashed = [(r["k"], r["p"], r["h"]) for r in recs if "h" in r]
+    want = sorted((k, p, _sha12(arrays[p]))
+                  for k in ("iter", "send", "write", "round", "output") for p in range(3))
+    assert sorted(hashed) == want
+    assert _sha12(a) == _sha12(twin) != _sha12(other)
+    assert trailer["outputs"] == {str(p): _sha12(x) for p, x in arrays.items()}
 
 
-def test_export_digests_a_tuple_payload_member_by_member():
+def test_export_digests_a_tuple_payload_member_by_member(monkeypatch):
+    # an agreement payload is (value, witness node): each member is digested
+    # and the digests are joined with "+"
     a, b = np.array([0.5]), np.array([-0.25])
-    pair = (a, b)
-    events = [("send", 0, 0, {"tag": ["m", 0], "payload": pair}),
-              ("deliver", 1, 1, {"sender": 0, "tag": ["m", 0], "payload": pair}),
-              ("send", 2, 1, {"tag": ["m", 0], "payload": a}),
-              ("output", 3, 1, {"value": (b,)})]
-    lines = _trace_of(events, outputs={1: b}).to_jsonl().splitlines()
-    recs = [json.loads(line) for line in lines]
-    want = f"{_sha12(a)}+{_sha12(b)}"
-    assert [r.get("h") for r in recs[1:-1]] == [want, want, _sha12(a), _sha12(b)]
-    assert recs[-1]["outputs"] == {"1": _sha12(b)}
+
+    def program(pid):
+        yield sim.Broadcast(("m", 0), (a, pid))
+        yield sim.Write(("bank", pid), 1, (a, b))
+        yield sim.Output((b,))
+
+    recs, trailer = _exported_records(monkeypatch, program)
+    hashed = {(r["k"], r["p"]): r["h"] for r in recs if "h" in r}
+    for pid in range(3):
+        assert hashed["send", pid] == f"{_sha12(a)}+{_sha12(pid)}"
+        assert hashed["write", pid] == f"{_sha12(a)}+{_sha12(b)}"
+        assert hashed["output", pid] == trailer["outputs"][str(pid)] == _sha12(b)
+    assert len(hashed) == 9
 
 
 def test_export_failure_leaves_the_next_export_unaffected():
     # a C encoder kept between exports with circular-reference markers would
     # keep the list's marker from the first failure and call it circular
     shared = [np.int64(1)]
-    trace = _trace_of([("note", 0, 0, {"kind": "bad", "held": shared})])
+    trace = _trace_of([{"k": "note", "t": 0, "p": 0, "kind": "bad", "held": shared}])
     for _ in range(2):
         with pytest.raises(TypeError, match="int64 is not JSON serializable"):
             trace.to_jsonl()
@@ -826,8 +839,8 @@ def test_wait_clusters_already_held_when_blocking_is_runnable(monkeypatch):
                         QUAD2, [14, seed])
         assert trace.liveness["ok"], (seed, trace.liveness)
         assert trace.outputs[0][0] == 2.0
-        wakes = [(e[3]["tag"], e[3]["held"]) for e in trace.events
-                 if e[0] == "wake" and e[2] == 0]
+        wakes = [(rec["tag"], rec["held"]) for rec in trace.events
+                 if rec["k"] == "wake" and rec["p"] == 0]
         assert wakes == [(list(tag), 2), (list(tag), 2)]
 
 
