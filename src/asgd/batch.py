@@ -72,6 +72,17 @@ among equal keys is numpy's and need not be stable. The members' values
 are gathered by np.take of flat rows of a (seeds * units, dim) view, as
 the exchange rounds gather whole clusters.
 
+Both variants run one iteration loop in run_ensemble. Its head is shared:
+the gradient, the series row, the tau capture, the noise and the process
+quorum draw. The strongly convex tail averages the stepped iterates
+X - eta * G over the quorum; the non-convex tail averages the gradients,
+steps, and runs the agreement rounds. The tails stay inline, keep each
+temporary (y, g, the stage maps, the exchange rows, V) bound until the next
+iteration rebinds it, and compute the convex step before the quorum draw.
+Keep that order: when large temporaries are allocated and freed decides
+when glibc gives heap back to the system, and so how many pages a fresh
+process faults back in, which perfbench's one-run children time.
+
 Of a fault plan the driver takes only a partition (crash plans need the
 event kernel). Restriction, enforced at entry: the non-convex agreement
 stage supports uniform cluster sizes of 1 or 2.
@@ -320,20 +331,6 @@ def _compose_stage_loop(picks: np.ndarray) -> np.ndarray:
     return np.stack([w0, w1], axis=-1)
 
 
-def run_ensemble(topology: sim.Topology, algorithm: SgdConfig,
-                 oracle_spec: OracleSpec, options: BatchOptions,
-                 partition: sim.PartitionSpec | None = None) -> BatchResult:
-    if not isinstance(algorithm, SgdConfig):
-        raise ConfigError("run.driver", "the batch driver only runs sgd algorithms")
-    warnings = validate_config(algorithm, topology, sim.FaultPlan(partition=partition),
-                               oracle_spec)
-    sched_rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence([options.seed_root, BATCH_SCHEDULE_TAG])))
-    run = (_run_strongly_convex if algorithm.variant is Variant.STRONGLY_CONVEX
-           else _run_non_convex)
-    return run(topology, algorithm, oracle_spec, options, partition, sched_rng, warnings)
-
-
 def _series_store(record: bool, iterations: int, seeds: int):
     if not record:
         return {}
@@ -353,37 +350,6 @@ def _record_head(series, t, X, g):
         series["grad_norm_sq"][t - 1] = np.einsum("spd,spd->sp", g, g).mean(axis=1)
 
 
-def _run_strongly_convex(topology, conf, spec, options, partition, sched_rng, warnings):
-    S, n, d, T = options.seeds, topology.n, spec.dim, conf.iterations
-    start, proc_side = _partition(topology, partition, T)
-
-    split_idx = None
-    if options.quorum_policy == "split":
-        split_idx = _split_quorums(n, conf.quorum, proc_side)
-    allowed = _side_masks(proc_side)
-    if split_idx is None and start <= T:
-        _require_reachable(allowed[True], conf.quorum, "algorithm.quorum",
-                           "units for some receiver")
-    noise, _ = _predraw_noise(n, d, T, options, want_tau=False)
-
-    X = np.broadcast_to(np.asarray(conf.x1, dtype=np.float64), (S, n, d)).copy()
-    series = _series_store(options.record_series, T, S)
-    seed_base = (np.arange(S) * n)[:, None, None]  # flat row of (seed, process 0)
-    for t in range(1, T + 1):
-        G = grad(spec, X)
-        _record_head(series, t, X, G)
-        G = G + noise[t - 1] * spec.noise_scale
-        y = X - conf.lr.eta(t) * G
-        if split_idx is not None:
-            idx = split_idx
-        else:
-            idx = _sample_quorums(sched_rng, S, allowed[t >= start], conf.quorum)
-        X = _sequential_mean(y.reshape(S * n, d).take(idx + seed_base, axis=0))
-    _record_head(series, T + 1, X, None)
-    return BatchResult(outputs=X, finals=X, taus=None, series=series,
-                       warnings=warnings)
-
-
 def _cluster_table(topology: sim.Topology):
     members = [topology.members_of(c[0]) for c in topology.clusters]  # sorted
     sizes = {len(c) for c in members}
@@ -395,53 +361,73 @@ def _cluster_table(topology: sim.Topology):
     return np.array(members), sizes.pop()  # (m, k) pids, k
 
 
-def _run_non_convex(topology, conf, spec, options, partition, sched_rng, warnings):
-    S, n, d, T = options.seeds, topology.n, spec.dim, conf.iterations
-    m = topology.m
-    members, k = _cluster_table(topology)
-    quorum_clusters = topology.cluster_quorum(conf.cluster_quorum)
-    if options.quorum_policy == "split" and conf.quorum != n:
-        raise ConfigError("run.quorum_policy",
-                          "split policy is defined for the strongly convex variant")
+def run_ensemble(topology: sim.Topology, algorithm: SgdConfig,
+                 oracle_spec: OracleSpec, options: BatchOptions,
+                 partition: sim.PartitionSpec | None = None) -> BatchResult:
+    if not isinstance(algorithm, SgdConfig):
+        raise ConfigError("run.driver", "the batch driver only runs sgd algorithms")
+    warnings = validate_config(algorithm, topology, sim.FaultPlan(partition=partition),
+                               oracle_spec)
+    sched_rng = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence([options.seed_root, BATCH_SCHEDULE_TAG])))
+    conf, spec = algorithm, oracle_spec
+    S, n, d, T, m = options.seeds, topology.n, spec.dim, conf.iterations, topology.m
+    convex = conf.variant is Variant.STRONGLY_CONVEX
+    if not convex:
+        members, k = _cluster_table(topology)
+        quorum_clusters = topology.cluster_quorum(conf.cluster_quorum)
+        if options.quorum_policy == "split" and conf.quorum != n:
+            raise ConfigError("run.quorum_policy",
+                              "split policy is defined for the strongly convex variant")
 
     start, proc_side = _partition(topology, partition, T)
-    allowed_p = _side_masks(proc_side)
-    allowed_c = _side_masks(proc_side[members[:, 0]])
-    if start <= T:
-        _require_reachable(allowed_p[True], conf.quorum, "algorithm.quorum",
+    split_idx = None
+    if convex and options.quorum_policy == "split":
+        split_idx = _split_quorums(n, conf.quorum, proc_side)
+    allowed = _side_masks(proc_side)
+    if split_idx is None and start <= T:
+        _require_reachable(allowed[True], conf.quorum, "algorithm.quorum",
                            "units for some receiver")
-        if any(required_rounds(conf.q_at(t), conf.maa_rule, "cluster")
-               for t in range(start, T + 1)):  # an exchange runs cut
+    if not convex:
+        allowed_c = _side_masks(proc_side[members[:, 0]])
+        if start <= T and any(required_rounds(conf.q_at(t), conf.maa_rule, "cluster")
+                              for t in range(start, T + 1)):  # an exchange runs cut
             _require_reachable(allowed_c[True], quorum_clusters,
                                "algorithm.cluster_quorum", "clusters")
+        sm_rounds = required_rounds(STAGE_TARGET[conf.maa_rule], conf.maa_rule, "shared")
 
-    noise, taus = _predraw_noise(n, d, T, options, want_tau=conf.tau is None)
-    if conf.tau is not None:
+    noise, taus = _predraw_noise(n, d, T, options,
+                                 want_tau=not convex and conf.tau is None)
+    if not convex and conf.tau is not None:
         taus = np.full(S, conf.tau, dtype=np.int64)
 
-    sm_rounds = required_rounds(STAGE_TARGET[conf.maa_rule], conf.maa_rule, "shared")
-
     X = np.broadcast_to(np.asarray(conf.x1, dtype=np.float64), (S, n, d)).copy()
-    outputs = np.empty_like(X)
     series = _series_store(options.record_series, T, S)
     proc_base = (np.arange(S) * n)[:, None, None]  # flat row of (seed, process 0)
-    # flat row of (seed, cluster) in a (S * m, k * d) view of the cluster layout
-    seed_base = (np.arange(S) * m)[None, :, None, None]
+    if not convex:
+        outputs = np.empty_like(X)
+        # flat row of (seed, cluster) in a (S * m, k * d) view of the cluster layout
+        seed_base = (np.arange(S) * m)[None, :, None, None]
     for t in range(1, T + 1):
         G = grad(spec, X)
         _record_head(series, t, X, G)
-        captured = taus == t
-        if captured.any():
-            outputs[captured] = X[captured]
-
+        if taus is not None:
+            captured = taus == t
+            if captured.any():
+                outputs[captured] = X[captured]
         cut = t >= start
-
         G = G + noise[t - 1] * spec.noise_scale
-        idx = _sample_quorums(sched_rng, S, allowed_p[cut], conf.quorum)
-        g = _sequential_mean(G.reshape(S * n, d).take(idx + proc_base, axis=0))
-        eta = conf.lr.eta(t)
-        y = X - eta * g
+        if convex:  # y before the quorum keys (see the module docstring)
+            y = X - conf.lr.eta(t) * G
+        idx = (_sample_quorums(sched_rng, S, allowed[cut], conf.quorum)
+               if split_idx is None else split_idx)
 
+        if convex:  # average the stepped iterates
+            X = _sequential_mean(y.reshape(S * n, d).take(idx + proc_base, axis=0))
+            continue
+        # average the gradients, step, then agree
+        g = _sequential_mean(G.reshape(S * n, d).take(idx + proc_base, axis=0))
+        y = X - conf.lr.eta(t) * g
         rounds = required_rounds(conf.q_at(t), conf.maa_rule, "cluster")
         if rounds == 0:
             X = clamp(spec, y)
@@ -467,5 +453,5 @@ def _run_non_convex(topology, conf, spec, options, partition, sched_rng, warning
         X[:, members] = V
         X = clamp(spec, X)
     _record_head(series, T + 1, X, None)
-    return BatchResult(outputs=outputs, finals=X, taus=taus, series=series,
-                       warnings=warnings)
+    return BatchResult(outputs=X if convex else outputs, finals=X, taus=taus,
+                       series=series, warnings=warnings)

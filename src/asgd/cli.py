@@ -236,11 +236,12 @@ def apply_override(raw: dict, assignment: str) -> None:
     except json.JSONDecodeError:
         value = text
     node = raw
-    for part in parts[:-1]:
+    for i, part in enumerate(parts[:-1]):
         nxt = node.get(part)
-        if not isinstance(nxt, dict):
-            nxt = {}
-            node[part] = nxt
+        if nxt is None:  # a null section is an absent one, as _section reads it
+            nxt = node[part] = {}
+        elif not isinstance(nxt, dict):
+            _fail(".".join(parts[:i + 1]), "must be an object")
         node = nxt
     node[parts[-1]] = value
 
@@ -298,8 +299,7 @@ def _cmd_run(args) -> int:
     for assignment in args.set or []:
         apply_override(raw, assignment)
     if args.seeds is not None:
-        # a null section is an absent one, as load_scenario reads it
-        raw["run"] = dict(_section(raw, "run"), seeds=args.seeds)
+        apply_override(raw, f"run.seeds={args.seeds}")
 
     topology, fault_plan, schedule, algorithm, oracle, driver, options = load_scenario(raw)
     digest = sim.config_digest_of(raw)

@@ -227,7 +227,7 @@ def divergence_demo(topology, conf, spec: OracleSpec, partition: sim.PartitionSp
     arm keeps everyone together; the per-seed sequential baseline shows the
     two wells are genuinely both reachable.
     """
-    options = batch.BatchOptions(seeds=seeds, seed_root=seed_root)
+    options = batch.BatchOptions(seeds=seeds, seed_root=seed_root, record_series=False)
     healthy = batch.run_ensemble(topology, conf, spec, options)
     parted = batch.run_ensemble(topology, conf, spec, options, partition)
     healthy_internal, _ = internal_err(healthy.finals)

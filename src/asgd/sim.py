@@ -559,29 +559,22 @@ TRACE_FORMAT_VERSION = 2
 _TRACE_JSON = json.JSONEncoder(sort_keys=True, check_circular=False)
 
 
-def _line_encoder(spec: json.JSONEncoder):
-    """A function that writes spec.encode(rec)'s bytes for a trace line.
+# _encode_trace_line(rec) writes _TRACE_JSON.encode(rec)'s bytes for a trace
+# line. With the _json accelerator it calls the C encoder that encode builds
+# on every call (about a quarter of encode's cost on a trace line), built
+# once with the arguments encode passes, so the same call writes the same
+# bytes; with no markers it holds no state between calls. Without the
+# accelerator it is _TRACE_JSON.encode.
+if c_make_encoder is None:
+    _encode_trace_line = _TRACE_JSON.encode
+else:
+    _trace_writer = c_make_encoder(
+        None, _TRACE_JSON.default, encode_basestring_ascii, _TRACE_JSON.indent,
+        _TRACE_JSON.key_separator, _TRACE_JSON.item_separator,
+        _TRACE_JSON.sort_keys, _TRACE_JSON.skipkeys, _TRACE_JSON.allow_nan)
 
-    With the _json accelerator, it calls the C encoder that spec.encode
-    builds on every call (about a quarter of encode's cost on a trace line),
-    built once with the arguments encode passes, so the same call writes
-    the same bytes. With no markers it holds no state between calls.
-    Without the accelerator it is spec.encode.
-    """
-    if c_make_encoder is None:
-        return spec.encode
-    writer = c_make_encoder(
-        None, spec.default, encode_basestring_ascii, spec.indent,
-        spec.key_separator, spec.item_separator,
-        spec.sort_keys, spec.skipkeys, spec.allow_nan)
-
-    def encode(rec) -> str:
-        return "".join(writer(rec, 0))
-
-    return encode
-
-
-_encode_trace_line = _line_encoder(_TRACE_JSON)
+    def _encode_trace_line(rec) -> str:
+        return "".join(_trace_writer(rec, 0))
 
 
 def _digest(value) -> str:

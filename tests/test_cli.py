@@ -279,6 +279,24 @@ CONFIG_ERRORS = [
      "faults.crashes: crash plans require run.driver == 'event'"),
 ]
 
+# A batch config that breaks two rules reports the one the driver checks
+# first: cluster sizes, the split rule, process reachability, then cluster
+# reachability. Two of these lines are already in CONFIG_ERRORS, so each
+# row has its own id and the ids there keep their text.
+_CUT = {"partition": {"side_a": [0, 1], "side_b": [2, 3, 4, 5]}}
+FIRST_BROKEN_RULE = [
+    ("clusters of 3 and split", "nc_doublewell_batch",
+     [(("topology", "clusters"), [[0, 1, 2], [3, 4, 5]]), (("run", "quorum_policy"), "split")],
+     "topology.clusters: the batch driver supports the agreement stage for uniform "
+     "cluster sizes of 1 or 2; use the event driver otherwise"),
+    ("processes and clusters unreachable", "nc_doublewell_batch",
+     [(("faults",), _CUT), (("algorithm", "quorum"), 3)],
+     "algorithm.quorum: fewer than 3 reachable units for some receiver"),
+    ("split and clusters unreachable", "nc_doublewell_batch",
+     [(("faults",), _CUT), (("run", "quorum_policy"), "split")],
+     "run.quorum_policy: split policy is defined for the strongly convex variant"),
+]
+
 
 def _edited_scenario(base: str, edits, path: Path) -> Path:
     raw = json.loads((SCENARIOS / f"{base}.json").read_text())
@@ -294,8 +312,10 @@ def _edited_scenario(base: str, edits, path: Path) -> Path:
     return path
 
 
-@pytest.mark.parametrize("base,edits,line", CONFIG_ERRORS,
-                         ids=[line for _, _, line in CONFIG_ERRORS])
+@pytest.mark.parametrize("base,edits,line",
+                         CONFIG_ERRORS + [row[1:] for row in FIRST_BROKEN_RULE],
+                         ids=[line for _, _, line in CONFIG_ERRORS]
+                         + [f"first broken rule: {row[0]}" for row in FIRST_BROKEN_RULE])
 def test_config_error_message(base, edits, line, tmp_path, capsys):
     scenario = _edited_scenario(base, edits, tmp_path / "scenario.json")
     code = _run(["run", scenario, "--out", tmp_path / "out"])
@@ -318,6 +338,18 @@ def test_seeds_flag_rejects_a_run_section_that_is_not_an_object(tmp_path, capsys
                                 tmp_path / "scenario.json")
     assert _run(["run", scenario, "--out", tmp_path / "out", "--seeds", 2]) == 2
     assert capsys.readouterr().err.splitlines() == ["error: run: must be an object"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("edits,flags,line", [
+    ([(("run",), [1])], ["--set", "run.seeds=2"], "run: must be an object"),
+    ([], ["--set", "topology.n.x=1"], "topology.n: must be an object"),
+], ids=["run.seeds", "topology.n.x"])
+def test_set_rejects_a_key_path_through_a_value_that_is_not_an_object(edits, flags, line,
+                                                                      tmp_path, capsys):
+    scenario = _edited_scenario("sc_quadratic_event", edits, tmp_path / "scenario.json")
+    assert _run(["run", scenario, "--out", tmp_path / "out", *flags]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
     assert not (tmp_path / "out").exists()
 
 

@@ -164,7 +164,16 @@ def test_run_event_ensemble_withholds_stats_on_liveness_failure():
         ens.outputs_array()
 
 
-def test_divergence_demo_partition_separates_sides():
+def test_divergence_demo_partition_separates_sides(monkeypatch):
+    # the demo reads only the arms' finals, so it records no series
+    heads = []
+    record_head = batch._record_head
+
+    def spy(series, *args):
+        heads.append(series)
+        return record_head(series, *args)
+
+    monkeypatch.setattr(batch, "_record_head", spy)
     topo = sim.Topology(4, ((0, 1), (2, 3)))
     spec = OracleSpec(kind="double_well", dim=1, sigma=0.3, radius=1.5)
     conf = SgdConfig(variant=Variant.NON_CONVEX, iterations=150, quorum=2,
@@ -175,6 +184,7 @@ def test_divergence_demo_partition_separates_sides():
                                    seed_root=31)
     assert 0.0 < demo["sequential_plus_rate"] < 1.0
     assert demo["separation_ratio"] > 1.5
+    assert len(heads) == 2 * 151 and not any(heads)
 
 
 def test_csv_axes_sorted_and_repr_floats(tmp_path):

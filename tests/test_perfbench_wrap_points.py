@@ -8,7 +8,8 @@ suite catches it; perfbench/test_tracing.py covers traced runs. The
 workloads of perfbench/run.py are checked the same way: a scenario key the
 loader no longer accepts fails here, not only in a benchmark run. So is the
 batch.iterations counter, which counts batch._sequential_mean calls: each
-batch variant must make one per iteration.
+batch variant must make one per iteration; and the batch.sm_stages counter,
+which reads batch._compose_sm_maps's clusters and rounds by position.
 """
 
 import importlib.util
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from asgd import batch, cli, sim
+from asgd.maa import required_rounds
 from asgd.oracle import OracleSpec
 from asgd.sgd import LrSchedule, SgdConfig, Variant
 
@@ -48,6 +50,30 @@ def test_the_stage_counter_reads_the_composers_clusters_and_rounds_by_position()
     assert tracer.AFTER["asgd.batch._compose_sm_maps"] is tracer._after_compose_sm_maps
     params = list(inspect.signature(batch._compose_sm_maps).parameters)
     assert params[2:4] == ["clusters", "rounds_outer"]
+
+
+def test_the_stage_counter_sees_each_iterations_clusters_and_rounds(monkeypatch):
+    # batch.sm_stages adds clusters * rounds_outer from the composer's
+    # positional arguments 2 and 3, so every call must pass the cluster count
+    # and its iteration's agreement rounds there
+    calls = []
+    compose = batch._compose_sm_maps
+
+    def spied(*args, **kwargs):
+        calls.append((args[2:4], kwargs))
+        return compose(*args, **kwargs)
+
+    monkeypatch.setattr(batch, "_compose_sm_maps", spied)
+    conf = SgdConfig(variant=Variant.NON_CONVEX, iterations=6, quorum=1, x1=(0.5, -0.5),
+                     lr=LrSchedule(kind="decreasing", beta=1.0, gamma=0.0),
+                     agreement_q="quarter_lr", lr_check="warn")
+    spec = OracleSpec(kind="quadratic", dim=2, sigma=1.0, mu=1.0, lipschitz=1.0)
+    batch.run_ensemble(sim.Topology(6, ((0, 1), (2, 3), (4, 5))), conf, spec,
+                       batch.BatchOptions(seeds=2, record_series=False))
+    rounds = [required_rounds(conf.q_at(t), conf.maa_rule, "cluster")
+              for t in range(1, conf.iterations + 1)]
+    assert len(set(rounds)) > 1  # the count must come from the iteration
+    assert calls == [((3, r), {}) for r in rounds]
 
 
 def test_every_workload_scenario_loads_with_its_driver(perfbench_run):
