@@ -34,7 +34,7 @@ schedules:
   rounds, and a partition is applied at iteration granularity:
   PartitionSpec.from_event is read as the first cut iteration, and from
   then on each process, and each cluster by its members' side, hears only
-  its own side.
+  its own side. Neither driver ever delivers a message across the cut.
 
 Per-seed noise and tau come from sim.seed_streams(seed_root, children,
 range(seeds)), the bulk derivation the event kernel's sim.derive_streams

@@ -113,12 +113,14 @@ def validate_config(config, topology: sim.Topology, fault_plan: sim.FaultPlan,
     """
     warnings = fault_plan.validate_against(topology)
     if isinstance(config, maa.MaaOnlyConfig):
+        _check_crash_iterations(fault_plan, 1)
         if len(config.inputs) != topology.n:
             raise ConfigError("algorithm.inputs",
                               f"{len(config.inputs)} rows for {topology.n} processes")
         return warnings + _cluster_quorum_warnings(config.cluster_quorum, topology)
     if not isinstance(config, SgdConfig):
         raise ConfigError("algorithm", f"unknown config type {type(config).__name__}")
+    _check_crash_iterations(fault_plan, config.iterations + 1)
 
     f = len(fault_plan.crashes)
     if config.quorum > topology.n - f:
@@ -161,6 +163,15 @@ def validate_config(config, topology: sim.Topology, fault_plan: sim.FaultPlan,
                 f"iterations: T = {config.iterations} below the theory premise "
                 f"16 L^2 N = {needed:.6g}; rate guarantees may not bind yet")
     return warnings
+
+
+def _check_crash_iterations(fault_plan: sim.FaultPlan, last: int) -> None:
+    """A crash at an iteration its process never marks would never fire;
+    `last` is the program's last mark (its output follows it)."""
+    for i, crash in enumerate(fault_plan.crashes):
+        if crash.at_iteration is not None and not 1 <= crash.at_iteration <= last:
+            raise ConfigError(f"faults.crashes[{i}].at_iteration",
+                              f"must be in [1, {last}], got {crash.at_iteration}")
 
 
 def _cluster_quorum_warnings(cluster_quorum: int | None, topology: sim.Topology) -> list[str]:

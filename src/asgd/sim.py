@@ -16,8 +16,8 @@ Model notes:
   ticks. A process's broadcast is delivered to itself synchronously at send
   time and counts toward its own quorums.
 - Crashed processes take no further events; their earlier messages remain
-  deliverable. A partition defers messages crossing it until every surviving
-  process on both sides has produced its output.
+  deliverable. A message across a partition's cut is never delivered or
+  dropped: it is counted as deferred, and its ``defer`` line is its last.
 - Logical time is the event counter. A run ends successfully when every
   non-crashed process has output; it reports a liveness violation when no
   event is enabled while some non-crashed process is still waiting, or when
@@ -37,10 +37,10 @@ draw.
 The runnable set ({READY} plus {BLOCKED whose wait holds}) is maintained
 incrementally, not rebuilt per event. It changes only when a step blocks,
 outputs, finishes or crashes its process, when a crash is applied, and when
-a delivery on a blocked receiver's wait tag satisfies the wait;
-``WaitClusters`` reads a per-(receiver, tag) set of sender clusters kept up
-to date by each delivery. With ``record_events=False`` no event record is
-built at all (no payload digests, no tag copies).
+a delivery on a blocked receiver's wait tag satisfies the wait; a
+``WaitClusters`` check counts the clusters of the senders its process holds
+under the tag. With ``record_events=False`` no event record is built at all
+(no payload digests, no tag copies).
 
 A message carries the index of its ``send`` record in the event log (-1
 when not recording), and its ``deliver``, ``drop`` and ``defer`` records
@@ -158,9 +158,11 @@ class CrashSpec:
 
 @dataclass(frozen=True)
 class PartitionSpec:
-    """Split of the processes into two sides; cross messages are deferred.
+    """Split of the processes into two sides, from event `from_event` on.
 
-    The split must follow cluster boundaries (no cluster straddles it).
+    The split must follow cluster boundaries (no cluster straddles it). A
+    message sent across it is never delivered or dropped: it is counted as
+    deferred, and its ``defer`` line is its last.
     """
 
     side_a: tuple[int, ...]
@@ -809,15 +811,12 @@ def run(
 
     procs = [_ProcState(g) for g in programs]
     inboxes: list[dict[tuple, list]] = [dict() for _ in range(topology.n)]
-    # per receiver and tag: the clusters of the senders held so far
-    sender_clusters: list[dict[tuple, set[int]]] = [dict() for _ in range(topology.n)]
     # {READY} | {BLOCKED whose wait holds}, ascending pid; kept up to date by
     # the events that can change it (see the module docstring)
     runnable: list[int] = list(range(topology.n))
     banks: dict[tuple, RegisterBank] = {}
     buckets: dict[int, list] = {}
     ready_msgs: list = []
-    deferred: list = []
 
     trace_events: list[dict] = []
     participants: dict[int, set[int]] = {}
@@ -836,12 +835,8 @@ def run(
     crash_by_iter = {c.pid: c.at_iteration for c in fault_plan.crashes
                      if c.at_iteration is not None}
     partition = fault_plan.partition
-    side_of: dict[int, int] = {}
-    if partition is not None:
-        for p in partition.side_a:
-            side_of[p] = 0
-        for p in partition.side_b:
-            side_of[p] = 1
+    # the sides partition the processes, so side A alone marks the cut
+    side_a = frozenset(partition.side_a if partition is not None else ())
 
     tick = 0
     liveness: dict = {"ok": True, "kind": "completed"}
@@ -862,16 +857,13 @@ def run(
     def wait_satisfied(pid: int, wait) -> bool:
         if isinstance(wait, WaitCount):
             return len(inboxes[pid].get(wait.tag, ())) >= wait.count
-        return len(sender_clusters[pid].get(wait.tag, ())) >= wait.count
+        held = inboxes[pid].get(wait.tag, ())
+        return len({topology.cluster_of(sender) for sender, _ in held}) >= wait.count
 
     def partition_blocks(sender: int, receiver: int) -> bool:
         if partition is None or counters["events"] < partition.from_event:
             return False
-        return side_of[sender] != side_of[receiver]
-
-    # only a partition defers a message, so its caller tests `deferred` first
-    def both_sides_done() -> bool:
-        return all(st.status not in (READY, BLOCKED) for st in procs)
+        return (sender in side_a) != (receiver in side_a)
 
     def apply_crash(pid: int, why: str):
         procs[pid].status = CRASHED
@@ -893,9 +885,7 @@ def run(
         held = inboxes[receiver].get(tag)
         if held is None:
             held = inboxes[receiver][tag] = []
-            sender_clusters[receiver][tag] = set()
         held.append((sender, payload))
-        sender_clusters[receiver][tag].add(topology.cluster_of(sender))
         counters["deliveries"] += 1
         if record_events:
             log("deliver", receiver, m=m)
@@ -993,15 +983,14 @@ def run(
             for other in range(topology.n):
                 if other == pid:
                     continue
-                msg = (pid, other, effect.tag, effect.payload, m)
                 if partition_blocks(pid, other):
-                    deferred.append(msg)
                     counters["deferred"] += 1
                     if record_events:
                         log("defer", pid, receiver=other, m=m)
                     continue
                 delay = 1 + draw(schedule.max_delay)
-                buckets.setdefault(tick + delay, []).append(msg)
+                buckets.setdefault(tick + delay, []).append(
+                    (pid, other, effect.tag, effect.payload, m))
         elif isinstance(effect, (WaitCount, WaitClusters)):
             st.status = BLOCKED
             st.wait = effect
@@ -1035,9 +1024,6 @@ def run(
             runnable.remove(pid)
             if record_events:
                 log("output", pid, h=_digest(effect.value))
-            if deferred and both_sides_done():
-                ready_msgs.extend(deferred)
-                deferred.clear()
         else:
             raise TypeError(f"unknown effect {effect!r}")
         tick += 1

@@ -84,7 +84,11 @@ def test_config_error_exits_2(tmp_path):
 _DELETE = object()
 _PARTITION = {"side_a": [0, 1], "side_b": [2, 3]}
 
-# (base scenario, edits as (key path, value or _DELETE), the exact stderr line)
+# (base scenario, edits as (key path, value or _DELETE), the exact stderr
+# line[, test id]). A row's test id is its line unless it names its own; a
+# row whose line repeats names its own, so no id is left for pytest to
+# number, and a new row never renames the test of an old one.
+_CUT = {"partition": {"side_a": [0, 1], "side_b": [2, 3, 4, 5]}}
 CONFIG_ERRORS = [
     ("sc_quadratic_event", [(("format",), "x")], "format: expected 'asgd-scenario'"),
     ("sc_quadratic_event", [(("version",), 2)], "version: expected 1"),
@@ -206,14 +210,21 @@ CONFIG_ERRORS = [
      "faults.crashes[0].bogus: unknown field"),
     ("maa_cluster_crash", [(("faults", "bogus"), 1)], "faults.bogus: unknown field"),
     ("maa_cluster_crash", [(("faults", "crashes", 0, "after_events"), _DELETE)],
-     "faults.crashes[0]: exactly one of after_events / at_iteration required"),
+     "faults.crashes[0]: exactly one of after_events / at_iteration required",
+     "faults.crashes[0]: exactly one of after_events / at_iteration required, neither given"),
     ("maa_cluster_crash", [(("faults", "crashes", 0, "at_iteration"), 1)],
-     "faults.crashes[0]: exactly one of after_events / at_iteration required"),
+     "faults.crashes[0]: exactly one of after_events / at_iteration required",
+     "faults.crashes[0]: exactly one of after_events / at_iteration required, both given"),
     ("maa_cluster_crash", [(("faults", "crashes"), [{"pid": 5, "after_events": 40},
                                                     {"pid": 5, "after_events": 80}])],
      "faults.crashes[1].pid: duplicate pid 5"),
     ("maa_cluster_crash", [(("faults", "crashes", 0, "pid"), 6)],
      "faults.crashes[0].pid: must be in [0, 5], got 6"),
+    # a crash at an iteration no process marks (T = 32 marks 1..33)
+    ("sc_quadratic_event", [(("faults",), {"crashes": [{"pid": 3, "at_iteration": 0}]})],
+     "faults.crashes[0].at_iteration: must be in [1, 33], got 0"),
+    ("sc_quadratic_event", [(("faults",), {"crashes": [{"pid": 3, "at_iteration": 34}]})],
+     "faults.crashes[0].at_iteration: must be in [1, 33], got 34"),
     # faults.partition
     ("sc_quadratic_event", [(("faults",), {"partition": []})],
      "faults.partition: unexpected type list"),
@@ -277,25 +288,22 @@ CONFIG_ERRORS = [
      "cluster sizes of 1 or 2; use the event driver otherwise"),
     ("sc_quadratic_batch", [(("faults",), {"crashes": [{"pid": 0, "after_events": 10}]})],
      "faults.crashes: crash plans require run.driver == 'event'"),
-]
-
-# A batch config that breaks two rules reports the one the driver checks
-# first: cluster sizes, the split rule, process reachability, then cluster
-# reachability. Two of these lines are already in CONFIG_ERRORS, so each
-# row has its own id and the ids there keep their text.
-_CUT = {"partition": {"side_a": [0, 1], "side_b": [2, 3, 4, 5]}}
-FIRST_BROKEN_RULE = [
-    ("clusters of 3 and split", "nc_doublewell_batch",
+    # a batch config that breaks two rules reports the one the driver checks
+    # first: cluster sizes, the split rule, process reachability, then
+    # cluster reachability
+    ("nc_doublewell_batch",
      [(("topology", "clusters"), [[0, 1, 2], [3, 4, 5]]), (("run", "quorum_policy"), "split")],
      "topology.clusters: the batch driver supports the agreement stage for uniform "
-     "cluster sizes of 1 or 2; use the event driver otherwise"),
-    ("processes and clusters unreachable", "nc_doublewell_batch",
-     [(("faults",), _CUT), (("algorithm", "quorum"), 3)],
-     "algorithm.quorum: fewer than 3 reachable units for some receiver"),
-    ("split and clusters unreachable", "nc_doublewell_batch",
-     [(("faults",), _CUT), (("run", "quorum_policy"), "split")],
-     "run.quorum_policy: split policy is defined for the strongly convex variant"),
+     "cluster sizes of 1 or 2; use the event driver otherwise",
+     "first broken rule: clusters of 3 and split"),
+    ("nc_doublewell_batch", [(("faults",), _CUT), (("algorithm", "quorum"), 3)],
+     "algorithm.quorum: fewer than 3 reachable units for some receiver",
+     "first broken rule: processes and clusters unreachable"),
+    ("nc_doublewell_batch", [(("faults",), _CUT), (("run", "quorum_policy"), "split")],
+     "run.quorum_policy: split policy is defined for the strongly convex variant",
+     "first broken rule: split and clusters unreachable"),
 ]
+CONFIG_ERROR_IDS = [row[-1] for row in CONFIG_ERRORS]
 
 
 def _edited_scenario(base: str, edits, path: Path) -> Path:
@@ -312,10 +320,12 @@ def _edited_scenario(base: str, edits, path: Path) -> Path:
     return path
 
 
-@pytest.mark.parametrize("base,edits,line",
-                         CONFIG_ERRORS + [row[1:] for row in FIRST_BROKEN_RULE],
-                         ids=[line for _, _, line in CONFIG_ERRORS]
-                         + [f"first broken rule: {row[0]}" for row in FIRST_BROKEN_RULE])
+def test_config_error_ids_are_unique():
+    assert len(set(CONFIG_ERROR_IDS)) == len(CONFIG_ERROR_IDS)
+
+
+@pytest.mark.parametrize("base,edits,line", [row[:3] for row in CONFIG_ERRORS],
+                         ids=CONFIG_ERROR_IDS)
 def test_config_error_message(base, edits, line, tmp_path, capsys):
     scenario = _edited_scenario(base, edits, tmp_path / "scenario.json")
     code = _run(["run", scenario, "--out", tmp_path / "out"])

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from asgd import batch, cli, sim
+from asgd.checks import QUAD_2D, _pairs, _sc_config
 from asgd.maa import AggregationRule
 from asgd.oracle import OracleSpec
 from asgd.sgd import LrSchedule, SgdConfig, Variant
@@ -234,7 +235,7 @@ def _scenario(name):
 
 def _case_crash_at_iteration_and_partition():
     # pid 3 crashes on entering iteration 3; messages across the partition
-    # are deferred until both sides have output, then released and dropped
+    # are deferred, and never delivered or dropped
     topo = sim.Topology(n=4, clusters=((0, 1), (2, 3)))
     spec = OracleSpec(kind="double_well", dim=1, sigma=0.3, radius=1.5)
     conf = SgdConfig(variant=Variant.NON_CONVEX, iterations=5, quorum=1,
@@ -273,7 +274,7 @@ EVENT_CASES = {
 # case's seeds in order
 GOLDEN_EVENT = {
     "crash_at_iteration_and_partition": {
-        "trace": "4ce25cada77409ebbb2aeb06818320243aaeaffb040d10bf11439e0506b267a4",
+        "trace": "504475f39b4f85afd3003e52f13b20491936b195158ccb1e80a34ffc173611db",
         "outputs": "cf58969ef92a26fe8d4e338379e619e0890a2ff998836f9e49f07156789100f3",
     },
     "delay_one": {
@@ -307,7 +308,7 @@ GOLDEN_EVENT = {
 # or defer line repeats its send's data; _expand_to_v1 writes them back
 GOLDEN_EVENT_V1 = {
     "crash_at_iteration_and_partition":
-        "286054ca2031533fb58e119a99af3074c741959a2b711af8ecee4c4e21b2a96b",
+        "3b5557d1056e6a270b61c21d4690211541cb31f11de76dd31e258af4641ad2eb",
     "delay_one": "1dd2078ac44a1e7e514d08753a0b7522419593295a2fb694c3bcf3c7df7d1618",
     "delay_wide": "3c196ce6cd47c1db91b8a63c80c03deb2215d30be80d3b69241c0e574b4ff6d2",
     "liveness_blocked": "a2a8cc2001df20f7fa43c5712a4ea8dec74234e77698ecc795f13af44b06e901",
@@ -561,13 +562,30 @@ def test_crash_and_partition_case_takes_both_fault_paths():
         crashes = [rec for rec in trace.events if rec["k"] == "crash"]
         assert [(rec["p"], rec["trigger"]) for rec in crashes] == [(3, "at_iteration=3")]
         assert trace.counters["deferred"] > 0
-        # every deferred message is released after the last output, when
-        # each receiver has finished, so each one is dropped then
-        events = trace.events
-        last_output = max(i for i, rec in enumerate(events) if rec["k"] == "output")
-        released = [rec for rec in events[last_output:]
-                    if rec["k"] == "drop" and (rec["p"] < 2) != (events[rec["m"]]["p"] < 2)]
-        assert len(released) == trace.counters["deferred"]
+
+
+def _late_partition_runs(iterations: int) -> list[sim.RunTrace]:
+    # criterion 12's sc-partition-late, whose cut falls at event 150: at its
+    # 5 iterations every run ends at event 148, at 8 the cut falls mid-run
+    plan = sim.FaultPlan(partition=sim.PartitionSpec(side_a=(0, 1), side_b=(2, 3),
+                                                     from_event=150))
+    return [sim.run(sim.Topology(4, _pairs(4)), plan, sim.Schedule(),
+                    _sc_config(iterations, 2), QUAD_2D, [1200, s]) for s in range(8)]
+
+
+@pytest.mark.parametrize("runs,defers", [
+    (functools.partial(_event_runs, "crash_at_iteration_and_partition", record=True), True),
+    (functools.partial(_late_partition_runs, 5), False),
+    (functools.partial(_late_partition_runs, 8), True),
+], ids=["crash_at_iteration_and_partition", "sc-partition-late", "sc-partition-late-T8"])
+def test_a_deferred_message_is_never_delivered_or_dropped(runs, defers):
+    for trace in runs():
+        deferred = [(rec["m"], rec["receiver"]) for rec in trace.events if rec["k"] == "defer"]
+        assert len(deferred) == trace.counters["deferred"]
+        assert deferred or not defers
+        arrived = {(rec["m"], rec["p"]) for rec in trace.events
+                   if rec["k"] in ("deliver", "drop")}
+        assert not arrived & set(deferred)
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,28 @@ def test_maa_only_config_validated_against_topology():
         validate_config(conf, TOPO, NO_FAULTS, QUAD)
 
 
+def _crash_at(iteration):
+    return sim.FaultPlan(crashes=(sim.CrashSpec(pid=3, at_iteration=iteration),))
+
+
+def test_a_crash_iteration_that_no_process_marks_is_a_hard_error():
+    # a program marks iterations 1..T+1 (SGD) or 1 (maa_only); a crash at
+    # any other iteration would never fire
+    maa_only = MaaOnlyConfig(level="cluster", q=0.5, inputs=((0.0, 0.0),) * 4)
+    for conf, last in ((sc_config(iterations=3), 4), (maa_only, 1)):
+        for bad in (0, last + 1):
+            with pytest.raises(ConfigError) as err:
+                validate_config(conf, TOPO, _crash_at(bad), QUAD)
+            assert str(err.value) == (f"faults.crashes[0].at_iteration: "
+                                      f"must be in [1, {last}], got {bad}")
+        for good in (1, last):
+            validate_config(conf, TOPO, _crash_at(good), QUAD)
+        trace = sim.run(TOPO, _crash_at(last), sim.Schedule(), conf, QUAD, 5)
+        assert [(rec["p"], rec["trigger"]) for rec in trace.events if rec["k"] == "crash"] \
+            == [(3, f"at_iteration={last}")]
+        assert 3 not in trace.outputs and trace.liveness["ok"]
+
+
 def test_ordered_average_ignores_arrival_order():
     msgs = [(2, np.array([1.0, 0.0])), (0, np.array([0.5, 0.25])),
             (1, np.array([-1.0, 2.0]))]

@@ -844,6 +844,56 @@ def test_wait_clusters_already_held_when_blocking_is_runnable(monkeypatch):
         assert wakes == [(list(tag), 2), (list(tag), 2)]
 
 
+def test_wait_clusters_counts_clusters_not_messages(monkeypatch):
+    # on clusters (0, 1) and (2, 3), pid 0 holds its own message and pid 1's
+    # when it asks for two clusters (pids 2 and 3 send only after its "go"):
+    # it must stay blocked until pid 2 or pid 3 sends, and for good if
+    # neither ever does
+    tag, go = ("t", 1), ("go", 1)
+    x = np.zeros(1)
+    topo = sim.Topology(n=4, clusters=((0, 1), (2, 3)))
+
+    def waiter():
+        yield sim.Broadcast(tag, x)
+        yield sim.WaitCount(tag, 2)
+        yield sim.Broadcast(go, x)
+        held = yield sim.WaitClusters(tag, 2)
+        yield sim.Output(x + len({topo.cluster_of(sender) for sender, _ in held}))
+
+    def sender():
+        yield sim.Broadcast(tag, x)
+        yield sim.Output(x)
+
+    def sender_after_go():
+        yield sim.WaitCount(go, 1)
+        yield from sender()
+
+    def silent():
+        yield sim.Output(x)
+
+    def run(cluster_1, seed):
+        monkeypatch.setattr(sgd, "build_programs", lambda algorithm, contexts, tau_rng: (
+            [waiter(), sender(), cluster_1(), cluster_1()], None))
+        return sim.run(topo, NO_FAULTS, FAST, cluster_agreement([0.0] * 4), QUAD2, [15, seed])
+
+    blocked_on_one_cluster = 0
+    for seed in range(10):
+        trace = run(sender_after_go, seed)
+        assert trace.liveness["ok"], (seed, trace.liveness)
+        assert trace.outputs[0][0] == 2.0
+        events = trace.events
+        waited = next(i for i, rec in enumerate(events)
+                      if rec["k"] == "wait" and rec["wait_kind"] == "WaitClusters")
+        first_from_1 = next(i for i, rec in enumerate(events) if rec["k"] == "deliver"
+                            and rec["p"] == 0 and events[rec["m"]]["p"] in (2, 3))
+        blocked_on_one_cluster += first_from_1 > waited
+
+        trace = run(silent, seed)
+        assert trace.liveness == {"ok": False, "kind": "blocked", "blocked": [
+            {"pid": 0, "wait": "WaitClusters", "tag": list(tag)}]}
+    assert blocked_on_one_cluster > 0
+
+
 def test_a_program_that_returns_without_output_is_incomplete(monkeypatch):
     # pid 1 broadcasts and returns: it is done but never output, so the run
     # must not report success
