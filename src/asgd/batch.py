@@ -48,12 +48,16 @@ never the schedule child, and the noise is held time-major, (T, S, n, d).
 The adversary's own draws come from one shared stream
 (SeedSequence([seed_root, BATCH_SCHEDULE_TAG])).
 
-The agreement rounds of one iteration run in cluster layout: values are
-held as (seeds, clusters, members, dim) from the first round to the last,
-a round's exchange gathers whole clusters by np.take of flat rows, and the
-result is scattered back to process order once per iteration. After a
-midpoint-of-extremes round every member holds its cluster's aggregate, so
-the member axis collapses to 1 until the next stage map expands it.
+The agreement rounds of one iteration run coordinate-major: V is held as
+(dim, members, seeds * clusters), one column per (seed, cluster), from the
+first round to the last, so each ufunc of a round runs over rows of seeds *
+clusters. A stage map is a pair of (members, seeds * clusters) weight rows
+broadcast over the coordinates; a round's exchange is one np.take of V's
+columns into the held sets (dim, partners * members, seeds * clusters),
+partner-major; the result goes back to process order once per iteration.
+After a midpoint-of-extremes round every member holds its cluster's
+aggregate, so the member axis collapses to 1 until the next stage map
+expands it.
 
 Both quorum levels, a process's N senders each iteration and a cluster's
 exchange partners each round, are the `count` lowest of one uniform key
@@ -69,19 +73,19 @@ below it, and a row with fewer than `count` keys that are not NaN is
 marked whole. A tie at the cut marks more than `count` keys in some row;
 only then does the call fall back to the argsort expression, whose order
 among equal keys is numpy's and need not be stable. The members' values
-are gathered by np.take of flat rows of a (seeds * units, dim) view, as
-the exchange rounds gather whole clusters.
+are gathered by np.take of flat rows of a (seeds * units, dim) view.
 
 Both variants run one iteration loop in run_ensemble. Its head is shared:
 the gradient, the series row, the tau capture, the noise and the process
 quorum draw. The strongly convex tail averages the stepped iterates
 X - eta * G over the quorum; the non-convex tail averages the gradients,
 steps, and runs the agreement rounds. The tails stay inline, keep each
-temporary (y, g, the stage maps, the exchange rows, V) bound until the next
-iteration rebinds it, and compute the convex step before the quorum draw.
-Keep that order: when large temporaries are allocated and freed decides
-when glibc gives heap back to the system, and so how many pages a fresh
-process faults back in, which perfbench's one-run children time.
+temporary (y, g, V) bound until the next iteration rebinds it, drop the
+round tables (stage weights, exchange columns) at the end of their
+iteration, and compute the convex step before the quorum draw. Keep that
+order: when large temporaries are allocated and freed decides when glibc
+gives heap back to the system, and so a fresh process's page faults and
+peak RSS, which perfbench's one-run children measure.
 
 Of a fault plan the driver takes only a partition (crash plans need the
 event kernel). Restriction, enforced at entry: the non-convex agreement
@@ -406,8 +410,9 @@ def run_ensemble(topology: sim.Topology, algorithm: SgdConfig,
     proc_base = (np.arange(S) * n)[:, None, None]  # flat row of (seed, process 0)
     if not convex:
         outputs = np.empty_like(X)
-        # flat row of (seed, cluster) in a (S * m, k * d) view of the cluster layout
-        seed_base = (np.arange(S) * m)[None, :, None, None]
+        SM = S * m  # one column per (seed, cluster), seed-major
+        # column of (member, seed, cluster 0) in a (d, k * SM) view of V
+        col_base = np.arange(0, k * SM, SM)[:, None, None] + np.arange(0, SM, m)[:, None]
     for t in range(1, T + 1):
         G = grad(spec, X)
         _record_head(series, t, X, G)
@@ -433,24 +438,30 @@ def run_ensemble(topology: sim.Topology, algorithm: SgdConfig,
             X = clamp(spec, y)
             continue
         if k == 2:
-            # each member's weights on member 0's and member 1's value
-            on0 = _compose_sm_maps(sched_rng, S, m, rounds, sm_rounds)[..., None]
-            on1 = 1.0 - on0
+            # each member's weights on member 0's and member 1's value, (k, SM) a round
+            W0 = _compose_sm_maps(sched_rng, S, m, rounds, sm_rounds).transpose(0, 3, 1, 2)
+            # contiguous rows: strided ones made the stage map three times slower
+            W0 = np.ascontiguousarray(W0).reshape(rounds, k, SM)
+            W1 = 1.0 - W0
         ex_idx = _lowest(_quorum_keys(sched_rng, (S, rounds), allowed_c[cut]),
                         quorum_clusters)
-        ex_rows = (ex_idx.transpose(1, 0, 2, 3) + seed_base).reshape(rounds, -1)
+        # a round's (partner, member) columns of each held set, (partners * k, SM)
+        ex_cols = np.empty((rounds, quorum_clusters, k, S, m), dtype=np.intp)
+        np.add(ex_idx.transpose(1, 3, 0, 2)[:, :, None], col_base, out=ex_cols)
+        ex_cols = ex_cols.reshape(rounds, -1, SM)
 
-        V = y[:, members]  # (S, m, k, d); after mid_extremes (S, m, 1, d)
+        V = y[:, members].transpose(3, 2, 0, 1).reshape(d, k, SM)  # after mid_extremes (d, 1, SM)
         for r in range(rounds):
             if k == 2:
-                V = on0[r] * V[:, :, :1] + on1[r] * V[:, :, -1:]
-            held = V.reshape(S * m, k * d).take(ex_rows[r], axis=0).reshape(S * m, -1, d)
+                V = W0[r] * V[:, :1] + W1[r] * V[:, -1:]
+            held = V.reshape(d, -1).take(ex_cols[r], axis=1)
             if conf.maa_rule is AggregationRule.MID_EXTREMES:
-                V = batched_mid_extremes(held).reshape(S, m, 1, d)
+                V = batched_mid_extremes(held)[:, None]
             else:
-                V = batched_approach_extreme(held, V.reshape(S * m, k, d)).reshape(S, m, k, d)
+                V = batched_approach_extreme(held, V)
+        ex_cols = W0 = W1 = None  # kept to the next iteration, +1.4 MB batch-agree peak RSS
         X = np.empty_like(y)
-        X[:, members] = V
+        X[:, members] = V.reshape(d, -1, S, m).transpose(2, 3, 1, 0)
         X = clamp(spec, X)
     _record_head(series, T + 1, X, None)
     return BatchResult(outputs=X if convex else outputs, finals=X, taus=taus,

@@ -78,11 +78,11 @@ def _stage_worst_ratio(rule, trials, seed):
             mask = rng.random(k) < float(rng.uniform(0.2, 1.0))
             mask[first_writer] = True
             mask[i] = True
-            view = pts[mask][None]
+            view = pts[mask].T[:, :, None]  # one coordinate-major set
             if rule is MID:
-                new_pts.append(vecmath.batched_mid_extremes(view)[0])
+                new_pts.append(vecmath.batched_mid_extremes(view)[:, 0])
             else:
-                new_pts.append(vecmath.batched_approach_extreme(view, pts[i][None, None])[0, 0])
+                new_pts.append(vecmath.batched_approach_extreme(view, pts[i, :, None, None])[:, 0, 0])
         worst = max(worst, _span(np.stack(new_pts)) / (factor * diam))
     return worst
 

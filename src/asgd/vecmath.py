@@ -1,9 +1,9 @@
 """Geometry kernels for the agreement protocols.
 
-Everything here operates on float64 vectors, over any leading axes
-(..., k, d), and uses exact float comparison. There is one squared distance,
-the sum over the last axis of squared coordinate differences, and one scan
-over pairs of a k-point set, the pair list
+Everything here operates on float64 vectors, point-major over any leading
+axes (..., k, d) but for the batched kernels below, and uses exact float
+comparison. There is one squared distance, the sum of squared coordinate
+differences, and one scan over pairs of a k-point set, the pair list
 
     [(0, 0)] + [(i, j) for i < j]        (row-major)
 
@@ -15,6 +15,13 @@ For d <= 2 the distance squares the differences in place and adds the
 coordinates elementwise, x0*x0 + x1*x1: one rounded addition, as in einsum,
 so the bits are einsum's at a fraction of its per-call cost. From d = 3 on
 einsum stays, since its SIMD lanes add in another order than left to right.
+
+The batch driver's kernels, batched_mid_extremes and batched_approach_extreme,
+take S sets coordinate-major, (d, k, S), so each step runs over rows of S.
+They scan the same pairs along the point axis and take the first maximum
+by argmax along the pair axis. There _sq adds coordinate rows for d <= 2;
+from d = 3 on it moves the coordinates last and contiguous for the same
+einsum call, since einsum over a leading axis adds in another order.
 
 Ties break to the first maximum in list order. That is what a row-major
 argmax over the full (k, k) distance matrix returns, with the same pair:
@@ -78,13 +85,17 @@ def as_point_set(points) -> np.ndarray:
     return arr
 
 
-def _sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distance between rows of a and b, summed over the last axis."""
+def _sq(a: np.ndarray, b: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Squared distance between a and b, summed over the coordinate axis:
+    the last (point-major) or, with axis=0, the first (coordinate-major)."""
     diff = a - b
-    if diff.shape[-1] not in (1, 2):
+    if diff.shape[axis] not in (1, 2):
+        if axis == 0:  # einsum's bits need the coordinates last and contiguous
+            diff = np.ascontiguousarray(diff.transpose(*range(1, diff.ndim), 0))
         return np.einsum("...d,...d->...", diff, diff)
     diff *= diff
-    return diff[..., 0] + diff[..., 1] if diff.shape[-1] == 2 else diff[..., 0]
+    first, last = (0, -1) if axis == 0 else ((..., 0), (..., -1))
+    return diff[first] + diff[last] if diff.shape[axis] == 2 else diff[first]
 
 
 @functools.lru_cache(maxsize=32)
@@ -97,12 +108,14 @@ def pair_list(count: int) -> tuple[np.ndarray, np.ndarray]:
     return first, second
 
 
-def _scan(points: np.ndarray):
-    """The listed pairs' operands a, b (..., P, d) and distances (..., P)."""
-    first, second = pair_list(points.shape[-2])
-    a = points.take(first, axis=-2)
-    b = points.take(second, axis=-2)
-    return a, b, _sq(a, b)
+def _scan(points: np.ndarray, axis: int = -1):
+    """The listed pairs' operands a, b and their distances: (..., P, d) and
+    (..., P) point-major, or with axis=0 (d, P, ...) and (P, ...)."""
+    at = axis - 1 if axis < 0 else axis + 1  # the point axis
+    first, second = pair_list(points.shape[at])
+    a = points.take(first, axis=at)
+    b = points.take(second, axis=at)
+    return a, b, _sq(a, b, axis)
 
 
 def pair_sq(points: np.ndarray) -> np.ndarray:
@@ -139,20 +152,24 @@ def farthest_index(points: np.ndarray, anchor: np.ndarray):
 
 
 def batched_mid_extremes(points: np.ndarray) -> np.ndarray:
-    """Midpoint of each set's extreme pair; (S, k, d) -> (S, d)."""
-    s, _, d = points.shape
-    a, b, d2 = _scan(points)
-    pairs = d2.shape[1]
-    # flat row of each seed's first maximum in the (s * pairs, d) views
-    best = d2.argmax(axis=1) + np.arange(0, s * pairs, pairs)
-    mid = a.reshape(-1, d).take(best, axis=0) + b.reshape(-1, d).take(best, axis=0)
+    """Midpoint of each set's extreme pair; coordinate-major (d, k, S) -> (d, S)."""
+    d, _, s = points.shape
+    a, b, d2 = _scan(points, axis=0)
+    # column of each set's first maximum in the (d, pairs * S) views
+    best = d2.argmax(axis=0) * s
+    best += np.arange(s)
+    mid = a.reshape(d, -1).take(best, axis=1) + b.reshape(d, -1).take(best, axis=1)
     return np.divide(mid, 2.0, out=mid)
 
 
 def batched_approach_extreme(points: np.ndarray, anchors: np.ndarray) -> np.ndarray:
     """Midpoint of each anchor and its set's farthest point from it;
-    points (S, k, d), anchors (S, a, d), a anchors per set -> (S, a, d)."""
-    s, k, d = points.shape
-    # flat row of each anchor's farthest point in the (s * k, d) view
-    far = farthest_index(points[:, None], anchors) + np.arange(0, s * k, k)[:, None]
-    return (anchors + points.reshape(-1, d).take(far, axis=0)) / 2.0
+    coordinate-major points (d, k, S), anchors (d, a, S) -> (d, a, S)."""
+    d, _, s = points.shape
+    if anchors.shape[0] != d:
+        raise ValueError(f"anchor dimension {anchors.shape[0]} does not match "
+                         f"point set dimension {d}")
+    # column of each anchor's farthest point in the (d, k * S) view
+    far = _sq(points[:, None], anchors[:, :, None], axis=0).argmax(axis=1) * s
+    far += np.arange(s)
+    return (anchors + points.reshape(d, -1).take(far, axis=1)) / 2.0

@@ -353,7 +353,7 @@ def _c12_scenarios():
         ("sc-partition-late", "event", sim.Topology(4, _pairs(4)),
          sim.FaultPlan(partition=sim.PartitionSpec(side_a=(0, 1),
                                                    side_b=(2, 3),
-                                                   from_event=150)),
+                                                   from_event=100)),
          sim.Schedule(), _sc_config(5, 2), QUAD_2D),
         ("sc-delay-1", "event", sim.Topology(4, _pairs(4)), sim.FaultPlan(),
          sim.Schedule(max_delay=1), _sc_config(6, 2), QUAD_2D),
@@ -410,6 +410,8 @@ def _c12_scenarios():
 def _c12_execute(name, kind, topo, plan, sched, algo, oracle, tmp_path, rep):
     if kind == "event":
         trace = sim.run(topo, plan, sched, algo, oracle, [1200, 7])
+        if plan.partition is not None:  # a cut that defers nothing tests nothing
+            assert trace.counters["deferred"] > 0, name
         blob = trace.to_jsonl().encode()
         finals = np.stack([trace.outputs[p] for p in sorted(trace.outputs)])[None]
         digest = trace.config_digest

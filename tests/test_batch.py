@@ -7,9 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from asgd import batch, sim
+from asgd import batch, sim, vecmath
 from asgd.batch import BatchOptions, _compose_sm_maps, _lowest, _sample_quorums
-from asgd.oracle import OracleSpec, grad, sequential_sgd
+from asgd.maa import STAGE_TARGET, AggregationRule, required_rounds
+from asgd.oracle import OracleSpec, clamp, grad, sequential_sgd
 from asgd.sgd import ConfigError, LrSchedule, SgdConfig, Variant
 
 QUAD = OracleSpec(kind="quadratic", dim=2, sigma=0.7, mu=1.0, lipschitz=4.0)
@@ -475,3 +476,130 @@ def test_batch_rejects_large_clusters_for_agreement():
                      x1=(0.0, 0.0), lr=LrSchedule(kind="constant", value=0.05))
     with pytest.raises(ConfigError):
         batch.run_ensemble(topo, conf, QUAD, BatchOptions(seeds=2, seed_root=1))
+
+
+# ---------------------------------------------------------------------------
+# The point-major agreement round loop that the coordinate-major one
+# replaced, kept as the reference it must equal bitwise
+# ---------------------------------------------------------------------------
+
+
+def _point_major_mid_extremes(points):
+    """Midpoint of each set's extreme pair; (S, k, d) -> (S, d)."""
+    s, _, d = points.shape
+    a, b, d2 = vecmath._scan(points)
+    pairs = d2.shape[1]
+    best = d2.argmax(axis=1) + np.arange(0, s * pairs, pairs)
+    mid = a.reshape(-1, d).take(best, axis=0) + b.reshape(-1, d).take(best, axis=0)
+    return np.divide(mid, 2.0, out=mid)
+
+
+def _point_major_approach_extreme(points, anchors):
+    """points (S, k, d), anchors (S, a, d) -> (S, a, d)."""
+    s, k, d = points.shape
+    far = vecmath.farthest_index(points[:, None], anchors) + np.arange(0, s * k, k)[:, None]
+    return (anchors + points.reshape(-1, d).take(far, axis=0)) / 2.0
+
+
+def _point_major_non_convex(topology, conf, spec, options, partition=None):
+    """run_ensemble's non-convex variant, with a drawn tau, holding the rounds
+    as (S, m, k, d) values and (S * m, P, d) held sets; (outputs, finals, series)."""
+    sched_rng = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence([options.seed_root, batch.BATCH_SCHEDULE_TAG])))
+    S, n, d, T, m = options.seeds, topology.n, spec.dim, conf.iterations, topology.m
+    members, k = batch._cluster_table(topology)
+    quorum_clusters = topology.cluster_quorum(conf.cluster_quorum)
+    start, proc_side = batch._partition(topology, partition, T)
+    allowed = batch._side_masks(proc_side)
+    allowed_c = batch._side_masks(proc_side[members[:, 0]])
+    sm_rounds = required_rounds(STAGE_TARGET[conf.maa_rule], conf.maa_rule, "shared")
+    noise, taus = batch._predraw_noise(n, d, T, options, want_tau=True)
+    X = np.broadcast_to(np.asarray(conf.x1, dtype=np.float64), (S, n, d)).copy()
+    series = batch._series_store(options.record_series, T, S)
+    proc_base = (np.arange(S) * n)[:, None, None]
+    outputs = np.empty_like(X)
+    seed_base = (np.arange(S) * m)[None, :, None, None]
+    for t in range(1, T + 1):
+        G = grad(spec, X)
+        batch._record_head(series, t, X, G)
+        captured = taus == t
+        if captured.any():
+            outputs[captured] = X[captured]
+        cut = t >= start
+        G = G + noise[t - 1] * spec.noise_scale
+        idx = batch._sample_quorums(sched_rng, S, allowed[cut], conf.quorum)
+        g = batch._sequential_mean(G.reshape(S * n, d).take(idx + proc_base, axis=0))
+        y = X - conf.lr.eta(t) * g
+        rounds = required_rounds(conf.q_at(t), conf.maa_rule, "cluster")
+        if rounds == 0:
+            X = clamp(spec, y)
+            continue
+        if k == 2:
+            on0 = _compose_sm_maps(sched_rng, S, m, rounds, sm_rounds)[..., None]
+            on1 = 1.0 - on0
+        ex_idx = _lowest(batch._quorum_keys(sched_rng, (S, rounds), allowed_c[cut]),
+                         quorum_clusters)
+        ex_rows = (ex_idx.transpose(1, 0, 2, 3) + seed_base).reshape(rounds, -1)
+        V = y[:, members]
+        for r in range(rounds):
+            if k == 2:
+                V = on0[r] * V[:, :, :1] + on1[r] * V[:, :, -1:]
+            held = V.reshape(S * m, k * d).take(ex_rows[r], axis=0).reshape(S * m, -1, d)
+            if conf.maa_rule is AggregationRule.MID_EXTREMES:
+                V = _point_major_mid_extremes(held).reshape(S, m, 1, d)
+            else:
+                V = _point_major_approach_extreme(held, V.reshape(S * m, k, d)).reshape(S, m, k, d)
+        X = np.empty_like(y)
+        X[:, members] = V
+        X = clamp(spec, X)
+    batch._record_head(series, T + 1, X, None)
+    return outputs, X, series
+
+
+_PAIRS3 = sim.Topology(n=6, clusters=((0, 1), (2, 3), (4, 5)))
+_SINGLES4 = sim.Topology(n=4, clusters=((0,), (1,), (2,), (3,)))
+
+
+@pytest.mark.parametrize("rule", list(AggregationRule))
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("topology,partition", [
+    (_PAIRS3, None),
+    (_SINGLES4, None),
+    (_PAIRS3, sim.PartitionSpec(side_a=(0, 1, 2, 3), side_b=(4, 5), from_event=3)),
+], ids=["pairs", "singletons", "pairs-partitioned"])
+def test_coordinate_major_rounds_equal_the_point_major_loop_bitwise(
+        topology, partition, d, rule, monkeypatch):
+    spec = OracleSpec(kind="double_well", dim=d, sigma=0.3, radius=1.25)
+    conf = SgdConfig(variant=Variant.NON_CONVEX, iterations=6, quorum=2,
+                     x1=(0.25,) * d, lr=LrSchedule(kind="constant", value=0.25),
+                     maa_rule=rule, cluster_quorum=1 if partition else None,
+                     lr_check="warn")
+    options = BatchOptions(seeds=12, seed_root=50 + d)
+    predraw = batch._predraw_noise
+
+    def poisoned(*args, **kwargs):  # one NaN and one infinite coordinate
+        noise, taus = predraw(*args, **kwargs)
+        noise[1, 3, 0, -1] = np.nan
+        noise[2, 5, 1, 0] = np.inf
+        return noise, taus
+
+    monkeypatch.setattr(batch, "_predraw_noise", poisoned)
+    ties = []
+    kernel = batch.batched_mid_extremes
+
+    def spied(held):  # whether some held set lists two equal points
+        ties.append(bool((held[:, :1] == held[:, 1:2]).all(axis=0).any()))
+        return kernel(held)
+
+    monkeypatch.setattr(batch, "batched_mid_extremes", spied)
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = _point_major_non_convex(topology, conf, spec, options, partition)
+        got = batch.run_ensemble(topology, conf, spec, options, partition)
+    assert got.outputs.tobytes() == want[0].tobytes()
+    assert got.finals.tobytes() == want[1].tobytes()
+    assert got.series.keys() == want[2].keys()
+    for key, values in want[2].items():
+        assert got.series[key].tobytes() == values.tobytes(), key
+    assert np.isnan(got.finals[3]).any() and not np.isnan(got.finals[0]).any()
+    if rule is AggregationRule.MID_EXTREMES and topology is _PAIRS3:
+        assert any(ties)

@@ -29,6 +29,23 @@ from asgd.vecmath import (
 )
 
 
+def coordinate_major(points):
+    """Point-major sets (S, k, d) in the batched kernels' layout (d, k, S),
+    contiguous as the batch driver holds them."""
+    return np.ascontiguousarray(points.transpose(2, 1, 0))
+
+
+def mid_extremes(points):
+    """batched_mid_extremes of point-major sets; (S, k, d) -> (S, d)."""
+    return batched_mid_extremes(coordinate_major(points)).T
+
+
+def approach_extreme(points, anchors):
+    """batched_approach_extreme of point-major sets and anchors (S, a, d)."""
+    out = batched_approach_extreme(coordinate_major(points), coordinate_major(anchors))
+    return out.transpose(2, 1, 0)
+
+
 def brute_force_extreme_pair(rows):
     """Independent oracle: scan all (i, j) in lexicographic order."""
     best = (0, 0)
@@ -133,17 +150,29 @@ def test_diameter_sq_singleton_is_zero():
 
 
 def test_mid_extremes_known_value():
-    out = batched_mid_extremes(np.array([[[0.0, 0.0], [2.0, 0.0], [1.0, 1.0]]]))
-    assert out.tolist() == [[1.0, 0.0]]
+    # one set of the points (0, 0), (2, 0), (1, 1), coordinate-major
+    out = batched_mid_extremes(np.array([[[0.0], [2.0], [1.0]], [[0.0], [0.0], [1.0]]]))
+    assert out.tolist() == [[1.0], [0.0]]
 
 
 def test_mid_extremes_singleton_maps_to_itself():
-    assert batched_mid_extremes(np.array([[[0.5, -1.5]]])).tolist() == [[0.5, -1.5]]
+    assert batched_mid_extremes(np.array([[[0.5]], [[-1.5]]])).tolist() == [[0.5], [-1.5]]
 
 
 def test_approach_extreme_known_value():
-    out = batched_approach_extreme(np.array([[[1.0, 0.0], [4.0, 0.0]]]), np.zeros((1, 1, 2)))
-    assert out.tolist() == [[[2.0, 0.0]]]
+    # the set (1, 0), (4, 0) and the anchor (0, 0)
+    out = batched_approach_extreme(np.array([[[1.0], [4.0]], [[0.0], [0.0]]]), np.zeros((2, 1, 1)))
+    assert out.tolist() == [[[2.0]], [[0.0]]]
+
+
+def test_batched_kernels_take_coordinate_major_sets():
+    # two sets of three 2-d points, (S, k, d); the kernels read (d, k, S)
+    pts = np.array([[[0.0, 0.0], [2.0, 0.0], [1.0, 1.0]],
+                    [[5.0, 1.0], [5.0, 3.0], [4.0, 2.0]]])
+    assert batched_mid_extremes(pts.transpose(2, 1, 0)).tolist() == [[1.0, 5.0], [0.0, 2.0]]
+    anchors = np.array([[[0.0, 0.0]], [[5.0, 0.0]]]).transpose(2, 1, 0)
+    assert batched_approach_extreme(pts.transpose(2, 1, 0), anchors).tolist() == [
+        [[1.0, 5.0]], [[0.0, 1.5]]]
 
 
 def test_approach_extreme_dimension_mismatch():
@@ -152,7 +181,7 @@ def test_approach_extreme_dimension_mismatch():
         with pytest.raises(ValueError):
             farthest_index(pts, anchor)
         with pytest.raises(ValueError):
-            batched_approach_extreme(pts[None], anchor[None, None])
+            batched_approach_extreme(pts.T[:, :, None], anchor[:, None, None])
 
 
 def test_empty_set_rejected():
@@ -174,7 +203,7 @@ def test_tie_break_is_first_lexicographic_pair():
     # winning pair must be (0, 2) rather than (1, 3).
     square = as_point_set([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     assert extreme_pair(square) == (0, 2)
-    assert batched_mid_extremes(square[None]).tolist() == [[0.5, 0.5]]
+    assert mid_extremes(square[None]).tolist() == [[0.5, 0.5]]
 
 
 def test_farthest_index_tie_break_first():
@@ -200,8 +229,8 @@ def test_scan_matches_full_matrix_bitwise(k, d):
     rng = np.random.default_rng(100 * k + d)
     pts = tie_heavy_sets(rng, k, d)
     anchors = tie_heavy_sets(rng, 1, d)[:, 0]
-    mids = batched_mid_extremes(pts)
-    approach = batched_approach_extreme(pts, anchors[:, None])[:, 0]
+    mids = mid_extremes(pts)
+    approach = approach_extreme(pts, anchors[:, None])[:, 0]
     diam = diameter_sq(pts)
     far = farthest_index(pts, anchors)
     for s in range(pts.shape[0]):
@@ -331,7 +360,7 @@ def test_contraction_report_matches_full_matrix_bitwise(monkeypatch):
 @settings(max_examples=200, deadline=None)
 def test_mid_extremes_stays_in_bounding_box(rows):
     pts = as_point_set(rows)
-    mid = batched_mid_extremes(pts[None])[0]
+    mid = mid_extremes(pts[None])[0]
     lo = pts.min(axis=0) - 1e-9
     hi = pts.max(axis=0) + 1e-9
     assert np.all(mid >= lo) and np.all(mid <= hi)
@@ -356,7 +385,7 @@ def test_midpoint_contraction_with_shared_point_smoke():
         d = int(rng.integers(1, 9))
         a, b, _ = shared_point_sets(rng, d)
         union = np.vstack([a, b])
-        gap = batched_mid_extremes(a[None])[0] - batched_mid_extremes(b[None])[0]
+        gap = mid_extremes(a[None])[0] - mid_extremes(b[None])[0]
         assert float(gap @ gap) <= (7.0 / 8.0) * diameter_sq(union) + 1e-12
 
 
@@ -368,15 +397,15 @@ def test_anchored_contraction_with_shared_point_smoke():
         ya = a[int(rng.integers(len(a)))]
         yb = b[int(rng.integers(len(b)))]
         union = np.vstack([a, b])
-        gap = (batched_approach_extreme(a[None], ya[None, None])[0, 0]
-               - batched_approach_extreme(b[None], yb[None, None])[0, 0])
+        gap = (approach_extreme(a[None], ya[None, None])[0, 0]
+               - approach_extreme(b[None], yb[None, None])[0, 0])
         assert float(gap @ gap) <= (31.0 / 32.0) * diameter_sq(union) + 1e-12
 
 
 def test_batched_mid_extremes_matches_scalar_bitwise():
     rng = np.random.default_rng(99)
     pts = rng.normal(size=(40, 5, 3))
-    out = batched_mid_extremes(pts)
+    out = mid_extremes(pts)
     for s in range(pts.shape[0]):
         assert out[s].tobytes() == full_mid_extremes(pts[s]).tobytes()
 
@@ -392,7 +421,7 @@ def test_batched_mid_extremes_matches_scalar_on_ties():
             pts[50:80] = pts[50:80, :1]  # every point identical
             # all distances zero, but the chosen pair shows in the zero's sign
             pts[80:120] = np.where(rng.random((40, k, d)) < 0.5, -0.0, 0.0)
-            out = batched_mid_extremes(pts)
+            out = mid_extremes(pts)
             for s in range(pts.shape[0]):
                 assert out[s].tobytes() == full_mid_extremes(pts[s]).tobytes(), (k, d, s)
 
@@ -401,7 +430,7 @@ def test_batched_approach_extreme_matches_scalar_bitwise():
     rng = np.random.default_rng(100)
     pts = rng.normal(size=(40, 4, 2))
     anchors = rng.normal(size=(40, 3, 2))
-    out = batched_approach_extreme(pts, anchors)
+    out = approach_extreme(pts, anchors)
     assert out.shape == (40, 3, 2)
     for s in range(pts.shape[0]):
         for a in range(3):
@@ -420,7 +449,7 @@ def test_batched_approach_extreme_anchors_per_set_equal_the_repeated_sets():
                 s = pts.shape[0]
                 anchors = tie_heavy_sets(rng, a, d)[rng.integers(240, size=s)]
                 with np.errstate(invalid="ignore", over="ignore"):
-                    got = batched_approach_extreme(pts, anchors)
+                    got = approach_extreme(pts, anchors)
                     flat = anchors.reshape(s * a, d)
                     far = farthest_index(np.repeat(pts, a, axis=0), flat)
                     want = (flat + np.repeat(pts, a, axis=0)[np.arange(s * a), far]) / 2.0
@@ -429,7 +458,7 @@ def test_batched_approach_extreme_anchors_per_set_equal_the_repeated_sets():
 
 def test_batched_mid_extremes_singleton():
     pts = np.array([[[1.0, 2.0]], [[3.0, 4.0]]])
-    out = batched_mid_extremes(pts)
+    out = mid_extremes(pts)
     assert out.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
@@ -453,8 +482,10 @@ def _sq_operands(rng, d):
     return [(pts[:, 0], pts[:, 1]) for pts in (edge, wide)]
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 9])
 def test_sq_equals_einsum_bitwise_and_takes_einsum_only_from_three_coordinates(d, monkeypatch):
+    # axis=0 takes the coordinates first; from d = 3 on it moves them last
+    # for einsum, whose sum over a leading axis has other bits
     rng = np.random.default_rng(20 + d)
     operands = _sq_operands(rng, d)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -463,10 +494,13 @@ def test_sq_equals_einsum_bitwise_and_takes_einsum_only_from_three_coordinates(d
         real = np.einsum
         monkeypatch.setattr(np, "einsum", lambda *args: calls.append(1) or real(*args))
         for (a, b), want in zip(operands, wants):
-            got = _sq(a, b)
-            assert got.shape == want.shape
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-    assert len(calls) == (len(operands) if d >= 3 else 0)
+            for axis in (-1, 0):
+                if axis == 0:
+                    a, b = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+                got = _sq(a, b, axis)
+                assert got.shape == want.shape
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert len(calls) == (2 * len(operands) if d >= 3 else 0)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -477,6 +511,7 @@ def test_sq_leaves_its_inputs_unchanged(d):
     before = points.tobytes(), anchor.tobytes()
     _sq(points, anchor)
     _sq(points, points[:, ::-1])
+    _sq(points.T, anchor.T, axis=0)
     assert (points.tobytes(), anchor.tobytes()) == before
 
 
@@ -493,12 +528,12 @@ def fancy_mid_extremes(points):
     return (a.reshape(-1, d)[best] + b.reshape(-1, d)[best]) / 2.0
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 9])
 @pytest.mark.parametrize("k", range(1, 7))
 def test_batched_mid_extremes_matches_the_fancy_index_einsum_form_bitwise(k, d):
     rng = np.random.default_rng(10 * k + d)
     pool = np.array(EDGE_VALUES + list(rng.normal(size=13)))
     pts = np.concatenate([tie_heavy_sets(rng, k, d), pool[rng.integers(len(pool), size=(400, k, d))]])
     with np.errstate(invalid="ignore", over="ignore"):
-        got, want = batched_mid_extremes(pts), fancy_mid_extremes(pts)
+        got, want = mid_extremes(pts), fancy_mid_extremes(pts)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
