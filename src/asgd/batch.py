@@ -98,10 +98,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import sim
+from . import sgd, sim
 from .maa import STAGE_TARGET, AggregationRule, required_rounds
 from .oracle import OracleSpec, clamp, grad
-from .sgd import SgdConfig, Variant, _sum_then_divide, validate_config
+from .sgd import SgdConfig, Variant, _sum_then_divide
 from .sim import ConfigError
 from .vecmath import batched_approach_extreme, batched_mid_extremes, diameter_sq
 
@@ -370,8 +370,8 @@ def run_ensemble(topology: sim.Topology, algorithm: SgdConfig,
                  partition: sim.PartitionSpec | None = None) -> BatchResult:
     if not isinstance(algorithm, SgdConfig):
         raise ConfigError("run.driver", "the batch driver only runs sgd algorithms")
-    warnings = validate_config(algorithm, topology, sim.FaultPlan(partition=partition),
-                               oracle_spec)
+    warnings = sgd.validate_config(algorithm, topology, sim.FaultPlan(partition=partition),
+                                   oracle_spec)
     sched_rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence([options.seed_root, BATCH_SCHEDULE_TAG])))
     conf, spec = algorithm, oracle_spec

@@ -201,10 +201,6 @@ def load_scenario(raw: dict):
     if kind not in classes:
         _unknown("algorithm.kind", kind)
     algorithm = _read(classes[kind], algo_raw, "algorithm")
-    # the oracle's dimension is the scenario's: the run's statistics read it
-    if kind == "maa_only" and len(algorithm.inputs[0]) != oracle.dim:
-        _fail("algorithm.inputs",
-              f"dimension {len(algorithm.inputs[0])} != oracle dimension {oracle.dim}")
     fault_plan = _read(sim.FaultPlan, _section(raw, "faults"), "faults")
     schedule = _read(sim.Schedule, _section(raw, "schedule"), "schedule")
     run_raw = dict(_section(raw, "run"))
@@ -316,7 +312,7 @@ def _cmd_run(args) -> int:
         ensemble = harness.run_event_ensemble(
             topology, fault_plan, schedule, algorithm, oracle,
             seed_root=options.seed_root, seeds=options.seeds, record=args.trace)
-        outdir = _start_output(args.out, summary, ensemble.traces[0].warnings)
+        outdir = _start_output(args.out, summary, ensemble.warnings)
         if args.trace:
             for s, trace in enumerate(ensemble.traces):
                 path = outdir / f"trace_{s:04d}.jsonl"

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import batch, sim, vecmath
+from . import batch, sgd, sim, vecmath
 from .maa import CLUSTER_FACTOR, SHARED_FACTOR, AggregationRule
 from .oracle import OracleSpec, sequential_sgd
 
@@ -188,6 +188,7 @@ class EventEnsemble:
     traces: list[sim.RunTrace]
     ok: bool
     liveness: dict[str, int]
+    warnings: list[str]
 
     def outputs_array(self) -> np.ndarray:
         """(S, n, d) outputs; only meaningful when every run completed."""
@@ -201,7 +202,9 @@ class EventEnsemble:
 
 def run_event_ensemble(topology, fault_plan, schedule, algorithm, oracle_spec,
                        seed_root: int, seeds: int, record: bool = False) -> EventEnsemble:
-    """One sim.run per seed; `record` turns on both event and witness recording."""
+    """One sim.run per seed after one validate_config pass, whose warnings the
+    ensemble keeps; `record` turns on both event and witness recording."""
+    warnings = sgd.validate_config(algorithm, topology, fault_plan, oracle_spec)
     traces = []
     counts: dict[str, int] = {}
     for s in range(seeds):
@@ -211,7 +214,7 @@ def run_event_ensemble(topology, fault_plan, schedule, algorithm, oracle_spec,
         kind = trace.liveness["kind"]
         counts[kind] = counts.get(kind, 0) + 1
     return EventEnsemble(traces=traces, ok=all(t.liveness["ok"] for t in traces),
-                         liveness=counts)
+                         liveness=counts, warnings=warnings)
 
 
 # ---------------------------------------------------------------------------

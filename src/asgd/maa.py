@@ -203,24 +203,22 @@ class MaaOnlyConfig:
         if len(widths) != 1:
             raise sim.ConfigError("inputs", "rows must share one dimension")
 
+    def programs(self, contexts, tau_rng) -> tuple[list, None]:
+        """One agreement program per process for the event kernel; no tau."""
 
-def build_maa_only_programs(conf: MaaOnlyConfig, contexts) -> list:
-    """One program per process; sim.run has checked the input row count."""
+        def program(ctx):
+            x = np.asarray(self.inputs[ctx.pid], dtype=np.float64)
+            node = ctx.witness.input(x)
+            yield sim.IterMark(1, x)
+            if self.level == "shared":
+                rounds = required_rounds(self.q, self.rule, "shared")
+                x, node = yield from smmaa_subroutine(
+                    ctx, 1, 1, rounds, x, node, self.rule, mark=self.mark_rounds)
+            else:
+                quorum = ctx.topology.cluster_quorum(self.cluster_quorum)
+                x, node = yield from cluster_maa_subroutine(
+                    ctx, 1, x, node, self.rule, self.q, quorum,
+                    mark=self.mark_rounds)
+            yield sim.Output(x, witness_node=node)
 
-    def program(ctx):
-        x = np.asarray(conf.inputs[ctx.pid], dtype=np.float64)
-        node = ctx.witness.input(x)
-        yield sim.IterMark(1, x)
-        if conf.level == "shared":
-            rounds = required_rounds(conf.q, conf.rule, "shared")
-            x, node = yield from smmaa_subroutine(
-                ctx, 1, 1, rounds, x, node, conf.rule, mark=conf.mark_rounds)
-        else:
-            quorum = ctx.topology.cluster_quorum(conf.cluster_quorum)
-            x, node = yield from cluster_maa_subroutine(
-                ctx, 1, x, node, conf.rule, conf.q, quorum,
-                mark=conf.mark_rounds)
-        yield sim.Output(x, witness_node=node)
-
-    return [program(ctx) for ctx in contexts]
-
+        return [program(ctx) for ctx in contexts], None

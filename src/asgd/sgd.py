@@ -102,6 +102,10 @@ class SgdConfig:
             return self.lr.eta(t) / 4.0
         return float(self.agreement_q)
 
+    def programs(self, contexts, tau_rng) -> tuple[list, int | None]:
+        """build_programs, looked up when called, so a wrapper on it applies."""
+        return build_programs(self, contexts, tau_rng)
+
 
 def validate_config(config, topology: sim.Topology, fault_plan: sim.FaultPlan,
                     oracle_spec: OracleSpec) -> list[str]:
@@ -114,6 +118,9 @@ def validate_config(config, topology: sim.Topology, fault_plan: sim.FaultPlan,
     warnings = fault_plan.validate_against(topology)
     if isinstance(config, maa.MaaOnlyConfig):
         _check_crash_iterations(fault_plan, 1)
+        if len(config.inputs[0]) != oracle_spec.dim:  # the statistics read oracle.dim
+            raise ConfigError("algorithm.inputs", f"dimension {len(config.inputs[0])} "
+                              f"!= oracle dimension {oracle_spec.dim}")
         if len(config.inputs) != topology.n:
             raise ConfigError("algorithm.inputs",
                               f"{len(config.inputs)} rows for {topology.n} processes")
@@ -253,11 +260,9 @@ def build_programs(algorithm, contexts, tau_rng) -> tuple[list, int | None]:
 
     tau is drawn here (once, shared by every process) from the dedicated
     stream so both execution drivers consume the stream identically; an
-    explicit tau skips the draw entirely. `algorithm` is an SgdConfig or a
-    MaaOnlyConfig: the caller, sim.run, has already run validate_config.
+    explicit tau skips the draw entirely. SgdConfig.programs calls this for
+    the event kernel, on a config its caller has run through validate_config.
     """
-    if isinstance(algorithm, maa.MaaOnlyConfig):
-        return maa.build_maa_only_programs(algorithm, contexts), None
     if algorithm.variant is Variant.STRONGLY_CONVEX:
         return [_strongly_convex_program(algorithm, ctx) for ctx in contexts], None
     if algorithm.tau is not None:

@@ -666,7 +666,6 @@ class RunTrace:
     output_witness: dict[int, int]
     counters: dict[str, int]
     liveness: dict
-    warnings: list[str]
     tau: int | None = None
 
     def to_jsonl(self) -> str:
@@ -782,14 +781,11 @@ def run(
 ) -> RunTrace:
     """Execute one full run and return its trace.
 
-    `algorithm` is an SgdConfig or MaaOnlyConfig (see asgd.sgd / asgd.maa);
-    `master_seed` is an int or a list of ints (SeedSequence entropy).
+    `algorithm` is a config dataclass whose `programs(contexts, tau_rng)`
+    builds fresh programs, one per process, and the output iteration tau or
+    None; validating it is the caller's (sgd.validate_config). `master_seed`
+    is an int or a list of ints (SeedSequence entropy).
     """
-    from . import sgd as _sgd  # deferred: sgd imports effect types from here
-
-    # hard config errors (quorum vs survivors, dimensions, strict lr bounds)
-    # raise here; theory-premise issues come back as warnings on the trace
-    warnings = _sgd.validate_config(algorithm, topology, fault_plan, oracle_spec)
     streams = derive_streams(master_seed, topology.n)
     witness = WitnessRecorder(enabled=record_witness)
 
@@ -807,7 +803,7 @@ def run(
                        rng=streams.processes[i], witness=witness)
         for i in range(topology.n)
     ]
-    programs, tau = _sgd.build_programs(algorithm, contexts, streams.tau)
+    programs, tau = algorithm.programs(contexts, streams.tau)
 
     procs = [_ProcState(g) for g in programs]
     inboxes: list[dict[tuple, list]] = [dict() for _ in range(topology.n)]
@@ -1046,7 +1042,6 @@ def run(
         output_witness=output_witness,
         counters=counters,
         liveness=liveness,
-        warnings=warnings,
         tau=tau,
     )
 

@@ -397,17 +397,28 @@ def test_values_are_converted_by_annotation():
     assert plan.partition == sim.PartitionSpec(side_a=(0, 1), side_b=(2, 3))
 
 
-@pytest.mark.parametrize("name,seeds,calls", [("sc_quadratic_event", 2, 2),
+@pytest.mark.parametrize("name,seeds,calls", [("sc_quadratic_event", 2, 1),
                                               ("sc_quadratic_batch", 20, 1)])
 def test_run_validates_once_per_driver_pass(name, seeds, calls, tmp_path, monkeypatch):
     seen = []
     real = sgd.validate_config
     monkeypatch.setattr(sgd, "validate_config",
                         lambda *a: seen.append(1) or real(*a))
-    monkeypatch.setattr(batch, "validate_config", sgd.validate_config)
     assert _run(["run", SCENARIOS / f"{name}.json", "--out", tmp_path,
                  "--seeds", seeds, "--set", "algorithm.iterations=8"]) == 0
     assert len(seen) == calls
+
+
+def test_event_run_records_and_prints_its_warnings_once(tmp_path, capsys):
+    # eta_1 = 1 exceeds 1/L = 0.25, a warning under lr_check "warn"; every
+    # seed runs the same config, so each warning is printed once, not per seed
+    assert _run(["run", SCENARIOS / "sc_quadratic_event.json", "--out", tmp_path,
+                 "--seeds", 3, "--set", "algorithm.iterations=8",
+                 "--set", "algorithm.lr_check=warn",
+                 "--set", 'algorithm.lr={"kind": "constant", "value": 1.0}']) == 0
+    warnings = json.loads((tmp_path / "summary.json").read_text())["warnings"]
+    assert warnings == ["lr: eta_1 = 1 exceeds 1/L = 0.25"]
+    assert capsys.readouterr().err.splitlines() == [f"warning: {w}" for w in warnings]
 
 
 @pytest.mark.parametrize("name", ["sc_quadratic_event", "sc_quadratic_batch"])

@@ -119,6 +119,16 @@ def test_maa_only_config_validated_against_topology():
         validate_config(conf, TOPO, NO_FAULTS, QUAD)
 
 
+def test_maa_only_inputs_take_the_oracle_dimension():
+    # the run's statistics read the oracle's dimension, so the inputs' must match
+    flat = MaaOnlyConfig(level="cluster", q=0.5, inputs=((0.0,),) * 4)
+    with pytest.raises(ConfigError) as err:
+        validate_config(flat, TOPO, NO_FAULTS, QUAD)
+    assert str(err.value) == "algorithm.inputs: dimension 1 != oracle dimension 2"
+    plane = MaaOnlyConfig(level="cluster", q=0.5, inputs=((0.0, 0.0),) * 4)
+    assert validate_config(plane, TOPO, NO_FAULTS, QUAD) == []
+
+
 def _crash_at(iteration):
     return sim.FaultPlan(crashes=(sim.CrashSpec(pid=3, at_iteration=iteration),))
 
