@@ -3,9 +3,9 @@
 The event kernel in asgd.sim explores interleavings one register operation
 at a time, which is what the agreement, liveness, and audit checks need, but
 it is far too slow for rate sweeps over hundreds of seeds. This driver runs
-the same two algorithms at round granularity with numpy arrays shaped
-(seeds, processes, dim), sampling the adversary's choices per iteration and
-per agreement round instead of per event.
+the same two algorithms at round granularity on numpy arrays over (seeds,
+processes, dim), sampling the adversary's choices per iteration and per
+agreement round instead of per event.
 
 The schedule family it samples is a strict subset of the kernel's legal
 schedules:
@@ -44,11 +44,21 @@ a quorum with one shared kernel (_sequential_mean runs sgd's
 _sum_then_divide). That is what makes the bit-exact cross-driver tests
 possible on configurations whose quorums are schedule-independent (n = N).
 Only the process children and, when wanted, the tau child are derived,
-never the schedule child, and the noise is held time-major, (T, S, n, d).
+never the schedule child, and the noise is held time-major in the
+iterate's layout, (T, d, n, S).
 The adversary's own draws come from one shared stream
 (SeedSequence([seed_root, BATCH_SCHEDULE_TAG])).
 
-The agreement rounds of one iteration run coordinate-major: V is held as
+The iterate is held coordinate-major, X of shape (dim, processes, seeds),
+from the first iteration to the last, so each ufunc of an iteration runs
+over rows of processes * seeds; BatchResult gets (seeds, processes, dim)
+copies once, at the end. The gradient is the oracle's elementwise formula
+on the transposed view, which keeps X's memory layout. The series row
+takes the diameter coordinate-major (vecmath.diameter_sq with axis=0) and
+averages each seed's gradient norms from a contiguous (seeds, processes)
+array, as the point-major loop did, so the row keeps its bits.
+
+The agreement rounds of one iteration run coordinate-major too: V is held as
 (dim, members, seeds * clusters), one column per (seed, cluster), from the
 first round to the last, so each ufunc of a round runs over rows of seeds *
 clusters. A stage map is a pair of (members, seeds * clusters) weight rows
@@ -72,8 +82,10 @@ the cut. The marks are the same: a NaN key is below none and has none
 below it, and a row with fewer than `count` keys that are not NaN is
 marked whole. A tie at the cut marks more than `count` keys in some row;
 only then does the call fall back to the argsort expression, whose order
-among equal keys is numpy's and need not be stable. The members' values
-are gathered by np.take of flat rows of a (seeds * units, dim) view.
+among equal keys is numpy's and need not be stable. A process quorum's
+values are gathered sender-major by one np.take of columns of a (dim,
+processes * seeds) view, into (dim, N, processes * seeds), so the mean
+adds whole rows, sender by sender.
 
 Both variants run one iteration loop in run_ensemble. Its head is shared:
 the gradient, the series row, the tau capture, the noise and the process
@@ -85,7 +97,8 @@ round tables (stage weights, exchange columns) at the end of their
 iteration, and compute the convex step before the quorum draw. Keep that
 order: when large temporaries are allocated and freed decides when glibc
 gives heap back to the system, and so a fresh process's page faults and
-peak RSS, which perfbench's one-run children measure.
+peak RSS, which perfbench's one-run children measure. (Adding the noise to
+G in place, one allocation fewer, tripled batch-quorum's first-run faults.)
 
 Of a fault plan the driver takes only a partition (crash plans need the
 event kernel). Restriction, enforced at entry: the non-convex agreement
@@ -103,11 +116,14 @@ from .maa import STAGE_TARGET, AggregationRule, required_rounds
 from .oracle import OracleSpec, clamp, grad
 from .sgd import SgdConfig, Variant, _sum_then_divide
 from .sim import ConfigError
-from .vecmath import batched_approach_extreme, batched_mid_extremes, diameter_sq
+from .vecmath import _sq, batched_approach_extreme, batched_mid_extremes, diameter_sq
 
 # Reserved child index for the ensemble-wide adversary stream; member seeds
 # are [seed_root, s] for s < seeds, kept far below this tag.
 BATCH_SCHEDULE_TAG = 2 ** 31 - 7
+
+# Seeds whose noise _predraw_noise draws before one transposed copy
+_NOISE_BLOCK = 16
 
 @dataclass(frozen=True)
 class BatchOptions:
@@ -142,20 +158,25 @@ class BatchResult:
 
 def _predraw_noise(n: int, dim: int, iterations: int, options: BatchOptions,
                    want_tau: bool):
-    """Noise (T, S, n, d), time-major so that iteration t reads noise[t - 1]
-    whole, and taus (S,) when wanted; the schedule child is never derived."""
-    noise = np.empty((iterations, options.seeds, n, dim))
-    taus = np.empty(options.seeds, dtype=np.int64) if want_tau else None
-    buf = np.empty((n, iterations, dim))  # one seed's draws, process-major
-    outs = list(buf)
+    """Noise (T, d, n, S) in the iterate's coordinate-major layout, time-major
+    so that iteration t reads noise[t - 1] whole, and taus (S,) when wanted;
+    the schedule child is never derived. Each stream draws its (T, d) block
+    in one call; a block of seeds is then copied into place at once."""
+    seeds = options.seeds
+    noise = np.empty((iterations, dim, n, seeds))
+    taus = np.empty(seeds, dtype=np.int64) if want_tau else None
+    block = min(seeds, _NOISE_BLOCK)
+    buf = np.empty((block, n, iterations, dim))  # a block of seeds' draws, process-major
     children = [*range(2, n + 2), 1] if want_tau else range(2, n + 2)
-    streams = sim.seed_streams(options.seed_root, children, range(options.seeds))
+    streams = sim.seed_streams(options.seed_root, children, range(seeds))
     for s, rngs in enumerate(streams):
-        for rng, out in zip(rngs, outs):
+        row = s % block
+        for rng, out in zip(rngs, buf[row]):
             rng.standard_normal(out=out)
-        noise[:, s] = buf.transpose(1, 0, 2)
         if want_tau:
             taus[s] = rngs[n].integers(1, iterations + 1)
+        if row == block - 1 or s == seeds - 1:
+            noise[..., s - row:s + 1] = buf[:row + 1].transpose(2, 3, 1, 0)
     return noise, taus
 
 
@@ -346,12 +367,15 @@ def _series_store(record: bool, iterations: int, seeds: int):
 
 def _record_head(series, t, X, g):
     """Record iteration t's diameter and, for t <= T, the gradient norm of
-    g = grad(spec, X), which the caller computes once for its own step."""
+    g = grad(spec, X), which the caller computes once for its own step;
+    X and g are coordinate-major, (d, n, S)."""
     if not series:
         return
-    series["diam_sq"][t - 1] = diameter_sq(X)
+    series["diam_sq"][t - 1] = diameter_sq(X, axis=0)
     if t <= series["grad_norm_sq"].shape[0]:
-        series["grad_norm_sq"][t - 1] = np.einsum("spd,spd->sp", g, g).mean(axis=1)
+        # each seed's n norms contiguous, so that the mean sums them as it always has
+        norms = np.ascontiguousarray(_sq(g, 0.0, axis=0).T)
+        series["grad_norm_sq"][t - 1] = norms.mean(axis=1)
 
 
 def _cluster_table(topology: sim.Topology):
@@ -405,33 +429,40 @@ def run_ensemble(topology: sim.Topology, algorithm: SgdConfig,
     if not convex and conf.tau is not None:
         taus = np.full(S, conf.tau, dtype=np.int64)
 
-    X = np.broadcast_to(np.asarray(conf.x1, dtype=np.float64), (S, n, d)).copy()
+    X = np.broadcast_to(np.asarray(conf.x1, dtype=np.float64)[:, None, None], (d, n, S)).copy()
     series = _series_store(options.record_series, T, S)
-    proc_base = (np.arange(S) * n)[:, None, None]  # flat row of (seed, process 0)
+    # column of each (sender, process, seed) of a quorum in a (d, n * S) view
+    cols = np.empty((conf.quorum, n, S), dtype=np.intp)
+    senders = cols.reshape(conf.quorum, -1)  # one row of n * S columns per sender
+    seed_col = np.arange(S)
+    if split_idx is not None:
+        np.add(split_idx.T[:, :, None] * S, seed_col, out=cols)
     if not convex:
         outputs = np.empty_like(X)
         SM = S * m  # one column per (seed, cluster), seed-major
         # column of (member, seed, cluster 0) in a (d, k * SM) view of V
         col_base = np.arange(0, k * SM, SM)[:, None, None] + np.arange(0, SM, m)[:, None]
     for t in range(1, T + 1):
-        G = grad(spec, X)
+        G = grad(spec, X.T).T  # elementwise, so it keeps X's memory layout
         _record_head(series, t, X, G)
         if taus is not None:
             captured = taus == t
             if captured.any():
-                outputs[captured] = X[captured]
+                outputs[..., captured] = X[..., captured]
         cut = t >= start
         G = G + noise[t - 1] * spec.noise_scale
         if convex:  # y before the quorum keys (see the module docstring)
             y = X - conf.lr.eta(t) * G
-        idx = (_sample_quorums(sched_rng, S, allowed[cut], conf.quorum)
-               if split_idx is None else split_idx)
+        if split_idx is None:
+            idx = _sample_quorums(sched_rng, S, allowed[cut], conf.quorum)
+            np.multiply(idx.transpose(2, 1, 0), S, out=cols)
+            cols += seed_col
 
         if convex:  # average the stepped iterates
-            X = _sequential_mean(y.reshape(S * n, d).take(idx + proc_base, axis=0))
+            X = _sequential_mean(y.reshape(d, -1).take(senders, axis=1)).reshape(d, n, S)
             continue
         # average the gradients, step, then agree
-        g = _sequential_mean(G.reshape(S * n, d).take(idx + proc_base, axis=0))
+        g = _sequential_mean(G.reshape(d, -1).take(senders, axis=1)).reshape(d, n, S)
         y = X - conf.lr.eta(t) * g
         rounds = required_rounds(conf.q_at(t), conf.maa_rule, "cluster")
         if rounds == 0:
@@ -450,7 +481,7 @@ def run_ensemble(topology: sim.Topology, algorithm: SgdConfig,
         np.add(ex_idx.transpose(1, 3, 0, 2)[:, :, None], col_base, out=ex_cols)
         ex_cols = ex_cols.reshape(rounds, -1, SM)
 
-        V = y[:, members].transpose(3, 2, 0, 1).reshape(d, k, SM)  # after mid_extremes (d, 1, SM)
+        V = y[:, members].transpose(0, 2, 3, 1).reshape(d, k, SM)  # after mid_extremes (d, 1, SM)
         for r in range(rounds):
             if k == 2:
                 V = W0[r] * V[:, :1] + W1[r] * V[:, -1:]
@@ -461,8 +492,9 @@ def run_ensemble(topology: sim.Topology, algorithm: SgdConfig,
                 V = batched_approach_extreme(held, V)
         ex_cols = W0 = W1 = None  # kept to the next iteration, +1.4 MB batch-agree peak RSS
         X = np.empty_like(y)
-        X[:, members] = V.reshape(d, -1, S, m).transpose(2, 3, 1, 0)
+        X[:, members] = V.reshape(d, -1, S, m).transpose(0, 3, 1, 2)
         X = clamp(spec, X)
     _record_head(series, T + 1, X, None)
-    return BatchResult(outputs=X if convex else outputs, finals=X, taus=taus,
-                       series=series, warnings=warnings)
+    finals = np.ascontiguousarray(X.T)  # (S, n, d)
+    return BatchResult(outputs=finals if convex else np.ascontiguousarray(outputs.T),
+                       finals=finals, taus=taus, series=series, warnings=warnings)

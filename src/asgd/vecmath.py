@@ -21,7 +21,10 @@ take S sets coordinate-major, (d, k, S), so each step runs over rows of S.
 They scan the same pairs along the point axis and take the first maximum
 by argmax along the pair axis. There _sq adds coordinate rows for d <= 2;
 from d = 3 on it moves the coordinates last and contiguous for the same
-einsum call, since einsum over a leading axis adds in another order.
+einsum call, since einsum over a leading axis adds in another order. The
+batch driver's diameter series, diameter_sq with axis=0, visits the same
+pairs in shift order; a maximum needs no order but for a NaN's sign bit,
+which it takes from the scan.
 
 Ties break to the first maximum in list order. That is what a row-major
 argmax over the full (k, k) distance matrix returns, with the same pair:
@@ -123,9 +126,27 @@ def pair_sq(points: np.ndarray) -> np.ndarray:
     return _scan(points)[2]
 
 
-def diameter_sq(points: np.ndarray) -> np.ndarray:
-    """Largest pairwise squared distance per set; (..., k, d) -> (...)."""
-    return _scan(points)[2].max(axis=-1)
+def diameter_sq(points: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Largest pairwise squared distance per set; (..., k, d) -> (...), or
+    with axis=0 coordinate-major (d, k, ...) -> (...).
+
+    The coordinate-major form takes the scan's pairs in another order,
+    (0, 0) and then each point with the one `shift` places later, so it
+    builds none of the scan's (P, ...) operands. Every distance is +0,
+    positive or NaN, and a NaN wins in any order, so the maximum is the
+    scan's. Only a NaN's sign bit follows the order (numpy's SIMD max
+    returns its own NaN), so the sets whose diameter is NaN take the scan's.
+    """
+    if axis != 0:
+        return _scan(points)[2].max(axis=-1)
+    diam = _sq(points[:, 0], points[:, 0], axis=0)
+    for shift in range(1, points.shape[1]):
+        np.maximum(diam, _sq(points[:, shift:], points[:, :-shift], axis=0).max(axis=0),
+                   out=diam)
+    nan = np.isnan(diam)
+    if nan.any():
+        diam[nan] = diameter_sq(points[..., nan].T)
+    return diam
 
 
 def picks_both(p0: list, p1: list) -> bool:

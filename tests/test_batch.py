@@ -37,19 +37,22 @@ def test_chunked_normal_draws_match_sequential_draws():
     assert chunked.tobytes() == single.tobytes()
 
 
-def test_predraw_noise_is_time_major_numpy_spawn_draws():
+def test_predraw_noise_is_time_major_numpy_spawn_draws(monkeypatch):
     n, d, T = 3, 2, 5
     options = BatchOptions(seeds=4, seed_root=2 ** 32 + 9)
-    noise, taus = batch._predraw_noise(n, d, T, options, want_tau=True)
-    assert noise.shape == (T, 4, n, d) and noise.flags.c_contiguous
-    for s in range(4):
-        children = np.random.SeedSequence([options.seed_root, s]).spawn(n + 2)
-        rngs = [np.random.Generator(np.random.PCG64(c)) for c in children]
-        for p in range(n):
-            assert noise[:, s, p].tobytes() == rngs[2 + p].standard_normal((T, d)).tobytes()
-        assert taus[s] == rngs[1].integers(1, T + 1)
-    again, no_taus = batch._predraw_noise(n, d, T, options, want_tau=False)
-    assert no_taus is None and again.tobytes() == noise.tobytes()
+    for block in (1, 3, 16):  # one seed a block; a full block and a partial one; one block
+        monkeypatch.setattr(batch, "_NOISE_BLOCK", block)
+        noise, taus = batch._predraw_noise(n, d, T, options, want_tau=True)
+        assert noise.shape == (T, d, n, 4) and noise.flags.c_contiguous
+        for s in range(4):
+            children = np.random.SeedSequence([options.seed_root, s]).spawn(n + 2)
+            rngs = [np.random.Generator(np.random.PCG64(c)) for c in children]
+            for p in range(n):
+                want = rngs[2 + p].standard_normal((T, d))
+                assert np.ascontiguousarray(noise[:, :, p, s]).tobytes() == want.tobytes()
+            assert taus[s] == rngs[1].integers(1, T + 1)
+        again, no_taus = batch._predraw_noise(n, d, T, options, want_tau=False)
+        assert no_taus is None and again.tobytes() == noise.tobytes()
 
 
 def _tensor_diameters(X):
@@ -59,6 +62,11 @@ def _tensor_diameters(X):
     return np.einsum("sijd,sijd->sij", diffs, diffs).max(axis=(1, 2))
 
 
+def _coordinate_major(X):
+    """(S, n, d) iterates in the driver's (d, n, S) layout."""
+    return np.ascontiguousarray(X.transpose(2, 1, 0))
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 def test_record_head_diameter_equals_the_tensor_form_bitwise(n, d):
@@ -66,8 +74,31 @@ def test_record_head_diameter_equals_the_tensor_form_bitwise(n, d):
     X = rng.standard_normal((40, n, d)) * np.exp(rng.uniform(-20, 20, (40, 1, 1)))
     X[:3] = X[:3, :1]  # seeds whose processes all agree
     series = batch._series_store(True, 1, 40)
-    batch._record_head(series, 1, X, np.zeros_like(X))
+    batch._record_head(series, 1, _coordinate_major(X), np.zeros((d, n, 40)))
     assert series["diam_sq"][0].tobytes() == _tensor_diameters(X).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_coordinate_major_diameter_equals_the_scan_and_the_tensor_form_bitwise(n, d):
+    rng = np.random.default_rng(100 + 10 * n + d)
+    X = rng.standard_normal((40, n, d)) * np.exp(rng.uniform(-20, 20, (40, 1, 1)))
+    X[:3] = X[:3, :1]  # seeds whose processes all agree
+    X[3, 0, -1] = X[4, -1, 0] = np.nan
+    X[5, 0, 0] = np.inf
+    X[6, 0, -1] = -np.inf
+    X[7, -1, -1] = np.inf  # in a later point: the tensor form's (i, i) is NaN, the scan's inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = vecmath.diameter_sq(_coordinate_major(X), axis=0)
+        scan = vecmath._scan(X)[2].max(axis=-1)
+        tensor = _tensor_diameters(X)
+    assert got.tobytes() == scan.tobytes()
+    assert np.isnan(got[3:7]).all()  # a NaN, or an infinite coordinate in point 0
+    same = np.ones(40, dtype=bool)
+    if n > 1:  # the one case where the two forms differ (vecmath docstring)
+        assert got[7] == np.inf and np.isnan(tensor[7])
+        same[7] = False
+    assert got[same].tobytes() == tensor[same].tobytes()
 
 
 def test_strongly_convex_matches_event_driver_bitwise():
@@ -479,9 +510,98 @@ def test_batch_rejects_large_clusters_for_agreement():
 
 
 # ---------------------------------------------------------------------------
-# The point-major agreement round loop that the coordinate-major one
-# replaced, kept as the reference it must equal bitwise
+# The point-major iteration loop that the coordinate-major one replaced,
+# kept as the reference it must equal bitwise: its noise predraw, series
+# row and quorum mean, both tails, and the agreement round kernels
 # ---------------------------------------------------------------------------
+
+
+def _point_major_predraw_noise(n, dim, iterations, options, want_tau):
+    """Noise (T, S, n, d) and taus (S,) when wanted, drawn one seed at a time."""
+    noise = np.empty((iterations, options.seeds, n, dim))
+    taus = np.empty(options.seeds, dtype=np.int64) if want_tau else None
+    buf = np.empty((n, iterations, dim))
+    outs = list(buf)
+    children = [*range(2, n + 2), 1] if want_tau else range(2, n + 2)
+    streams = sim.seed_streams(options.seed_root, children, range(options.seeds))
+    for s, rngs in enumerate(streams):
+        for rng, out in zip(rngs, outs):
+            rng.standard_normal(out=out)
+        noise[:, s] = buf.transpose(1, 0, 2)
+        if want_tau:
+            taus[s] = rngs[n].integers(1, iterations + 1)
+    return noise, taus
+
+
+def _point_major_record_head(series, t, X, g):
+    """The series row of (S, n, d) iterates X and gradients g."""
+    if not series:
+        return
+    series["diam_sq"][t - 1] = vecmath.diameter_sq(X)
+    if t <= series["grad_norm_sq"].shape[0]:
+        series["grad_norm_sq"][t - 1] = np.einsum("spd,spd->sp", g, g).mean(axis=1)
+
+
+def _point_major_quorum_mean(values, idx):
+    """Mean of each (seed, process)'s quorum rows of (S, n, d) values, gathered
+    (S, n, N, d) and summed left to right over the N senders."""
+    S, n, d = values.shape
+    gathered = values.reshape(S * n, d).take(idx + (np.arange(S) * n)[:, None, None], axis=0)
+    total = gathered[..., 0, :].copy()
+    for j in range(1, gathered.shape[-2]):
+        total += gathered[..., j, :]
+    return total / gathered.shape[-2]
+
+
+# one NaN and one infinite noise coordinate: (iteration index, seed, process, coordinate)
+_POISON = (((1, 3, 0, -1), np.nan), ((2, 5, 1, 0), np.inf))
+
+
+def _point_major_noise(n, dim, iterations, options, want_tau, poison):
+    noise, taus = _point_major_predraw_noise(n, dim, iterations, options, want_tau)
+    for (t, s, p, c), value in _POISON if poison else ():
+        noise[t, s, p, c] = value
+    return noise, taus
+
+
+def _poison_noise(monkeypatch):
+    """Put _POISON into run_ensemble's (T, d, n, S) noise."""
+    predraw = batch._predraw_noise
+
+    def poisoned(*args, **kwargs):
+        noise, taus = predraw(*args, **kwargs)
+        for (t, s, p, c), value in _POISON:
+            noise[t, c, p, s] = value
+        return noise, taus
+
+    monkeypatch.setattr(batch, "_predraw_noise", poisoned)
+
+
+def _point_major_convex(topology, conf, spec, options, partition=None, poison=False):
+    """run_ensemble's strongly convex variant on (S, n, d) iterates;
+    (outputs, finals, series)."""
+    sched_rng = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence([options.seed_root, batch.BATCH_SCHEDULE_TAG])))
+    S, n, d, T = options.seeds, topology.n, spec.dim, conf.iterations
+    start, proc_side = batch._partition(topology, partition, T)
+    split_idx = None
+    if options.quorum_policy == "split":
+        split_idx = batch._split_quorums(n, conf.quorum, proc_side)
+    allowed = batch._side_masks(proc_side)
+    noise, _ = _point_major_noise(n, d, T, options, False, poison)
+    X = np.broadcast_to(np.asarray(conf.x1, dtype=np.float64), (S, n, d)).copy()
+    series = batch._series_store(options.record_series, T, S)
+    for t in range(1, T + 1):
+        G = grad(spec, X)
+        _point_major_record_head(series, t, X, G)
+        cut = t >= start
+        G = G + noise[t - 1] * spec.noise_scale
+        y = X - conf.lr.eta(t) * G
+        idx = (batch._sample_quorums(sched_rng, S, allowed[cut], conf.quorum)
+               if split_idx is None else split_idx)
+        X = _point_major_quorum_mean(y, idx)
+    _point_major_record_head(series, T + 1, X, None)
+    return X, X, series
 
 
 def _point_major_mid_extremes(points):
@@ -501,7 +621,7 @@ def _point_major_approach_extreme(points, anchors):
     return (anchors + points.reshape(-1, d).take(far, axis=0)) / 2.0
 
 
-def _point_major_non_convex(topology, conf, spec, options, partition=None):
+def _point_major_non_convex(topology, conf, spec, options, partition=None, poison=False):
     """run_ensemble's non-convex variant, with a drawn tau, holding the rounds
     as (S, m, k, d) values and (S * m, P, d) held sets; (outputs, finals, series)."""
     sched_rng = np.random.Generator(np.random.PCG64(
@@ -513,22 +633,21 @@ def _point_major_non_convex(topology, conf, spec, options, partition=None):
     allowed = batch._side_masks(proc_side)
     allowed_c = batch._side_masks(proc_side[members[:, 0]])
     sm_rounds = required_rounds(STAGE_TARGET[conf.maa_rule], conf.maa_rule, "shared")
-    noise, taus = batch._predraw_noise(n, d, T, options, want_tau=True)
+    noise, taus = _point_major_noise(n, d, T, options, True, poison)
     X = np.broadcast_to(np.asarray(conf.x1, dtype=np.float64), (S, n, d)).copy()
     series = batch._series_store(options.record_series, T, S)
-    proc_base = (np.arange(S) * n)[:, None, None]
     outputs = np.empty_like(X)
     seed_base = (np.arange(S) * m)[None, :, None, None]
     for t in range(1, T + 1):
         G = grad(spec, X)
-        batch._record_head(series, t, X, G)
+        _point_major_record_head(series, t, X, G)
         captured = taus == t
         if captured.any():
             outputs[captured] = X[captured]
         cut = t >= start
         G = G + noise[t - 1] * spec.noise_scale
         idx = batch._sample_quorums(sched_rng, S, allowed[cut], conf.quorum)
-        g = batch._sequential_mean(G.reshape(S * n, d).take(idx + proc_base, axis=0))
+        g = _point_major_quorum_mean(G, idx)
         y = X - conf.lr.eta(t) * g
         rounds = required_rounds(conf.q_at(t), conf.maa_rule, "cluster")
         if rounds == 0:
@@ -552,8 +671,43 @@ def _point_major_non_convex(topology, conf, spec, options, partition=None):
         X = np.empty_like(y)
         X[:, members] = V
         X = clamp(spec, X)
-    batch._record_head(series, T + 1, X, None)
+    _point_major_record_head(series, T + 1, X, None)
     return outputs, X, series
+
+
+def _assert_equal_runs(got, want):
+    assert got.outputs.tobytes() == want[0].tobytes()
+    assert got.finals.tobytes() == want[1].tobytes()
+    assert got.series.keys() == want[2].keys()
+    for key, values in want[2].items():
+        assert got.series[key].tobytes() == values.tobytes(), key
+
+
+_SINGLES8 = sim.Topology(n=8, clusters=tuple((i,) for i in range(8)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("policy", ["random", "split"])
+@pytest.mark.parametrize("partition", [
+    None,
+    sim.PartitionSpec(side_a=(0, 1, 2, 3), side_b=(4, 5, 6, 7), from_event=3),
+], ids=["whole", "partitioned"])
+def test_coordinate_major_loop_equals_the_point_major_convex_loop_bitwise(
+        partition, policy, d, monkeypatch):
+    spec = OracleSpec(kind="quadratic", dim=d, sigma=0.7, mu=1.0 if d == 1 else 0.5,
+                      lipschitz=1.0 if d == 1 else 4.0, x_star=(0.5,) * d)
+    conf = SgdConfig(variant=Variant.STRONGLY_CONVEX, iterations=6, quorum=4,
+                     x1=(0.3,) * d, lr=LrSchedule(kind="constant", value=0.1),
+                     lr_check="warn")
+    options = BatchOptions(seeds=12, seed_root=70 + d, quorum_policy=policy)
+    _poison_noise(monkeypatch)
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = _point_major_convex(_SINGLES8, conf, spec, options, partition, poison=True)
+        got = batch.run_ensemble(_SINGLES8, conf, spec, options, partition)
+    _assert_equal_runs(got, want)
+    assert got.outputs.flags.c_contiguous and got.outputs.shape == (12, 8, d)
+    assert np.isnan(got.finals[3]).any() and np.isfinite(got.finals[0]).all()
+    assert not np.isfinite(got.series["diam_sq"][-1, 5])
 
 
 _PAIRS3 = sim.Topology(n=6, clusters=((0, 1), (2, 3), (4, 5)))
@@ -575,15 +729,7 @@ def test_coordinate_major_rounds_equal_the_point_major_loop_bitwise(
                      maa_rule=rule, cluster_quorum=1 if partition else None,
                      lr_check="warn")
     options = BatchOptions(seeds=12, seed_root=50 + d)
-    predraw = batch._predraw_noise
-
-    def poisoned(*args, **kwargs):  # one NaN and one infinite coordinate
-        noise, taus = predraw(*args, **kwargs)
-        noise[1, 3, 0, -1] = np.nan
-        noise[2, 5, 1, 0] = np.inf
-        return noise, taus
-
-    monkeypatch.setattr(batch, "_predraw_noise", poisoned)
+    _poison_noise(monkeypatch)
     ties = []
     kernel = batch.batched_mid_extremes
 
@@ -593,13 +739,47 @@ def test_coordinate_major_rounds_equal_the_point_major_loop_bitwise(
 
     monkeypatch.setattr(batch, "batched_mid_extremes", spied)
     with np.errstate(invalid="ignore", over="ignore"):
-        want = _point_major_non_convex(topology, conf, spec, options, partition)
+        want = _point_major_non_convex(topology, conf, spec, options, partition, poison=True)
         got = batch.run_ensemble(topology, conf, spec, options, partition)
-    assert got.outputs.tobytes() == want[0].tobytes()
-    assert got.finals.tobytes() == want[1].tobytes()
-    assert got.series.keys() == want[2].keys()
-    for key, values in want[2].items():
-        assert got.series[key].tobytes() == values.tobytes(), key
+    _assert_equal_runs(got, want)
     assert np.isnan(got.finals[3]).any() and not np.isnan(got.finals[0]).any()
     if rule is AggregationRule.MID_EXTREMES and topology is _PAIRS3:
         assert any(ties)
+
+
+def test_exchange_holds_each_partners_members_together(monkeypatch):
+    # Two clusters of two start at x1 = 0, where the double well's gradient
+    # is 0, and the noise steps the four processes to P0..P3 below. With
+    # identity stage maps the exchange round holds the four values. Its pairs
+    # (P0, P1) and (P0, P2) tie at squared distance 25, ahead of (P1, P2) at
+    # 20, and their midpoints differ, so the first maximum of the pair list
+    # decides: partner-major (P0, P1, P2, P3) lists (P0, P1) first, where a
+    # member-major set (P0, P2, P1, P3) would list (P0, P2).
+    points = np.array([[0.0, 0.0], [3.0, 4.0], [5.0, 0.0], [3.0, 1.0]])
+    spec = OracleSpec(kind="double_well", dim=2, sigma=float(np.sqrt(2.0)), radius=10.0)
+    assert spec.noise_scale == 1.0
+    conf = SgdConfig(variant=Variant.NON_CONVEX, iterations=1, quorum=1, x1=(0.0, 0.0),
+                     lr=LrSchedule(kind="constant", value=0.25), agreement_q=0.5,
+                     maa_rule=AggregationRule.MID_EXTREMES, lr_check="warn")
+    predraw = batch._predraw_noise
+
+    def steps_to_points(*args, **kwargs):
+        noise, taus = predraw(*args, **kwargs)
+        noise[0] = (-4.0 * points).T[..., None]  # y = x1 - 0.25 * noise
+        return noise, taus
+
+    def identity(rng, seeds, clusters, rounds_outer, rounds_sm):
+        maps = np.zeros((rounds_outer, seeds, clusters, 2))
+        maps[..., 0] = 1.0  # each member keeps its own value
+        return maps
+
+    monkeypatch.setattr(batch, "_predraw_noise", steps_to_points)
+    monkeypatch.setattr(batch, "_compose_sm_maps", identity)
+    held = []
+    kernel = batch.batched_mid_extremes
+    monkeypatch.setattr(batch, "batched_mid_extremes",
+                        lambda sets: held.append(sets.copy()) or kernel(sets))
+    result = batch.run_ensemble(sim.Topology(4, ((0, 1), (2, 3))), conf, spec,
+                                BatchOptions(seeds=3, seed_root=8))
+    assert held[0][:, :, 0].T.tolist() == points.tolist()  # one round's set, cluster 0
+    assert result.finals.tolist() == [[[1.5, 2.0]] * 4] * 3
