@@ -61,7 +61,8 @@ array, as the point-major loop did, so the row keeps its bits.
 The agreement rounds of one iteration run coordinate-major too: V is held as
 (dim, members, seeds * clusters), one column per (seed, cluster), from the
 first round to the last, so each ufunc of a round runs over rows of seeds *
-clusters. A stage map is a pair of (members, seeds * clusters) weight rows
+clusters. An iteration's stage maps are (rounds, 2, seeds, clusters), so a
+round's map is a pair of (members, seeds * clusters) weight rows by reshape,
 broadcast over the coordinates; a round's exchange is one np.take of V's
 columns into the held sets (dim, partners * members, seeds * clusters),
 partner-major; the result goes back to process order once per iteration.
@@ -81,8 +82,8 @@ comparison pass per key; a longer row sorts its values (not indices) for
 the cut. The marks are the same: a NaN key is below none and has none
 below it, and a row with fewer than `count` keys that are not NaN is
 marked whole. A tie at the cut marks more than `count` keys in some row;
-only then does the call fall back to the argsort expression, whose order
-among equal keys is numpy's and need not be stable. A process quorum's
+only then does the call fall back to a stable argsort, so a tie goes to
+the lowest sender on every machine. A process quorum's
 values are gathered sender-major by one np.take of columns of a (dim,
 processes * seeds) view, into (dim, N, processes * seeds), so the mean
 adds whole rows, sender by sender.
@@ -217,13 +218,15 @@ def _count_marks(keys: np.ndarray, count: int) -> np.ndarray:
 
 
 def _lowest(keys: np.ndarray, count: int) -> np.ndarray:
-    """Ascending positions of the `count` lowest keys of each last-axis row:
-    np.sort(np.argsort(keys, axis=-1)[..., :count], axis=-1), bitwise.
+    """Ascending positions of the `count` lowest keys of each last-axis row,
+    bitwise np.sort(np.argsort(keys, axis=-1, kind="stable")[..., :count], -1).
 
     Every row has at least `count` keys not above its count-th lowest (a NaN
     cut marks the whole row), so exactly rows * count marked keys means
     exactly `count` in every row, and then they are the argsort's first
-    `count` whatever its order among them.
+    `count` whatever its order among them. Otherwise (a tie at the cut) the
+    call runs that stable argsort: the default one's order among equal keys
+    depends on the sort numpy dispatches for the CPU.
     """
     units = keys.shape[-1]
     rows = keys.size // units
@@ -235,7 +238,7 @@ def _lowest(keys: np.ndarray, count: int) -> np.ndarray:
         np.logical_not(marked, out=marked)
     pos = np.flatnonzero(marked)
     if pos.size != rows * count:  # a tie at the cut
-        return np.sort(np.argsort(keys, axis=-1)[..., :count], axis=-1)
+        return np.sort(np.argsort(keys, axis=-1, kind="stable")[..., :count], axis=-1)
     pos = pos.reshape(rows, count) - np.arange(0, rows * units, units)[:, None]
     return pos.reshape(keys.shape[:-1] + (count,))
 
@@ -281,9 +284,9 @@ def _sequential_mean(gathered: np.ndarray) -> np.ndarray:
 
 def _compose_sm_maps(rng: np.random.Generator, seeds: int, clusters: int,
                      rounds_outer: int, rounds_sm: int) -> np.ndarray:
-    """(rounds_outer, seeds, clusters, 2) composed shared-memory stages.
+    """(rounds_outer, 2, seeds, clusters) composed shared-memory stages.
 
-    Entry [..., i] is member i's weight on member 0's entering value; its
+    Entry [:, i] is member i's weight on member 0's entering value; its
     weight on member 1 is one minus that. A stage picks one of three
     outcomes: 0, both members collected both cells and take the average;
     1 or 2, member 0 or member 1 collected only its own cell and keeps its
@@ -305,8 +308,8 @@ _EXACT_STAGES = 53
 
 
 def _compose_picks(picks: np.ndarray) -> np.ndarray:
-    """(...) + (2,) weight pairs of stage-first picks (stages, ...), bitwise
-    those of _compose_stage_loop.
+    """Weight pairs of stage-first picks (stages, rows, ...), bitwise those
+    of _compose_stage_loop, with the pair axis after the rows: (rows, 2, ...).
 
     With z stages before the first pick 0, picks 1 and 2 each halve the
     interval [w1, w0] = [0, 1] from below or from above, so w1 is
@@ -334,13 +337,12 @@ def _compose_picks(picks: np.ndarray) -> np.ndarray:
         return _compose_stage_loop(picks)
     averaged = z < exact  # some stage picked 0; else z == stages
     up = -1 - z  # both weights end at lo + 2^up
-    maps = np.empty(shape + (2,))
-    np.ldexp(1.0, up + ~averaged, out=maps[..., 0])  # else w0 = lo + 2^-z
-    np.ldexp(1.0, up, out=maps[..., 1])
-    maps[..., 1] *= averaged  # else w1 = lo
+    maps = np.empty(shape[:1] + (2,) + shape[1:])
+    np.ldexp(1.0, up + ~averaged, out=maps[:, 0])  # else w0 = lo + 2^-z
+    np.ldexp(1.0, up, out=maps[:, 1])
+    maps[:, 1] *= averaged  # else w1 = lo
     low *= 2.0 ** -exact
-    maps[..., 0] += low
-    maps[..., 1] += low
+    maps += low[:, None]
     return maps
 
 
@@ -353,7 +355,7 @@ def _compose_stage_loop(picks: np.ndarray) -> np.ndarray:
         avg = (w0 + w1) * 0.5
         w0 = np.where(pick == 1, w0, avg)
         w1 = np.where(pick == 2, w1, avg)
-    return np.stack([w0, w1], axis=-1)
+    return np.stack([w0, w1], axis=1)
 
 
 def _series_store(record: bool, iterations: int, seeds: int):
@@ -470,9 +472,7 @@ def run_ensemble(topology: sim.Topology, algorithm: SgdConfig,
             continue
         if k == 2:
             # each member's weights on member 0's and member 1's value, (k, SM) a round
-            W0 = _compose_sm_maps(sched_rng, S, m, rounds, sm_rounds).transpose(0, 3, 1, 2)
-            # contiguous rows: strided ones made the stage map three times slower
-            W0 = np.ascontiguousarray(W0).reshape(rounds, k, SM)
+            W0 = _compose_sm_maps(sched_rng, S, m, rounds, sm_rounds).reshape(rounds, k, SM)
             W1 = 1.0 - W0
         ex_idx = _lowest(_quorum_keys(sched_rng, (S, rounds), allowed_c[cut]),
                         quorum_clusters)

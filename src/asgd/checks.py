@@ -53,10 +53,6 @@ def _span(points) -> float:
     return math.sqrt(vecmath.diameter_sq(vecmath.as_point_set(points)))
 
 
-def _outputs(trace: sim.RunTrace) -> np.ndarray:
-    return np.stack([trace.outputs[p] for p in sorted(trace.outputs)])
-
-
 def _stage_worst_ratio(rule, trials, seed):
     """One-stage contraction: a stage takes the written round values P; every
     participant collects a view that always contains the round's
@@ -131,7 +127,7 @@ def shared_level_contraction(quick: bool = False) -> Check:
                     worst_sm = max(worst_sm, rep.worst_ratio)
             span_in = _span(inputs)
             if span_in > 0:
-                worst_end = max(worst_end, _span(_outputs(trace)) / span_in)
+                worst_end = max(worst_end, _span(trace.outputs_array()) / span_in)
         bound = float(SHARED_FACTOR[rule])
         ok &= (worst_sm <= bound + 1e-9 and expanded == 0
                and worst_end <= 1.0 / 6.0 + 1e-9)
@@ -169,7 +165,7 @@ def cluster_round_contraction(quick: bool = False) -> Check:
         expanded += rep.expanded_zero_rounds
         if rep.worst_ratio is not None:
             worst[rule] = max(worst[rule], rep.worst_ratio)
-        end_to_end_bad += _span(_outputs(trace)) > conf.q * _span(conf.inputs) + 1e-12
+        end_to_end_bad += _span(trace.outputs_array()) > conf.q * _span(conf.inputs) + 1e-12
 
     for rule, q, runs in sweep:
         for m in (3, 5, 7):

@@ -194,10 +194,7 @@ class EventEnsemble:
         """(S, n, d) outputs; only meaningful when every run completed."""
         if not self.ok:
             raise RuntimeError("ensemble had liveness violations; stats withheld")
-        rows = []
-        for t in self.traces:
-            rows.append(np.stack([t.outputs[p] for p in sorted(t.outputs)]))
-        return np.stack(rows)
+        return np.stack([t.outputs_array() for t in self.traces])
 
 
 def run_event_ensemble(topology, fault_plan, schedule, algorithm, oracle_spec,

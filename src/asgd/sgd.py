@@ -115,9 +115,10 @@ def validate_config(config, topology: sim.Topology, fault_plan: sim.FaultPlan,
     never be satisfied once the crashes land. Learning-rate bounds are hard
     under lr_check="strict" and warnings under "warn".
     """
-    warnings = fault_plan.validate_against(topology)
-    if isinstance(config, maa.MaaOnlyConfig):
-        _check_crash_iterations(fault_plan, 1)
+    maa_only = isinstance(config, maa.MaaOnlyConfig)
+    # an agreement program marks iteration 1 only; sgd marks T + 1 before its output
+    warnings = fault_plan.validate_against(topology, 1 if maa_only else config.iterations + 1)
+    if maa_only:
         if len(config.inputs[0]) != oracle_spec.dim:  # the statistics read oracle.dim
             raise ConfigError("algorithm.inputs", f"dimension {len(config.inputs[0])} "
                               f"!= oracle dimension {oracle_spec.dim}")
@@ -125,9 +126,6 @@ def validate_config(config, topology: sim.Topology, fault_plan: sim.FaultPlan,
             raise ConfigError("algorithm.inputs",
                               f"{len(config.inputs)} rows for {topology.n} processes")
         return warnings + _cluster_quorum_warnings(config.cluster_quorum, topology)
-    if not isinstance(config, SgdConfig):
-        raise ConfigError("algorithm", f"unknown config type {type(config).__name__}")
-    _check_crash_iterations(fault_plan, config.iterations + 1)
 
     f = len(fault_plan.crashes)
     if config.quorum > topology.n - f:
@@ -170,15 +168,6 @@ def validate_config(config, topology: sim.Topology, fault_plan: sim.FaultPlan,
                 f"iterations: T = {config.iterations} below the theory premise "
                 f"16 L^2 N = {needed:.6g}; rate guarantees may not bind yet")
     return warnings
-
-
-def _check_crash_iterations(fault_plan: sim.FaultPlan, last: int) -> None:
-    """A crash at an iteration its process never marks would never fire;
-    `last` is the program's last mark (its output follows it)."""
-    for i, crash in enumerate(fault_plan.crashes):
-        if crash.at_iteration is not None and not 1 <= crash.at_iteration <= last:
-            raise ConfigError(f"faults.crashes[{i}].at_iteration",
-                              f"must be in [1, {last}], got {crash.at_iteration}")
 
 
 def _cluster_quorum_warnings(cluster_quorum: int | None, topology: sim.Topology) -> list[str]:

@@ -175,8 +175,9 @@ class FaultPlan:
     crashes: tuple[CrashSpec, ...] = ()
     partition: PartitionSpec | None = None
 
-    def validate_against(self, topology: Topology) -> list[str]:
-        """Hard errors raise ConfigError; returns a list of progress warnings."""
+    def validate_against(self, topology: Topology, last_mark: int) -> list[str]:
+        """Hard errors raise ConfigError, among them a crash at an iteration
+        after `last_mark`, the program's last; returns progress warnings."""
         warnings = []
         crashed_pids = set()
         for i, c in enumerate(self.crashes):
@@ -185,6 +186,9 @@ class FaultPlan:
             if not 0 <= c.pid < topology.n:
                 raise ConfigError(f"faults.crashes[{i}].pid",
                                   f"must be in [0, {topology.n - 1}], got {c.pid}")
+            if c.at_iteration is not None and not 1 <= c.at_iteration <= last_mark:
+                raise ConfigError(f"faults.crashes[{i}].at_iteration",
+                                  f"must be in [1, {last_mark}], got {c.at_iteration}")
             crashed_pids.add(c.pid)
         if self.partition is not None:
             a, b = set(self.partition.side_a), set(self.partition.side_b)
@@ -667,6 +671,10 @@ class RunTrace:
     counters: dict[str, int]
     liveness: dict
     tau: int | None = None
+
+    def outputs_array(self) -> np.ndarray:
+        """The outputs stacked in pid order, (processes that output, d)."""
+        return np.stack([self.outputs[p] for p in sorted(self.outputs)])
 
     def to_jsonl(self) -> str:
         """Line-delimited export; deterministic bytes for a deterministic run.

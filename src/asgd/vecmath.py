@@ -78,11 +78,9 @@ def as_point_set(points) -> np.ndarray:
     """Coerce a sequence of vectors into a (count, dim) float64 array, whose
     row order breaks ties.
 
-    Raises ValueError on an empty set or on mixed dimensions.
+    Raises ValueError on an empty set, a single vector or mixed dimensions.
     """
     arr = np.asarray(points, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise ValueError(f"expected a nonempty (count, dim) point set, got shape {arr.shape}")
     return arr

@@ -189,7 +189,7 @@ def test_sample_quorums_include_self_and_respect_mask():
 
 def _argsort_lowest(keys, count):
     """The index-sort expression _lowest stands in for."""
-    return np.sort(np.argsort(keys, axis=-1)[..., :count], axis=-1)
+    return np.sort(np.argsort(keys, axis=-1, kind="stable")[..., :count], axis=-1)
 
 
 def _count_argsorts(monkeypatch):
@@ -331,7 +331,7 @@ def test_cut_masks_that_are_never_used_do_not_raise():
 def test_sm_maps_are_convex_and_exact():
     rng = np.random.default_rng(11)
     maps = _compose_sm_maps(rng, 20, 3, 4, 14)
-    assert maps.shape == (4, 20, 3, 2)
+    assert maps.shape == (4, 2, 20, 3)
     assert ((maps >= 0) & (maps <= 1)).all()  # weights (w, 1 - w): convex
     scaled = maps * 2.0 ** 14  # dyadic with at most one halving per stage
     assert np.array_equal(scaled, np.round(scaled))
@@ -354,7 +354,7 @@ def test_sm_weight_pairs_match_composed_matrices(rounds_sm):
     shape = (30, 3, 7, rounds_sm)
     maps = _compose_sm_maps(np.random.default_rng(rounds_sm), *shape)
     ref = _reference_sm_maps(np.random.default_rng(rounds_sm), *shape)
-    ref = ref.transpose(2, 0, 1, 3, 4)  # exchange round first, like the maps
+    ref = ref.transpose(2, 3, 0, 1, 4)  # exchange round, then member, like the maps
     assert maps.tobytes() == np.ascontiguousarray(ref[..., 0]).tobytes()
     assert (1.0 - maps).tobytes() == np.ascontiguousarray(ref[..., 1]).tobytes()
 
@@ -654,7 +654,8 @@ def _point_major_non_convex(topology, conf, spec, options, partition=None, poiso
             X = clamp(spec, y)
             continue
         if k == 2:
-            on0 = _compose_sm_maps(sched_rng, S, m, rounds, sm_rounds)[..., None]
+            on0 = _compose_sm_maps(sched_rng, S, m, rounds, sm_rounds).transpose(0, 2, 3, 1)
+            on0 = on0[..., None]
             on1 = 1.0 - on0
         ex_idx = _lowest(batch._quorum_keys(sched_rng, (S, rounds), allowed_c[cut]),
                          quorum_clusters)
@@ -769,8 +770,8 @@ def test_exchange_holds_each_partners_members_together(monkeypatch):
         return noise, taus
 
     def identity(rng, seeds, clusters, rounds_outer, rounds_sm):
-        maps = np.zeros((rounds_outer, seeds, clusters, 2))
-        maps[..., 0] = 1.0  # each member keeps its own value
+        maps = np.zeros((rounds_outer, 2, seeds, clusters))
+        maps[:, 0] = 1.0  # each member keeps its own value
         return maps
 
     monkeypatch.setattr(batch, "_predraw_noise", steps_to_points)

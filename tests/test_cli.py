@@ -129,6 +129,14 @@ CONFIG_ERRORS = [
      "algorithm.agreement_q: must be finite"),
     ("sc_quadratic_event", [(("oracle", "mu"), 5)],
      "oracle.mu: need 0 < mu <= lipschitz, got mu=5.0 lipschitz=4.0"),
+    ("sc_quadratic_event", [(("oracle", "dim"), 0)], "oracle.dim: must be >= 1, got 0"),
+    ("sc_quadratic_event", [(("oracle", "sigma"), -1)], "oracle.sigma: must be >= 0, got -1.0"),
+    ("sc_quadratic_event", [(("oracle", "mu"), _DELETE)],
+     "oracle: quadratic kind requires mu and lipschitz"),
+    ("sc_quadratic_event", [(("oracle", "x_star"), [0.0])],
+     "oracle.x_star: dimension mismatch"),
+    ("nc_doublewell_batch", [(("oracle", "radius"), 0)],
+     "oracle.radius: double_well kind requires radius > 0"),
     # algorithm, kind "sgd"
     ("sc_quadratic_event", [(("algorithm", "kind"), _DELETE)],
      "algorithm.kind: missing field"),
@@ -176,6 +184,8 @@ CONFIG_ERRORS = [
      "algorithm.lr.bogus: unknown field"),
     ("sc_quadratic_event", [(("algorithm", "lr"), {"kind": "constant"})],
      "algorithm.lr.value: must be positive, got 0.0"),
+    ("sc_quadratic_event", [(("algorithm", "lr", "gamma"), -1)],
+     "algorithm.lr.gamma: must be nonnegative, got -1.0"),
     ("nc_doublewell_batch", [(("algorithm", "lr"), {"kind": "constant", "value": 8})],
      "algorithm.agreement_q: 'quarter_lr' gives q_1 = eta_1 / 4 = 2, above 1"),
     # algorithm, kind "maa_only"
@@ -242,16 +252,27 @@ CONFIG_ERRORS = [
     ("sc_quadratic_event", [(("faults",), {"partition": {"side_a": [0, 2],
                                                          "side_b": [1, 3]}})],
      "faults.partition: cluster (0, 1) straddles the partition"),
+    ("sc_quadratic_event", [(("faults",), {"partition": {"side_a": [0, 1], "side_b": [2]}})],
+     "faults.partition: sides must partition the processes"),
+    # the crash list is checked, pid and iteration, before the partition
+    ("sc_quadratic_event", [(("faults",), {"crashes": [{"pid": 3, "at_iteration": 0}],
+                                           "partition": {"side_a": [0, 1], "side_b": [2]}})],
+     "faults.crashes[0].at_iteration: must be in [1, 33], got 0",
+     "first broken rule: crash iteration and partition"),
     # schedule and run
     ("sc_quadratic_event", [(("schedule",), {"max_delay": "x"})],
      "schedule.max_delay: unexpected type str"),
     ("sc_quadratic_event", [(("schedule",), {"bogus": 1})], "schedule.bogus: unknown field"),
+    ("sc_quadratic_event", [(("schedule",), {"event_budget": 0})],
+     "schedule.event_budget: must be >= 1"),
     ("sc_quadratic_event", [(("schedule",), {"max_delay": 0})],
      "schedule.max_delay: must be >= 1"),
     ("sc_quadratic_event", [(("schedule",), {"max_delay": 2 ** 63})],
      "schedule.max_delay: must be < 2^63, the bound of the int64 delay draw"),
     ("sc_quadratic_event", [(("run", "driver"), "x")], "run.driver: unknown driver 'x'"),
     ("sc_quadratic_event", [(("run", "seeds"), 0)], "run.seeds: must be >= 1"),
+    ("sc_quadratic_event", [(("run", "seeds"), 2 ** 31 - 7)],
+     "run.seeds: exceeds the reserved stream tag"),
     ("sc_quadratic_event", [(("run", "seeds"), "x")], "run.seeds: unexpected type str"),
     ("sc_quadratic_event", [(("run", "seeds"), True)], "run.seeds: unexpected type bool"),
     ("sc_quadratic_event", [(("run", "seed_root"), -1)], "run.seed_root: must be >= 0"),
@@ -358,6 +379,22 @@ def test_seeds_flag_rejects_a_run_section_that_is_not_an_object(tmp_path, capsys
 def test_set_rejects_a_key_path_through_a_value_that_is_not_an_object(edits, flags, line,
                                                                       tmp_path, capsys):
     scenario = _edited_scenario("sc_quadratic_event", edits, tmp_path / "scenario.json")
+    assert _run(["run", scenario, "--out", tmp_path / "out", *flags]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("raw,flags,line", [
+    (None, ["--set", "run.seeds"], "--set: expected key=value, got 'run.seeds'"),
+    (None, ["--set", "=2"], "--set: empty key in '=2'"),
+    ([1, 2], [], "scenario: top level must be an object"),
+], ids=["set without =", "set with an empty key", "top level a list"])
+def test_run_rejects_a_malformed_override_or_scenario(raw, flags, line, tmp_path, capsys):
+    scenario = tmp_path / "scenario.json"
+    if raw is None:
+        _edited_scenario("sc_quadratic_event", [], scenario)
+    else:
+        scenario.write_text(json.dumps(raw))
     assert _run(["run", scenario, "--out", tmp_path / "out", *flags]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {line}"]
     assert not (tmp_path / "out").exists()

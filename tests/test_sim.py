@@ -8,7 +8,7 @@ import random
 import subprocess
 import sys
 import textwrap
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -104,9 +104,9 @@ def test_partition_must_follow_cluster_boundaries():
     topo = one_cluster(2)
     plan = sim.FaultPlan(partition=sim.PartitionSpec(side_a=(0,), side_b=(1,)))
     with pytest.raises(sim.ConfigError):
-        plan.validate_against(topo)
+        plan.validate_against(topo, 1)
     plan2 = sim.FaultPlan(partition=sim.PartitionSpec(side_a=(0,), side_b=(1,)))
-    assert plan2.validate_against(singletons(2)) == []
+    assert plan2.validate_against(singletons(2), 1) == []
 
 
 def test_config_digest_writes_every_field():
@@ -138,7 +138,7 @@ def test_fault_plan_warns_when_crashes_take_cluster_majority():
         sim.CrashSpec(pid=0, after_events=1),
         sim.CrashSpec(pid=1, after_events=1),
     ))
-    warnings = plan.validate_against(topo)
+    warnings = plan.validate_against(topo, 1)
     assert len(warnings) == 1 and "majority" in warnings[0]
 
 
@@ -607,6 +607,54 @@ def test_asynchrony_coverage_with_small_quorum():
     assert sim.audit(trace, ["asynchrony_coverage"])["asynchrony_coverage"]["ok"]
 
 
+@pytest.fixture(scope="module")
+def audited_runs():
+    """A maa-only shared run, which writes and reads registers, and an sgd
+    run whose processes reach different iterations."""
+    sgd_conf = SgdConfig(variant=Variant.STRONGLY_CONVEX, iterations=6, quorum=1,
+                         x1=(1.0, 1.0), lr=LrSchedule(kind="constant", value=0.1))
+    return {
+        "registers": sim.run(one_cluster(3), NO_FAULTS, FAST,
+                             shared_agreement([0.0, 0.5, 1.0]), QUAD2, 13),
+        "sgd": sim.run(one_cluster(2), NO_FAULTS, FAST, sgd_conf, QUAD2, [77, 3]),
+    }
+
+
+def _repeat_a_write(events):
+    i = next(i for i, rec in enumerate(events) if rec["k"] == "write")
+    rec = events[i]
+    key = (tuple(rec["instance"]), rec["round"], rec["p"])
+    return events[:i + 1] + events[i:], f"double write at {key}"
+
+
+def _misread_a_digest(events):
+    i = next(i for i, rec in enumerate(events)
+             if rec["k"] == "read" and rec["observed"] is not None)
+    rec = events[i]
+    other = next(w["h"] for w in events if w["k"] == "write" and w["h"] != rec["observed"])
+    key = (tuple(rec["instance"]), rec["round"], rec["owner"])
+    return (events[:i] + [dict(rec, observed=other)] + events[i + 1:],
+            f"read at {key} observed {other}, last write {rec['observed']}")
+
+
+def _every_iteration_one(events):
+    return ([dict(rec, iteration=1) if rec["k"] == "iter" else rec for rec in events],
+            "no two processes were ever at different iterations")
+
+
+@pytest.mark.parametrize("run, name, doctor", [
+    ("registers", "register_semantics", _repeat_a_write),
+    ("registers", "register_semantics", _misread_a_digest),
+    ("sgd", "asynchrony_coverage", _every_iteration_one),
+])
+def test_audits_fail_on_doctored_traces(audited_runs, run, name, doctor):
+    trace = audited_runs[run]
+    assert sim.audit(trace, [name])[name]["ok"]
+    events, fault = doctor(list(trace.events))
+    report = sim.audit(replace(trace, events=events), [name])[name]
+    assert report == {"ok": False, "detail": fault}
+
+
 def test_trace_jsonl_shape():
     topo = one_cluster(2)
     conf = shared_agreement([0.0, 1.0])
@@ -921,7 +969,7 @@ def test_the_kernel_runs_any_config_without_the_algorithm_modules():
     # a config defined outside the package, and loads neither sgd nor maa
     code = textwrap.dedent("""
         import sys
-        from dataclasses import dataclass
+        from dataclasses import dataclass, replace
 
         import numpy as np
 

@@ -187,8 +187,9 @@ def test_approach_extreme_dimension_mismatch():
 def test_empty_set_rejected():
     with pytest.raises(ValueError):
         diameter_sq(np.zeros((0, 3)))
-    with pytest.raises(ValueError):
-        as_point_set(np.zeros((0, 3)))
+    for points in (np.zeros((0, 3)), [1.0, 2.0]):  # a single vector is not a set
+        with pytest.raises(ValueError):
+            as_point_set(points)
 
 
 def test_pair_list_is_row_major_after_the_zero_pair():
