@@ -73,17 +73,19 @@ expands it.
 Both quorum levels, a process's N senders each iteration and a cluster's
 exchange partners each round, are the `count` lowest of one uniform key
 per (receiver, sender), drawn by _quorum_keys (the receiver's own key is
--1, a sender it may not hear is inf) and picked by _lowest. _lowest marks
-the keys not above each row's count-th lowest and reads the marked
-positions with np.flatnonzero, which lists them row-major, so each quorum
-comes out ascending with no index sort. A row of at most six keys marks
-the keys with fewer than `count` keys strictly below them, by one
-comparison pass per key; a longer row sorts its values (not indices) for
-the cut. The marks are the same: a NaN key is below none and has none
-below it, and a row with fewer than `count` keys that are not NaN is
-marked whole. A tie at the cut marks more than `count` keys in some row;
-only then does the call fall back to a stable argsort, so a tie goes to
-the lowest sender on every machine. A process quorum's
+-1, a sender it may not hear is inf) and picked by _lowest. A quorum of
+every unit is every position. Otherwise _lowest marks the keys not above
+each row's cut, its count-th lowest key, and reads the marked positions
+with np.flatnonzero, which lists them row-major, so each quorum comes
+out ascending with no index sort. The cut is the output of a min/max
+selection network (Batcher's odd-even merge sort, pruned to what one
+output wire needs, cached per width and count), one ufunc call per
+comparator output over the whole column of keys. Every benchmarked row
+has at most 8 keys; from about 13 keys a row sorting the values would be
+cheaper (BENCH_29.json). A NaN in a row makes the cut NaN and marks the
+row whole. A tie at the cut, or a NaN key, marks more than `count` keys
+in some row; only then does the call fall back to a stable argsort, so a
+tie goes to the lowest sender on every machine. A process quorum's
 values are gathered sender-major by one np.take of columns of a (dim,
 processes * seeds) view, into (dim, N, processes * seeds), so the mean
 adds whole rows, sender by sender.
@@ -108,6 +110,7 @@ stage supports uniform cluster sizes of 1 or 2.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,35 +210,84 @@ def _require_reachable(allowed: np.ndarray, count: int, key: str, units: str) ->
         raise ConfigError(key, f"fewer than {count} reachable {units}")
 
 
-def _count_marks(keys: np.ndarray, count: int) -> np.ndarray:
-    """Keys with fewer than `count` keys of their row strictly below them."""
-    below = np.zeros(keys.shape, dtype=np.uint8)
-    less = np.empty(keys.shape, dtype=bool)
-    for j in range(keys.shape[-1]):
-        np.less(keys[..., j:j + 1], keys, out=less)
-        below += less
-    return below < count
+@functools.cache
+def _selection_network(units: int, count: int) -> tuple[tuple[int, int, bool, bool], ...]:
+    """Comparators (lo, hi, keep_lo, keep_hi) that leave the count-th lowest
+    of `units` wires on wire count - 1.
+
+    Batcher's odd-even merge sort on the next power of two, less the
+    comparators that reach a wire past `units` (padding wires hold +inf, so
+    those comparators move nothing), pruned from the end: a comparator stays
+    if wire count - 1 depends on one of its outputs, and keeps only the
+    outputs that a later comparator or the selection reads."""
+    width = 1 << (units - 1).bit_length()
+    sort = []
+    p = 1
+    while p < width:
+        k = p
+        while k:
+            for j in range(k % p, width - k, 2 * k):
+                for i in range(j, j + k):
+                    if i // (2 * p) == (i + k) // (2 * p) and i + k < units:
+                        sort.append((i, i + k))
+            k //= 2
+        p *= 2
+    needed = {count - 1}
+    steps = []
+    for lo, hi in reversed(sort):
+        keep_lo, keep_hi = lo in needed, hi in needed
+        if keep_lo or keep_hi:
+            steps.append((lo, hi, keep_lo, keep_hi))
+            needed |= {lo, hi}
+    return tuple(reversed(steps))
+
+
+def _select(keys: np.ndarray, count: int) -> np.ndarray:
+    """The count-th lowest key of each last-axis row, by _selection_network
+    over the column views: np.minimum and np.maximum on whole columns. A
+    wire whose output nothing reads keeps its last array to the end of the
+    call: dropping it at once tripled batch-quorum's first-run page faults."""
+    wires = list(np.moveaxis(keys, -1, 0))
+    for lo, hi, keep_lo, keep_hi in _selection_network(keys.shape[-1], count):
+        a, b = wires[lo], wires[hi]
+        if keep_lo:
+            wires[lo] = np.minimum(a, b)
+        if keep_hi:
+            wires[hi] = np.maximum(a, b)
+    return wires[count - 1]
 
 
 def _lowest(keys: np.ndarray, count: int) -> np.ndarray:
     """Ascending positions of the `count` lowest keys of each last-axis row,
     bitwise np.sort(np.argsort(keys, axis=-1, kind="stable")[..., :count], -1).
 
-    Every row has at least `count` keys not above its count-th lowest (a NaN
-    cut marks the whole row), so exactly rows * count marked keys means
-    exactly `count` in every row, and then they are the argsort's first
-    `count` whatever its order among them. Otherwise (a tie at the cut) the
-    call runs that stable argsort: the default one's order among equal keys
-    depends on the sort numpy dispatches for the CPU.
+    A row of `count` keys gives every position. Otherwise the call marks the
+    keys not above each row's cut, its count-th lowest key, taken from
+    _select. That cut is exact:
+
+    - a comparator network sorts any totally ordered input (the 0-1
+      principle), so on a row without NaN the selected wire holds a value
+      equal to np.sort(keys)[..., count - 1], and +-0 compare equal;
+    - np.minimum and np.maximum propagate NaN and the selected wire depends
+      on every input, so a row with a NaN gets a NaN cut and is marked
+      whole, more than `count` of its keys.
+
+    Every row thus has at least `count` marked keys, so exactly rows * count
+    marked keys means exactly `count` in every row, and then they are the
+    argsort's first `count` whatever its order among them. Otherwise (a tie
+    at the cut, or a NaN) the call runs that stable argsort: the default
+    one's order among equal keys depends on the sort numpy dispatches for
+    the CPU.
     """
     units = keys.shape[-1]
+    if count == units:
+        return np.broadcast_to(np.arange(units, dtype=np.intp), keys.shape).copy()
     rows = keys.size // units
-    if units <= 6:  # counting pays up to six keys a row (BENCH_16.json)
-        marked = _count_marks(keys, count)
-    else:  # cut keeps the sort alive to the end; freeing it early tripled page faults
-        cut = np.sort(keys, axis=-1)[..., count - 1:count]
-        marked = keys > cut
-        np.logical_not(marked, out=marked)
+    cut = _select(keys, count)[..., None]
+    # cut lives to the end of the call: freeing it after the marks tripled
+    # batch-quorum's first-run page faults (see the module docstring)
+    marked = keys > cut
+    np.logical_not(marked, out=marked)
     pos = np.flatnonzero(marked)
     if pos.size != rows * count:  # a tie at the cut
         return np.sort(np.argsort(keys, axis=-1, kind="stable")[..., :count], axis=-1)

@@ -16,9 +16,12 @@ a configuration error. Crash plans need the event driver.
 Exit codes: 0 on success; 2 for a configuration or usage error and nothing
 else (a ConfigError, whose message names the exact scenario key, an
 unreadable file or malformed JSON; any other exception propagates); 3 when
-a run had a liveness violation (statistics are withheld in that case); 4
-when a trace audit failed on some seed (outputs are still written and
-summary.json names the seed; a liveness violation takes precedence).
+statistics are withheld: a run had a liveness violation, or the seeds
+output from different processes (a crash that lands before its process's
+output in some seeds only; summary.json then lists output_pids, the
+sorted pids per seed); 4 when a trace audit failed on some seed
+(outputs are still written and summary.json names the seed; exit 3 takes
+precedence).
 
 `verify` runs the acceptance criteria in asgd.checks by suite: contraction
 (criteria 1, 2, 4 and the shared-level check), variance (criterion 6),
@@ -45,7 +48,7 @@ from pathlib import Path
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_LIVENESS = 3
+EXIT_WITHHELD = 3
 EXIT_AUDIT = 4
 
 SCENARIO_FORMAT = "asgd-scenario"
@@ -319,13 +322,14 @@ def _cmd_run(args) -> int:
                 path.write_bytes(trace.to_jsonl().encode("ascii"))
             summary["audit"] = _audit_seeds(ensemble.traces, algorithm, topology)
         summary["liveness"] = {"ok": ensemble.ok, "counts": ensemble.liveness}
-        if not ensemble.ok:
-            summary["stats"] = None
+        withheld = ensemble.withheld()
+        if withheld:
+            message, fields = withheld
+            summary.update(fields, stats=None)
             harness.write_summary(outdir / "summary.json", summary)
             harness.write_csv(outdir / "metrics.csv", [])
-            print("liveness violation: statistics withheld "
-                  f"(counts: {ensemble.liveness})", file=sys.stderr)
-            return EXIT_LIVENESS
+            print(message, file=sys.stderr)
+            return EXIT_WITHHELD
         finals = ensemble.outputs_array()
         counters = {}
         for t in ensemble.traces:

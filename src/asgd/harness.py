@@ -10,8 +10,11 @@ Conventions used throughout:
 - rate fits are least squares on log10/log10 with at least three points;
 - CSV exports are deterministic: sorted axes, repr() floats, fixed column
   order (config, axes, stat, mean, stderr, n_seeds);
-- statistics are only reported for ensembles whose runs all completed; a
-  liveness violation flags the whole ensemble and withholds the numbers.
+- statistics are only reported for ensembles whose runs all completed and
+  whose seeds all output from the same processes; a liveness violation
+  flags the whole ensemble and withholds the numbers, and so do seeds that
+  output from different processes (a crash that lands before its process's
+  output in some seeds and after it in others).
 """
 
 from __future__ import annotations
@@ -190,10 +193,26 @@ class EventEnsemble:
     liveness: dict[str, int]
     warnings: list[str]
 
-    def outputs_array(self) -> np.ndarray:
-        """(S, n, d) outputs; only meaningful when every run completed."""
+    def withheld(self) -> tuple[str, dict] | None:
+        """Why the statistics are withheld, as a message and the summary
+        fields that show it, or None when they are not. outputs_array rows
+        are processes in pid order, and the statistics treat a row as one
+        process in every seed, so every seed must output from the same pids."""
         if not self.ok:
-            raise RuntimeError("ensemble had liveness violations; stats withheld")
+            return f"liveness violation: statistics withheld (counts: {self.liveness})", {}
+        pids = [sorted(t.outputs) for t in self.traces]
+        if any(p != pids[0] for p in pids):
+            kinds = len({tuple(p) for p in pids})
+            return (f"seeds output from {kinds} different sets of processes: "
+                    "statistics withheld (output_pids lists them per seed)",
+                    {"output_pids": pids})
+        return None
+
+    def outputs_array(self) -> np.ndarray:
+        """(S, n, d) outputs, unless the statistics are withheld."""
+        withheld = self.withheld()
+        if withheld:
+            raise RuntimeError(withheld[0])
         return np.stack([t.outputs_array() for t in self.traces])
 
 

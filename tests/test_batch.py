@@ -192,21 +192,41 @@ def _argsort_lowest(keys, count):
     return np.sort(np.argsort(keys, axis=-1, kind="stable")[..., :count], axis=-1)
 
 
-def _count_argsorts(monkeypatch):
+def _count_sorts(monkeypatch):
+    """Calls of np.sort and np.argsort, by name, from here on."""
     calls = []
-    real = np.argsort
+    for name in ("sort", "argsort"):
+        real = getattr(np, name)
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
 
-    monkeypatch.setattr(np, "argsort", counted)
+        monkeypatch.setattr(np, name, counted)
     return calls
 
 
-# row widths 2 to 6 take _lowest's counting marks, 7 and 8 its sort marks
+@pytest.mark.parametrize("units", range(1, 17))
+def test_selection_network_selects_each_rank_of_every_0_1_row(units):
+    rows = (np.arange(2 ** units)[:, None] >> np.arange(units) & 1).astype(np.float64)
+    want = np.sort(rows, axis=-1)
+    for count in range(1, units + 1):
+        network = batch._selection_network(units, count)
+        assert batch._selection_network(units, count) is network  # cached
+        assert all(0 <= lo < hi < units for lo, hi, _, _ in network)
+        assert np.array_equal(batch._select(rows, count), want[:, count - 1]), count
+
+
+def test_selection_network_computes_only_what_is_read():
+    network = batch._selection_network(8, 4)
+    assert sum(keep_lo + keep_hi for _, _, keep_lo, keep_hi in network) == 27
+    assert all(keep_lo or keep_hi for _, _, keep_lo, keep_hi in network)
+
+
+# every row width below count takes _lowest's network cut, with no sort
 @pytest.mark.parametrize("shape", [(40, 7, 7), (6, 5, 4, 4), (50, 2, 2), (40, 3, 3),
-                                   (20, 8, 8)])
+                                   (20, 8, 8), (30, 1, 1), (20, 12, 12), (10, 13, 13),
+                                   (8, 16, 16)])
 def test_lowest_matches_argsort_on_distinct_keys_without_argsort(shape, monkeypatch):
     rng = np.random.default_rng(11)
     units = shape[-1]
@@ -219,7 +239,7 @@ def test_lowest_matches_argsort_on_distinct_keys_without_argsort(shape, monkeypa
     cut[..., ~allowed] = np.inf  # never the cut while count <= the fewest allowed
     wants = {count: (_argsort_lowest(keys, count), _argsort_lowest(cut, count))
              for count in range(1, units + 1)}
-    calls = _count_argsorts(monkeypatch)
+    calls = _count_sorts(monkeypatch)
     for count, (want, want_cut) in wants.items():
         assert _lowest(keys, count).tobytes() == want.tobytes()
         if count <= allowed.sum(axis=1).min():
@@ -228,7 +248,8 @@ def test_lowest_matches_argsort_on_distinct_keys_without_argsort(shape, monkeypa
 
 
 @pytest.mark.parametrize("shape", [(30, 6, 6), (4, 3, 5, 5), (60, 2, 2), (40, 3, 3),
-                                   (30, 4, 4), (20, 8, 8)])
+                                   (30, 4, 4), (20, 8, 8), (10, 12, 12), (8, 13, 13),
+                                   (6, 16, 16)])
 def test_lowest_falls_back_to_argsort_on_ties(shape, monkeypatch):
     rng = np.random.default_rng(12)
     units = shape[-1]
@@ -237,12 +258,12 @@ def test_lowest_falls_back_to_argsort_on_ties(shape, monkeypatch):
     cut[..., :2, units - 2:] = np.inf  # receivers 0 and 1 hear units - 2 senders
     wants = [(keys, count, _argsort_lowest(keys, count))
              for keys in (ties, cut) for count in range(1, units + 1)]
-    calls = _count_argsorts(monkeypatch)
+    calls = _count_sorts(monkeypatch)
     for keys, count, want in wants:
         assert _lowest(keys, count).tobytes() == want.tobytes()
     # integer keys tie at the cut for every count below units; the inf keys
     # only at units - 1, above the units - 2 senders receivers 0 and 1 hear
-    assert len(calls) == (units - 1) + 1
+    assert calls.count("argsort") == (units - 1) + 1
 
 
 def _edge_keys(rng, shape):
@@ -257,23 +278,37 @@ def _edge_keys(rng, shape):
 
 def test_lowest_matches_argsort_with_nan_keys():
     rng = np.random.default_rng(13)
-    for units in (2, 3, 4, 5, 8):  # counting marks up to 6 keys, sort marks at 8
+    for units in range(1, 17):
         keys = rng.random((20, units))
-        keys[3, 1] = keys[7, 0] = keys[7, units - 1] = np.nan
+        keys[3, min(1, units - 1)] = keys[7, 0] = keys[7, units - 1] = np.nan
         for k in (keys, _edge_keys(rng, (30, units, units))):
             for count in range(1, units + 1):
                 got, want = _lowest(k, count), _argsort_lowest(k, count)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (units, count)
 
 
-@pytest.mark.parametrize("units", range(1, 7))
-def test_count_marks_equal_the_sort_cut_marks(units):
+@pytest.mark.parametrize("units", range(1, 17))
+def test_network_cut_equals_the_sort_cut(units):
     rng = np.random.default_rng(15)
     for keys in (_edge_keys(rng, (200, units, units)),
                  rng.integers(0, 3, size=(200, units)).astype(np.float64)):
+        nan_row = np.isnan(keys).any(axis=-1)
         for count in range(1, units + 1):
-            want = ~(keys > np.sort(keys, axis=-1)[..., count - 1:count])
-            assert np.array_equal(batch._count_marks(keys, count), want)
+            got = batch._select(keys, count)
+            want = np.sort(keys, axis=-1)[..., count - 1]
+            assert np.isnan(got[nan_row]).all()  # a NaN row is marked whole
+            assert np.array_equal(got[~nan_row], want[~nan_row]), count
+
+
+@pytest.mark.parametrize("shape", [(30, 1, 1), (5, 8, 8), (64, 64)])
+def test_lowest_of_every_key_is_every_position(shape, monkeypatch):
+    keys = _edge_keys(np.random.default_rng(16), shape)
+    units = shape[-1]
+    want = _argsort_lowest(keys, units)
+    calls = _count_sorts(monkeypatch)
+    got = _lowest(keys, units)
+    assert got.dtype == np.intp and got.flags.writeable
+    assert got.tobytes() == want.tobytes() and calls == []
 
 
 def test_sample_quorums_draw_one_key_array_from_the_stream():

@@ -527,6 +527,24 @@ def test_liveness_violation_exits_3(tmp_path):
     assert summary["stats"] is None
     assert not summary["liveness"]["ok"]
     assert summary["liveness"]["counts"] == {"blocked": 2}
+    assert "output_pids" not in summary
+
+
+def test_unequal_output_counts_withhold_stats_and_exit_3(tmp_path, capsys):
+    # pid 3's crash lands before its output in some seeds and after it in others
+    code = _run(["run", SCENARIOS / "sc_quadratic_event.json", "--out", tmp_path,
+                 "--set", "algorithm.iterations=8", "--set", "run.seeds=8",
+                 "--set", 'faults.crashes=[{"pid": 3, "after_events": 220}]'])
+    assert code == cli.EXIT_WITHHELD == 3
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["stats"] is None
+    assert summary["liveness"] == {"ok": True, "counts": {"completed": 8}}
+    pids = summary["output_pids"]
+    assert len(pids) == 8 and {tuple(p) for p in pids} == {(0, 1, 2), (0, 1, 2, 3)}
+    assert capsys.readouterr().err.splitlines() == [
+        "seeds output from 2 different sets of processes: statistics withheld "
+        "(output_pids lists them per seed)"]
+    assert (tmp_path / "metrics.csv").read_text() == harness.CSV_HEADER + "\n"
 
 
 def test_cli_outputs_are_deterministic(tmp_path):

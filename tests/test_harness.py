@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -162,6 +163,53 @@ def test_run_event_ensemble_withholds_stats_on_liveness_failure():
     assert ens.liveness == {"blocked": 2}
     with pytest.raises(RuntimeError):
         ens.outputs_array()
+
+
+def _crash_ensemble(crashes, seed_root, seeds):
+    topo = sim.Topology(4, ((0, 1), (2, 3)))
+    conf = SgdConfig(variant=Variant.STRONGLY_CONVEX, iterations=8, quorum=2,
+                     x1=(0.3, 0.3),
+                     lr=LrSchedule(kind="decreasing", beta=2.0, gamma=8.0))
+    plan = sim.FaultPlan(crashes=tuple(sim.CrashSpec(pid=p, after_events=e)
+                                       for p, e in crashes))
+    return harness.run_event_ensemble(topo, plan, sim.Schedule(), conf, QUAD2,
+                                      seed_root=seed_root, seeds=seeds)
+
+
+def _assert_withheld_for_pids(ens):
+    pids = [sorted(t.outputs) for t in ens.traces]
+    message, fields = ens.withheld()
+    assert fields == {"output_pids": pids}
+    assert message == (f"seeds output from {len({tuple(p) for p in pids})} different sets "
+                       "of processes: statistics withheld (output_pids lists them per seed)")
+    with pytest.raises(RuntimeError, match=re.escape(message)):
+        ens.outputs_array()
+
+
+def test_run_event_ensemble_withholds_stats_on_unequal_output_counts():
+    # pid 3's crash lands before its output in some seeds and after it in others
+    ens = _crash_ensemble([(3, 220)], seed_root=7, seeds=8)
+    assert ens.ok
+    assert {len(t.outputs) for t in ens.traces} == {3, 4}
+    _assert_withheld_for_pids(ens)
+
+
+def test_run_event_ensemble_withholds_stats_on_equal_counts_from_other_pids():
+    # every seed outputs from three processes, but not the same three: the
+    # rows of outputs_array would be pid 2 in some seeds and pid 3 in others
+    ens = _crash_ensemble([(2, 228), (3, 228)], seed_root=1, seeds=4)
+    assert ens.ok
+    pids = [sorted(t.outputs) for t in ens.traces]
+    assert {len(p) for p in pids} == {3}
+    assert [0, 1, 2] in pids and [0, 1, 3] in pids
+    _assert_withheld_for_pids(ens)
+
+
+def test_run_event_ensemble_keeps_stats_when_every_seed_outputs_from_the_same_pids():
+    ens = _crash_ensemble([(2, 200), (3, 200)], seed_root=7, seeds=8)
+    assert ens.ok and ens.withheld() is None
+    assert {tuple(sorted(t.outputs)) for t in ens.traces} == {(0, 1)}
+    assert ens.outputs_array().shape == (8, 2, 2)
 
 
 def test_divergence_demo_partition_separates_sides(monkeypatch):
